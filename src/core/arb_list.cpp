@@ -704,33 +704,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   const auto cluster_count =
       static_cast<std::int64_t>(deco.clusters.size());
   ClusterTailState tail;
-  // Single-threaded fast path: Phase B is guaranteed sequential (the
-  // weighted allocator caps at shard_threads()), so each cluster can
-  // enumerate inline right after its plan while the fragments are still
-  // cache-hot, and the plan's memory is released before the next cluster
-  // — the PR 5 locality, kept. Only the per-representative estimates
-  // survive, so the work-item accounting below stays a pure function of
-  // the plans and bit-identical to the multi-thread run. Charges are
-  // unaffected: enumeration never touches the ledger, and the commits
-  // below run in the same order either way.
-  // Crash mode keeps the plans alive past Phase A: a crash detected after
-  // the plan commits must be able to re-plan the touched clusters before
-  // enumeration, which the inline drop-plans-early path cannot do.
-  const bool inline_tail = shard_threads() <= 1 && !crash_mode;
-  std::vector<std::vector<std::uint64_t>> rep_ests;
-  if (inline_tail) {
-    rep_ests.resize(deco.clusters.size());
-    for (std::size_t ci = 0; ci < deco.clusters.size(); ++ci) {
-      prepare_cluster(ci, tail);
-      const InClusterPlan plan = std::move(plans[ci]);
-      auto& ests = rep_ests[ci];
-      ests.reserve(plan.reps.size());
-      for (const InClusterPlan::Rep& r : plan.reps) {
-        ests.push_back(r.est_work);
-      }
-      in_cluster_enumerate(plan, 0, plan.reps.size(), *ctx.out);
-    }
-  } else if (std::min<std::int64_t>(shard_threads(), cluster_count) <= 1) {
+  if (std::min<std::int64_t>(shard_threads(), cluster_count) <= 1) {
     for (std::size_t ci = 0; ci < deco.clusters.size(); ++ci) {
       prepare_cluster(ci, tail);
     }
@@ -815,30 +789,19 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     std::uint32_t rep_begin = 0;
     std::uint32_t rep_end = 0;
   };
-  // Per-representative estimate accessors: the inline fast path has
-  // already dropped its plans and kept only the estimate lists.
-  const auto rep_count = [&](std::size_t ci) {
-    return inline_tail ? rep_ests[ci].size() : plans[ci].reps.size();
-  };
-  const auto rep_est = [&](std::size_t ci, std::size_t r) {
-    return inline_tail ? rep_ests[ci][r] : plans[ci].reps[r].est_work;
-  };
   std::uint64_t est_total = 0;
-  for (std::size_t ci = 0; ci < deco.clusters.size(); ++ci) {
-    for (std::size_t r = 0; r < rep_count(ci); ++r) {
-      est_total += rep_est(ci, r);
-    }
-  }
+  for (const InClusterPlan& plan : plans) est_total += plan.est_work_total;
   const std::uint64_t item_grain =
       std::max<std::uint64_t>(1, est_total / kTailTargetItems);
   std::vector<TailItem> items;
   std::vector<std::uint64_t> item_weight;
   for (std::size_t ci = 0; ci < deco.clusters.size(); ++ci) {
+    const auto& reps = plans[ci].reps;
     std::uint32_t begin = 0;
     std::uint64_t acc = 0;
-    for (std::size_t r = 0; r < rep_count(ci); ++r) {
-      acc += rep_est(ci, r);
-      if (acc >= item_grain || r + 1 == rep_count(ci)) {
+    for (std::size_t r = 0; r < reps.size(); ++r) {
+      acc += reps[r].est_work;
+      if (acc >= item_grain || r + 1 == reps.size()) {
         items.push_back(TailItem{static_cast<std::uint32_t>(ci), begin,
                                  static_cast<std::uint32_t>(r + 1)});
         item_weight.push_back(acc);
@@ -853,9 +816,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   // Telemetry span for the enumeration tail. Its work-unit delta is
   // `est_total` — the same 64-bit quantity trace.tail_shard_work sums to —
   // added once from this sequential code, so one source of truth feeds
-  // both views and the span is identical at any DCL_THREADS (the inline
-  // fast path already enumerated during Phase A, but the work *accounting*
-  // is a pure function of the plans and lands here in every mode).
+  // both views and the span is identical at any DCL_THREADS.
   const std::int32_t enumerate_span = begin_step("arb/tail-enumerate");
   if (telemetry != nullptr) telemetry->add_work(est_total);
 
@@ -867,18 +828,13 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     in_cluster_enumerate(plans[item.cluster], item.rep_begin, item.rep_end,
                          sink);
   };
-  if (inline_tail || tail_shards <= 1) {
-    if (inline_tail) {
-      // Already enumerated cluster-by-cluster above; just record the trace.
-      trace.tail_shard_work.assign(1, est_total);
-    } else {
-      // Sequential fast path: report straight into the global collector, no
-      // buffer merge.
-      trace.tail_shard_work.assign(1, est_total);
-      for (const TailItem& item : items) enumerate_item(item, *ctx.out);
-    }
-    // Sequential paths record the per-item metrics directly; values match
-    // the sharded path's merged cells exactly (histogram folds are
+  if (tail_shards <= 1) {
+    // Sequential fast path: report straight into the global collector, no
+    // buffer merge.
+    trace.tail_shard_work.assign(1, est_total);
+    for (const TailItem& item : items) enumerate_item(item, *ctx.out);
+    // The sequential path records the per-item metrics directly; values
+    // match the sharded path's merged cells exactly (histogram folds are
     // commutative integer adds).
     if (telemetry != nullptr) {
       MetricsRegistry& metrics = telemetry->metrics();

@@ -1,6 +1,7 @@
 #include "core/detection.h"
 
 #include <algorithm>
+#include <span>
 
 namespace dcl {
 
@@ -11,8 +12,17 @@ DetectionResult detect_kp(const Graph& g, const KpConfig& cfg) {
   result.rounds = run.total_rounds();
   result.found = out.unique_count() > 0;
   if (result.found) {
-    result.witness = out.cliques().to_vector().front();
-    std::sort(result.witness.begin(), result.witness.end());
+    // The lexicographically smallest listed clique: a function of the
+    // clique set alone, never of the dedup table's slot order (which
+    // depends on insertion order).
+    out.cliques().for_each_span([&](std::span<const NodeId> c) {
+      if (result.witness.empty() ||
+          std::lexicographical_compare(c.begin(), c.end(),
+                                       result.witness.begin(),
+                                       result.witness.end())) {
+        result.witness.assign(c.begin(), c.end());
+      }
+    });
   }
   return result;
 }

@@ -24,7 +24,8 @@ namespace dcl {
 struct DetectionResult {
   bool found = false;
   double rounds = 0.0;
-  /// The witness clique if one was found (sorted node ids).
+  /// The witness clique if one was found: the lexicographically smallest
+  /// listed Kp (sorted node ids), so it depends on the input alone.
   Clique witness;
 };
 

@@ -4,10 +4,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/intersect.h"
 #include "common/math_util.h"
 #include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
+#include "graph/orientation.h"
 
 namespace dcl {
 
@@ -141,8 +141,18 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
   // Compile each non-empty bucket once: sort its compact edge pairs, dedup
   // (goal flags merge by OR — the union of held copies), and lay the rows
   // out as a CSR over the lower part's compact range. This is the only
-  // O(m log m) pass left; every representative reuses it.
+  // O(m log m) pass left; every representative reuses it. The lower-
+  // endpoint CSR is a plan-time intermediate: its row lengths define the
+  // representatives' work estimates, and walked part-major it lists the
+  // cluster's deduplicated held-edge graph in sorted edge order.
+  struct LowerCsr {
+    std::vector<std::uint64_t> off;  ///< part-a range row offsets (+1)
+    std::vector<NodeId> nbr;         ///< higher endpoints, ascending per row
+    std::vector<std::uint8_t> goal;  ///< aligned with `nbr`
+  };
+  std::vector<LowerCsr> lower(checked_mul64(q, q));
   plan.fragments.resize(checked_mul64(q, q));
+  std::uint64_t held_edges = 0;
   {
     struct CompactEdge {
       NodeId lo, hi;
@@ -151,7 +161,8 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
     std::vector<CompactEdge> scratch;
     for (int a = 0; a < q; ++a) {
       for (int b = a; b < q; ++b) {
-        const auto& bkt = bucket[static_cast<std::size_t>(pair_index(a, b, q))];
+        const auto idx = static_cast<std::size_t>(pair_index(a, b, q));
+        const auto& bkt = bucket[idx];
         if (bkt.empty()) continue;
         scratch.clear();
         scratch.reserve(bkt.size());
@@ -166,33 +177,113 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
                   [](const CompactEdge& x, const CompactEdge& y) {
                     return x.lo != y.lo ? x.lo < y.lo : x.hi < y.hi;
                   });
-        InClusterPlan::Fragment& f =
-            plan.fragments[static_cast<std::size_t>(pair_index(a, b, q))];
+        LowerCsr& l = lower[idx];
+        InClusterPlan::Fragment& f = plan.fragments[idx];
+        f.part_a = a;
+        f.part_b = b;
         const NodeId lo_begin = plan.part_begin[static_cast<std::size_t>(a)];
         const NodeId lo_end = plan.part_begin[static_cast<std::size_t>(a) + 1];
-        f.off.assign(static_cast<std::size_t>(lo_end - lo_begin) + 1, 0);
-        f.nbr.reserve(scratch.size());
-        f.goal.reserve(scratch.size());
+        l.off.assign(static_cast<std::size_t>(lo_end - lo_begin) + 1, 0);
+        l.nbr.reserve(scratch.size());
+        l.goal.reserve(scratch.size());
         for (std::size_t i = 0; i < scratch.size(); ++i) {
           const CompactEdge& ce = scratch[i];
           if (i > 0 && scratch[i - 1].lo == ce.lo &&
               scratch[i - 1].hi == ce.hi) {
             // Duplicate held copy of the same edge: keep one, OR the goal.
-            auto& g = f.goal.back();
+            auto& g = l.goal.back();
             f.goal_count += static_cast<std::int64_t>(ce.goal & ~g);
             g |= ce.goal;
             continue;
           }
-          f.nbr.push_back(ce.hi);
-          f.goal.push_back(ce.goal);
+          l.nbr.push_back(ce.hi);
+          l.goal.push_back(ce.goal);
           f.goal_count += ce.goal;
-          ++f.off[static_cast<std::size_t>(ce.lo - lo_begin) + 1];
+          ++l.off[static_cast<std::size_t>(ce.lo - lo_begin) + 1];
         }
-        for (std::size_t r = 1; r < f.off.size(); ++r) {
-          f.off[r] += f.off[r - 1];
+        for (std::size_t r = 1; r < l.off.size(); ++r) {
+          l.off[r] += l.off[r - 1];
+        }
+        held_edges += l.nbr.size();
+      }
+    }
+  }
+
+  // Orient once: peel the cluster's held-edge graph a single time and
+  // direct every edge from its earlier to its later endpoint in that
+  // degeneracy order. Each representative's local graph is a subgraph, so
+  // the restriction stays acyclic with out-degree ≤ the cluster graph's
+  // degeneracy, and the kernel lists each of its cliques exactly once.
+  std::vector<NodeId> rank(static_cast<std::size_t>(compact_n));
+  {
+    std::vector<Edge> edges;
+    edges.reserve(held_edges);
+    for (int a = 0; a < q; ++a) {
+      const NodeId lo_begin = plan.part_begin[static_cast<std::size_t>(a)];
+      const NodeId lo_end = plan.part_begin[static_cast<std::size_t>(a) + 1];
+      for (NodeId u = lo_begin; u < lo_end; ++u) {
+        const auto row = static_cast<std::size_t>(u - lo_begin);
+        for (int b = a; b < q; ++b) {
+          const LowerCsr& l =
+              lower[static_cast<std::size_t>(pair_index(a, b, q))];
+          if (l.nbr.empty()) continue;
+          for (std::uint64_t x = l.off[row]; x < l.off[row + 1]; ++x) {
+            edges.push_back(Edge{u, l.nbr[x]});
+          }
         }
       }
     }
+    const DegeneracyResult dec = degeneracy_order(
+        Graph::from_sorted_edges(compact_n, std::move(edges)));
+    for (std::size_t i = 0; i < dec.order.size(); ++i) {
+      rank[static_cast<std::size_t>(dec.order[i])] = to_node(i);
+    }
+  }
+  for (std::size_t idx = 0; idx < lower.size(); ++idx) {
+    const LowerCsr& l = lower[idx];
+    if (l.nbr.empty()) continue;
+    InClusterPlan::Fragment& f = plan.fragments[idx];
+    const auto pa = static_cast<std::size_t>(f.part_a);
+    const auto pb = static_cast<std::size_t>(f.part_b);
+    const NodeId a_begin = plan.part_begin[pa];
+    const NodeId a_end = plan.part_begin[pa + 1];
+    const NodeId b_begin = plan.part_begin[pb];
+    const NodeId b_end = plan.part_begin[pb + 1];
+    const auto a_rows = static_cast<std::size_t>(a_end - a_begin);
+    // Row space: part a's range, then part b's (a part-b node is never
+    // below a_end when a < b; when a == b every endpoint is in part a).
+    const auto row_of = [&](NodeId c) {
+      return c < a_end ? static_cast<std::size_t>(c - a_begin)
+                       : a_rows + static_cast<std::size_t>(c - b_begin);
+    };
+    const std::size_t b_rows =
+        f.part_a == f.part_b ? 0 : static_cast<std::size_t>(b_end - b_begin);
+    f.off.assign(a_rows + b_rows + 1, 0);
+    // Two passes over the lower CSR (count, then scatter) in (lo, hi)
+    // order: every out-row comes out in ascending compact order.
+    const auto for_each_edge = [&](auto&& fn) {
+      for (std::size_t r = 0; r + 1 < l.off.size(); ++r) {
+        const NodeId u = a_begin + to_node(r);
+        for (std::uint64_t x = l.off[r]; x < l.off[r + 1]; ++x) {
+          const NodeId v = l.nbr[x];
+          const bool forward = rank[static_cast<std::size_t>(u)] <
+                               rank[static_cast<std::size_t>(v)];
+          fn(forward ? u : v, forward ? v : u, l.goal[x]);
+        }
+      }
+    };
+    for_each_edge([&](NodeId src, NodeId, std::uint8_t) {
+      ++f.off[row_of(src) + 1];
+    });
+    for (std::size_t r = 1; r < f.off.size(); ++r) f.off[r] += f.off[r - 1];
+    std::vector<std::uint64_t> cursor(f.off.begin(), f.off.end() - 1);
+    f.nbr.resize(l.nbr.size());
+    f.goal.resize(l.nbr.size());
+    for_each_edge([&](NodeId src, NodeId dst, std::uint8_t goal) {
+      const std::uint64_t at = cursor[row_of(src)]++;
+      f.nbr[at] = dst;
+      f.goal[at] = goal;
+    });
   }
 
   // Receive loads, then the representative roster. Nodes with identical
@@ -206,8 +297,8 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
   // plan time, so the enumeration half's work items are all real work.
   const std::vector<NodeId> rep = representative_table(tuple, q);
   std::vector<std::int64_t> recv_load(static_cast<std::size_t>(k), 0);
-  std::vector<InClusterPlan::FragRef> refs;  // current rep's covered frags
-  std::vector<std::uint64_t> deg;            // row-degree scratch, per part
+  std::vector<std::uint32_t> refs;  // current rep's covered fragments
+  std::vector<std::uint64_t> deg;   // row-degree scratch, per part
   for (NodeId j = 0; j < k; ++j) {
     const auto& s = tuple[static_cast<std::size_t>(j)];
     const bool is_rep = rep[static_cast<std::size_t>(j)] == j;
@@ -223,8 +314,7 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
         if (!is_rep) continue;
         const InClusterPlan::Fragment& f = plan.fragments[idx];
         if (f.edge_count() == 0) continue;
-        refs.push_back(
-            InClusterPlan::FragRef{a, static_cast<std::uint32_t>(idx)});
+        refs.push_back(static_cast<std::uint32_t>(idx));
         rep_edges += f.edge_count();
         rep_goals += f.goal_count;
       }
@@ -232,23 +322,25 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
     if (!is_rep || rep_edges < p * (p - 1) / 2 || rep_goals == 0) {
       continue;
     }
-    // Out-degree² work estimate: for each local-graph source row, the row
-    // degree is the sum of the covered fragments' row lengths (refs with
-    // equal lower_part are consecutive — the (a, b) walk above ascends).
-    // Accumulated fragment-by-fragment into a per-part degree scratch so
-    // each `off` array is read in one sequential pass. 64-bit throughout:
-    // one hub row alone can push the square past 2^32.
+    // Out-degree² work estimate: for each lower-endpoint source row, the
+    // row degree is the sum of the covered fragments' lower-CSR row lengths
+    // (refs with equal lower part are consecutive — the (a, b) walk above
+    // ascends). Accumulated fragment-by-fragment into a per-part degree
+    // scratch so each `off` array is read in one sequential pass. 64-bit
+    // throughout: one hub row alone can push the square past 2^32.
     std::uint64_t est = 0;
     for (std::size_t i = 0; i < refs.size();) {
-      const int a = refs[i].lower_part;
+      const int a = plan.fragments[refs[i]].part_a;
       std::size_t fend = i;
-      while (fend < refs.size() && refs[fend].lower_part == a) ++fend;
+      while (fend < refs.size() && plan.fragments[refs[fend]].part_a == a) {
+        ++fend;
+      }
       const NodeId lo_begin = plan.part_begin[static_cast<std::size_t>(a)];
       const NodeId lo_end = plan.part_begin[static_cast<std::size_t>(a) + 1];
       const auto rows = static_cast<std::size_t>(lo_end - lo_begin);
       deg.assign(rows, 0);
       for (std::size_t fi = i; fi < fend; ++fi) {
-        const auto& off = plan.fragments[refs[fi].frag].off;
+        const auto& off = lower[refs[fi]].off;
         for (std::size_t row = 0; row < rows; ++row) {
           deg[row] += off[row + 1] - off[row];
         }
@@ -297,81 +389,96 @@ std::uint64_t in_cluster_enumerate(const InClusterPlan& plan,
                                    std::size_t rep_begin, std::size_t rep_end,
                                    ListingOutput& out) {
   const int p = plan.p;
+  const auto n = static_cast<std::size_t>(plan.compact_n);
   std::uint64_t reported = 0;
-  std::vector<Edge> edges;
-  std::vector<std::uint8_t> edge_goal;
-  EdgeMask local_goal;
+  // Workspace reused by every representative of the range: the DAG is
+  // refilled in place and the kernel scratch warms up once.
+  CliqueDag dag;
+  dag.offsets.assign(n + 1, 0);
+  CliqueScratch scratch;
+  std::vector<NodeId> flat;
   std::vector<NodeId> global(static_cast<std::size_t>(p));
-  std::vector<const InClusterPlan::Fragment*> frags;  // current part's group
+  // One covered fragment seen from one of its two parts: node u of `part`
+  // reads the fragment's row `base + (u - part_begin[part])`.
+  struct RowSource {
+    int part;
+    std::uint32_t frag;
+    std::uint64_t base;
+  };
+  std::vector<RowSource> sources;
   for (std::size_t r = rep_begin; r < rep_end; ++r) {
     const InClusterPlan::Rep& rep = plan.reps[r];
-    const bool all_goal = rep.all_goal;
-    // Assemble the local graph by concatenating the covered fragments.
-    // Compact ids ascend part-major, so walking parts in ascending order
-    // and each part's range in ascending id order visits sources in
-    // ascending compact order, and each source's covered rows (its own
-    // part first, then higher parts) concatenate into one ascending
-    // neighbor run — the emitted edge list is lexicographically sorted by
-    // construction and feeds the sort-free Graph factory. Edge ids equal
-    // emission positions, so the goal flags land on local ids with no
-    // lookups at all.
-    edges.clear();
-    edges.reserve(static_cast<std::size_t>(rep.edges));
-    edge_goal.clear();
-    for (std::uint64_t i = rep.frag_begin; i < rep.frag_end;) {
-      const int a = plan.frag_refs[i].lower_part;
-      std::uint64_t fend = i;
-      while (fend < rep.frag_end && plan.frag_refs[fend].lower_part == a) {
-        ++fend;
+    sources.clear();
+    for (std::uint64_t i = rep.frag_begin; i < rep.frag_end; ++i) {
+      const std::uint32_t idx = plan.frag_refs[i];
+      const InClusterPlan::Fragment& f = plan.fragments[idx];
+      sources.push_back(RowSource{f.part_a, idx, 0});
+      if (f.part_b != f.part_a) {
+        sources.push_back(RowSource{
+            f.part_b, idx,
+            static_cast<std::uint64_t>(
+                plan.part_begin[static_cast<std::size_t>(f.part_a) + 1] -
+                plan.part_begin[static_cast<std::size_t>(f.part_a)])});
       }
-      const NodeId lo_begin = plan.part_begin[static_cast<std::size_t>(a)];
-      const NodeId lo_end = plan.part_begin[static_cast<std::size_t>(a) + 1];
-      frags.clear();
-      for (std::uint64_t fi = i; fi < fend; ++fi) {
-        frags.push_back(&plan.fragments[plan.frag_refs[fi].frag]);
+    }
+    std::sort(sources.begin(), sources.end(),
+              [](const RowSource& x, const RowSource& y) {
+                return x.part != y.part ? x.part < y.part : x.frag < y.frag;
+              });
+    // The representative's DAG: node u's out-row is the concatenation of
+    // its rows in every covered fragment touching u's part. Nodes outside
+    // the covered parts keep empty rows.
+    dag.adj.clear();
+    dag.adj.reserve(static_cast<std::size_t>(rep.edges));
+    dag.goal.clear();
+    if (!rep.all_goal) dag.goal.reserve(static_cast<std::size_t>(rep.edges));
+    NodeId u = 0;
+    for (std::size_t s = 0; s < sources.size();) {
+      const int part = sources[s].part;
+      std::size_t send = s;
+      while (send < sources.size() && sources[send].part == part) ++send;
+      const NodeId begin = plan.part_begin[static_cast<std::size_t>(part)];
+      const NodeId end = plan.part_begin[static_cast<std::size_t>(part) + 1];
+      for (; u < begin; ++u) {
+        dag.offsets[static_cast<std::size_t>(u) + 1] = dag.adj.size();
       }
-      for (NodeId u = lo_begin; u < lo_end; ++u) {
-        const auto row = static_cast<std::size_t>(u - lo_begin);
-        for (const InClusterPlan::Fragment* f : frags) {
-          const std::uint64_t rb = f->off[row];
-          const std::uint64_t re = f->off[row + 1];
-          for (std::uint64_t x = rb; x < re; ++x) {
-            edges.push_back(Edge{u, f->nbr[x]});
-            if (!all_goal) edge_goal.push_back(f->goal[x]);
+      for (; u < end; ++u) {
+        const auto row = static_cast<std::uint64_t>(u - begin);
+        for (std::size_t t = s; t < send; ++t) {
+          const InClusterPlan::Fragment& f = plan.fragments[sources[t].frag];
+          const std::uint64_t at = sources[t].base + row;
+          const auto rb = static_cast<std::ptrdiff_t>(f.off[at]);
+          const auto re = static_cast<std::ptrdiff_t>(f.off[at + 1]);
+          dag.adj.insert(dag.adj.end(), f.nbr.begin() + rb,
+                         f.nbr.begin() + re);
+          if (!rep.all_goal) {
+            dag.goal.insert(dag.goal.end(), f.goal.begin() + rb,
+                            f.goal.begin() + re);
           }
         }
+        dag.offsets[static_cast<std::size_t>(u) + 1] = dag.adj.size();
       }
-      i = fend;
+      s = send;
     }
-    if (!all_goal) {
-      local_goal.assign(static_cast<EdgeId>(edges.size()), false);
-      for (std::size_t e = 0; e < edge_goal.size(); ++e) {
-        if (edge_goal[e]) local_goal.set(static_cast<EdgeId>(e));
-      }
+    for (; static_cast<std::size_t>(u) < n; ++u) {
+      dag.offsets[static_cast<std::size_t>(u) + 1] = dag.adj.size();
     }
-    const Graph local =
-        Graph::from_sorted_edges(plan.compact_n, std::move(edges));
-    edges = {};  // moved-from; reset for the next representative
-    const auto cliques = list_k_cliques(local, p);
+    // Report only cliques containing at least one goal edge of C — the
+    // task assigned to this cluster (others are other iterations' work);
+    // all-goal representatives carry no flags and skip the filter.
+    flat.clear();
+    const std::uint64_t listed = list_dag_cliques(dag, p, scratch, flat);
     // Reserve hint: the dedup table absorbs this enumeration without a
     // growth rehash (duplication-discounted inside reserve_additional).
-    out.reserve_additional(cliques.size());
-    for (const auto& c : cliques) {
-      // Report only cliques containing at least one goal edge of C — the
-      // task assigned to this cluster (others are other iterations' work).
-      bool has_goal = all_goal;
-      for (std::size_t x = 0; x < c.size() && !has_goal; ++x) {
-        for (std::size_t y = x + 1; y < c.size() && !has_goal; ++y) {
-          const auto leid = local.edge_id(c[x], c[y]);
-          has_goal = local_goal[*leid];
-        }
+    out.reserve_additional(listed);
+    const NodeId reporter =
+        plan.cluster->nodes[static_cast<std::size_t>(rep.node)];
+    for (std::size_t at = 0; at < flat.size(); at += global.size()) {
+      for (std::size_t i = 0; i < global.size(); ++i) {
+        global[i] =
+            plan.compact_to_global[static_cast<std::size_t>(flat[at + i])];
       }
-      if (!has_goal) continue;
-      for (std::size_t i = 0; i < c.size(); ++i) {
-        global[i] = plan.compact_to_global[static_cast<std::size_t>(c[i])];
-      }
-      out.report(plan.cluster->nodes[static_cast<std::size_t>(rep.node)],
-                 global);
+      out.report(reporter, global);
       ++reported;
     }
   }

@@ -25,15 +25,27 @@
 //
 // Execution note (docs/PERFORMANCE.md "Cluster-parallel listing"): the
 // routine is split into a *plan* half (steps 1-3.5: partition, buckets,
-// interned CSR fragments, representative roster, and ALL load accounting)
-// and an *enumerate* half (step 4: per-representative local-graph assembly
-// and listing), so arb_list can shard the enumeration *inside* a cluster by
-// representative ranges without touching the ledger — the charges are a
-// pure function of the plan. `in_cluster_plan` is safe to call concurrently
-// for DISTINCT clusters (its only shared state is a thread_local interning
-// buffer); `in_cluster_enumerate` is read-only on the plan and safe for
-// concurrent disjoint ranges of the SAME plan. The caller supplies a
-// pre-split per-cluster Rng so results never depend on scheduling.
+// fragments, representative roster, and ALL load accounting) and an
+// *enumerate* half (step 4), so arb_list can shard the enumeration *inside*
+// a cluster by representative ranges without touching the ledger — the
+// charges are a pure function of the plan.
+//
+// Orient once: step 4 is local computation, which CONGEST does not charge,
+// so its wall time is pure simulator overhead. The plan therefore peels the
+// cluster's deduplicated held-edge graph ONCE, orients every edge along
+// that degeneracy order, and stores each part-pair fragment as oriented
+// out-rows carrying their goal flags. A representative's local graph is a
+// subgraph of the cluster graph, so its DAG — the concatenation of its
+// covered rows — stays acyclic with out-degree at most the cluster graph's
+// degeneracy; the shared kernel (`list_dag_cliques`) lists each of its
+// cliques exactly once and filters goal edges from the flags it carries.
+// No representative builds a Graph, re-peels, or looks up an edge id.
+//
+// `in_cluster_plan` is safe to call concurrently for DISTINCT clusters (its
+// only shared state is a thread_local interning buffer);
+// `in_cluster_enumerate` is read-only on the plan and safe for concurrent
+// disjoint ranges of the SAME plan. The caller supplies a pre-split
+// per-cluster Rng so results never depend on scheduling.
 #pragma once
 
 #include <cstdint>
@@ -89,30 +101,25 @@ struct InClusterCost {
 /// concurrently for disjoint representative ranges of the SAME plan — the
 /// enumeration half only reads it.
 struct InClusterPlan {
-  /// One compiled part-pair bucket: the deduplicated edges whose endpoint
-  /// parts are {a, b}, in compact node ids, stored as a CSR grouped by the
-  /// lower endpoint (rows are dense over part a's compact range). Compiled
-  /// once; every representative covering {a, b} assembles its local graph
-  /// by walking these rows.
+  /// One compiled part-pair bucket {a, b} (a ≤ b): its deduplicated edges
+  /// in compact node ids, each directed along the plan's one degeneracy
+  /// order and stored in its source's out-row. The row space is part a's
+  /// compact range followed, when a ≠ b, by part b's. Compiled once; every
+  /// representative covering {a, b} concatenates these rows into its DAG.
   struct Fragment {
+    int part_a = 0;
+    int part_b = 0;
     /// Row offsets index into `nbr` — edge-scale in the q=1 one-fragment
     /// regime (a fragment can hold every known edge of the cluster), so
     /// 64-bit like every other edge-position type.
-    std::vector<std::uint64_t> off;  ///< lower-part-range row offsets (+1)
-    std::vector<NodeId> nbr;         ///< higher endpoints, ascending per row
+    std::vector<std::uint64_t> off;  ///< row offsets (+1)
+    std::vector<NodeId> nbr;         ///< out-neighbors, ascending per row
     std::vector<std::uint8_t> goal;  ///< goal flag, aligned with `nbr`
     std::int64_t goal_count = 0;
 
     std::int64_t edge_count() const {
       return static_cast<std::int64_t>(nbr.size());
     }
-  };
-
-  /// A covered fragment of one representative, in ascending (a, b) part
-  /// order — the order the local-graph assembly concatenates rows in.
-  struct FragRef {
-    int lower_part = 0;
-    std::uint32_t frag = 0;  ///< index into `fragments`
   };
 
   /// One representative that survived the skip filters (enough edges for a
@@ -123,8 +130,10 @@ struct InClusterPlan {
     std::int64_t edges = 0;  ///< local-graph edge count (fragments summed)
     bool all_goal = false;   ///< every received edge is a goal edge
     /// Out-degree² estimate of the representative's enumeration cost:
-    /// Σ over local-graph sources u of (deg⁺(u))², accumulated in 64 bits —
-    /// a single 70 000-degree hub already overflows 32 (70 000² ≈ 4.9e9).
+    /// Σ over local-graph sources u of (deg⁺(u))², with deg⁺(u) counting
+    /// u's neighbors of higher compact id (not the oriented out-degree),
+    /// accumulated in 64 bits — a single 70 000-degree hub already
+    /// overflows 32 (70 000² ≈ 4.9e9).
     std::uint64_t est_work = 0;
     /// `frag_refs` positions: bounded by reps × covered pairs, which scales
     /// with k·p² — 64-bit so a million-node cluster roster cannot wrap.
@@ -142,7 +151,8 @@ struct InClusterPlan {
   std::vector<NodeId> compact_to_global;
   std::vector<NodeId> part_begin;  ///< compact range of each part, q+1 fences
   std::vector<Fragment> fragments;
-  std::vector<FragRef> frag_refs;
+  /// Covered fragment indices per representative, ascending (a, b).
+  std::vector<std::uint32_t> frag_refs;
   std::vector<Rep> reps;
   std::uint64_t est_work_total = 0;  ///< Σ reps[i].est_work
 };
@@ -153,11 +163,12 @@ struct InClusterPlan {
 /// for DISTINCT clusters.
 InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng);
 
-/// Step 4 for the representative range [rep_begin, rep_end): assembles each
-/// representative's local graph from the plan's fragments, lists its Kp
+/// Step 4 for the representative range [rep_begin, rep_end): concatenates
+/// each representative's covered fragment rows into its DAG, lists its Kp
 /// instances, and reports the goal-containing ones into `out` (reporter =
-/// the global id of the representative's cluster node). Returns the number
-/// of cliques reported. Read-only on `plan`: concurrent calls over disjoint
+/// the global id of the representative's cluster node; the order of one
+/// representative's reports is unspecified). Returns the number of cliques
+/// reported. Read-only on `plan`: concurrent calls over disjoint
 /// ranges of the same plan are safe, and a representative's output does not
 /// depend on which range contains it — any partition of [0, reps.size())
 /// yields the same union of reports.

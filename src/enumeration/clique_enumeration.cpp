@@ -282,25 +282,20 @@ std::vector<Clique> CliqueSet::to_vector() const {
 }
 
 // ---------------------------------------------------------------------------
-// Degeneracy-DAG enumeration.
+// The DAG-input clique kernel.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Per-depth scratch buffers for the candidate sets: depth d of the
-/// recursion owns `scratch[d]`, so one allocation per depth serves the
-/// whole enumeration instead of a fresh vector per candidate.
-using Scratch = std::vector<std::vector<NodeId>>;
-
 /// Per-node recursion level marks. The candidate set at level l is exactly
-/// {w : label[w] == l}, so "candidates ∩ dag_out[u]" is a scan of
-/// dag_out[u] with one indexed compare per element — no sorted merge, no
-/// branches that depend on the interleaving of two lists. This is the
-/// candidate-propagation scheme of sequential k-clique engines (kClist /
-/// DIST); the sorted-merge kernels of common/intersect.h remain the tool
-/// for call sites that have no label context. One byte per node: the
-/// recursion depth is ≤ p, and the gathers dominate the kernel, so the
-/// smaller footprint matters more than the width.
+/// {w : label[w] == l}, so "candidates ∩ out(u)" is a scan of out(u) with
+/// one indexed compare per element — no sorted merge, no branches that
+/// depend on the interleaving of two lists. This is the candidate-
+/// propagation scheme of sequential k-clique engines (kClist / DIST); the
+/// sorted-merge kernels of common/intersect.h remain the tool for call
+/// sites that have no label context. One byte per node: the recursion
+/// depth is ≤ p, and the gathers dominate the kernel, so the smaller
+/// footprint matters more than the width.
 using Labels = std::vector<std::uint8_t>;
 
 /// The label-scan loops gather label[w] for every w in a CSR segment;
@@ -314,39 +309,24 @@ inline void prefetch(const void* p) {
 #endif
 }
 
-/// The degeneracy DAG in flat CSR form: out-neighbors (strictly later in
-/// the degeneracy order, sorted by id) in one contiguous array — one
-/// allocation and sequential scans instead of a vector per node. Every
-/// clique has exactly one representation as a path in this DAG starting
-/// from its earliest-ordered vertex.
-struct DegeneracyDag {
-  std::vector<std::size_t> offsets;  ///< size n+1
-  std::vector<NodeId> adj;           ///< size m
-
-  std::span<const NodeId> out(NodeId v) const {
-    return {adj.data() + offsets[static_cast<std::size_t>(v)],
-            adj.data() + offsets[static_cast<std::size_t>(v) + 1]};
-  }
-};
-
-DegeneracyDag degeneracy_dag(const Graph& g) {
+/// The degeneracy DAG of `g`: out-neighbors strictly later in the
+/// degeneracy order, sorted by id. Two branchless passes over the (sorted)
+/// CSR adjacency — count, then compact the rank-ascending neighbors of each
+/// segment — with sequential reads and one rank gather per visit.
+CliqueDag degeneracy_dag(const Graph& g) {
   const auto dec = degeneracy_order(g);
   const auto n = static_cast<std::size_t>(g.node_count());
   std::vector<NodeId> rank(n);
   for (std::size_t i = 0; i < dec.order.size(); ++i) {
     rank[static_cast<std::size_t>(dec.order[i])] = static_cast<NodeId>(i);
   }
-  DegeneracyDag dag;
+  CliqueDag dag;
   dag.offsets.assign(n + 1, 0);
-  // Two branchless passes over the (sorted) CSR adjacency: count, then
-  // compact the rank-ascending neighbors of each segment. Sequential reads
-  // plus one rank gather per visit — and because neighbor lists are id-
-  // sorted, every segment comes out in ascending head order.
   for (NodeId v = 0; v < g.node_count(); ++v) {
     const auto rv = rank[static_cast<std::size_t>(v)];
-    std::size_t c = 0;
+    std::uint64_t c = 0;
     for (const NodeId w : g.neighbors(v)) {
-      c += static_cast<std::size_t>(rank[static_cast<std::size_t>(w)] > rv);
+      c += static_cast<std::uint64_t>(rank[static_cast<std::size_t>(w)] > rv);
     }
     dag.offsets[static_cast<std::size_t>(v) + 1] = c;
   }
@@ -358,133 +338,69 @@ DegeneracyDag degeneracy_dag(const Graph& g) {
   dag.adj.resize(static_cast<std::size_t>(g.edge_count()) + 1);
   for (NodeId v = 0; v < g.node_count(); ++v) {
     const auto rv = rank[static_cast<std::size_t>(v)];
-    std::size_t c = dag.offsets[static_cast<std::size_t>(v)];
+    std::uint64_t c = dag.offsets[static_cast<std::size_t>(v)];
     for (const NodeId w : g.neighbors(v)) {
       dag.adj[c] = w;
-      c += static_cast<std::size_t>(rank[static_cast<std::size_t>(w)] > rv);
+      c += static_cast<std::uint64_t>(rank[static_cast<std::size_t>(w)] > rv);
     }
   }
   dag.adj.resize(static_cast<std::size_t>(g.edge_count()));
   return dag;
 }
 
-/// Label-scan kernel over the degeneracy DAG for p ≤ 3 (`remaining` ∈
-/// {1, 2}): at these depths the merged last levels are optimal as plain
-/// label-compare scans, and the trimming machinery below would only add
-/// partition writes. `emit` receives each completed clique.
-// dcl-hot
-template <typename Emit>
-void extend_clique(const DegeneracyDag& dag, std::vector<NodeId>& prefix,
-                   std::span<const NodeId> candidates, int level,
-                   int remaining, Labels& label, Emit&& emit) {
-  // Prune: not enough candidates left to complete the clique.
-  if (static_cast<int>(candidates.size()) < remaining) return;
-  if (remaining == 1) {
-    // dcl-lint: allow(sem-hot-alloc): prefix is caller-reserved to depth p
-    prefix.push_back(candidates.front());
-    for (const NodeId u : candidates) {
-      prefix.back() = u;
-      emit(prefix);
-    }
-    prefix.pop_back();
-    return;
-  }
-  // remaining == 2 (p == 3): the last two levels merged — completing pairs
-  // are emitted straight from the label scan, with no candidate
-  // materialization.
-  const std::size_t base = prefix.size();
-  // dcl-lint: allow(sem-hot-alloc): prefix is caller-reserved to depth p
-  prefix.resize(base + 2);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (i + 1 < candidates.size()) {
-      prefetch(dag.adj.data() +
-               dag.offsets[static_cast<std::size_t>(candidates[i + 1])]);
-    }
-    prefix[base] = candidates[i];
-    for (const NodeId w : dag.out(candidates[i])) {
-      if (label[static_cast<std::size_t>(w)] == level) {
-        prefix[base + 1] = w;
-        emit(prefix);
-      }
-    }
-  }
-  // dcl-lint: allow(sem-hot-alloc): shrink back to entry size, no growth
-  prefix.resize(base);
-}
-
-/// Counting twin of `extend_clique` (p ≤ 3): the innermost levels collapse
-/// to label-compare counts, so nothing is materialized where the work is.
-// dcl-hot
-std::uint64_t count_extend(const DegeneracyDag& dag,
-                           std::span<const NodeId> candidates, int level,
-                           int remaining, Labels& label) {
-  if (static_cast<int>(candidates.size()) < remaining) return 0;
-  if (remaining == 1) return candidates.size();
-  // remaining == 2 (p == 3).
-  std::uint64_t count = 0;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (i + 1 < candidates.size()) {
-      prefetch(dag.adj.data() +
-               dag.offsets[static_cast<std::size_t>(candidates[i + 1])]);
-    }
-    for (const NodeId w : dag.out(candidates[i])) {
-      count += static_cast<std::uint64_t>(
-          label[static_cast<std::size_t>(w)] == level);
-    }
-  }
-  return count;
-}
-
-// ---------------------------------------------------------------------------
-// kClist-style trimmed sub-DAG kernel (p ≥ 4).
-// ---------------------------------------------------------------------------
-
-/// Mutable view of the degeneracy DAG for the trimming kernel: at recursion
-/// level l, the first `deg[x]` entries of x's CSR segment are exactly the
-/// out-neighbors of x that survive at that level. Descending one level
+/// Mutable view of a CliqueDag for the kClist-style trimming kernel: at
+/// recursion level l, the first `deg[x]` entries of x's row are exactly
+/// the out-neighbors of x that survive at that level. Descending one level
 /// partitions each surviving candidate's prefix in place (swap survivors to
-/// the front) and shrinks `deg`; returning restores `deg` from the
-/// per-level scratch — the permutation itself never needs undoing, because
-/// every deeper survivor set is a subset of the prefix it was carved from.
-/// Consequences: the next candidate set is a free span (no filtered copy),
-/// inner scans touch induced degrees instead of full degrees, and the last
-/// level is a plain degree sum with no scan at all.
-struct TrimDag {
-  const DegeneracyDag* dag;
-  std::vector<NodeId> adj;  ///< per-segment-prefix permutation of dag->adj
-  std::vector<NodeId> deg;  ///< current trimmed out-degree per node
+/// the front, goal flags riding along) and shrinks `deg`; returning
+/// restores `deg` from the per-level scratch — the permutation itself never
+/// needs undoing, because every deeper survivor set is a subset of the
+/// prefix it was carved from. Consequences: the next candidate set is a
+/// free span (no filtered copy), inner scans touch induced degrees instead
+/// of full degrees, and the last level is a plain degree sum with no scan.
+struct TrimView {
+  const std::uint64_t* off;
+  NodeId* adj;
+  std::uint8_t* goal;  ///< aligned with `adj`; null when unfiltered
+  NodeId* deg;
 
-  explicit TrimDag(const DegeneracyDag& d) : dag(&d), adj(d.adj) {
-    const std::size_t n = d.offsets.size() - 1;
-    deg.resize(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      deg[v] = to_node(d.offsets[v + 1] - d.offsets[v]);
-    }
+  NodeId* row(NodeId v) const {
+    return adj + off[static_cast<std::size_t>(v)];
+  }
+  const std::uint8_t* row_goal(NodeId v) const {
+    return goal + off[static_cast<std::size_t>(v)];
   }
   std::span<const NodeId> out(NodeId v) const {
-    return {adj.data() + dag->offsets[static_cast<std::size_t>(v)],
-            static_cast<std::size_t>(deg[static_cast<std::size_t>(v)])};
+    return {row(v), static_cast<std::size_t>(deg[static_cast<std::size_t>(v)])};
   }
 };
 
-/// Trims the segment prefix of every x in `cands` (all labeled `mark`) down
-/// to the neighbors also labeled `mark`, recording the previous degrees in
-/// `saved` for restore.
+/// Trims the row prefix of every x in `cands` (all labeled `mark`) down to
+/// the neighbors also labeled `mark`, recording the previous degrees in
+/// `saved` for restore. With kGoal the goal flags are permuted in step.
 // dcl-hot
-void trim_prefixes(TrimDag& sub, std::span<const NodeId> cands,
-                   const Labels& label, std::uint8_t mark,
+template <bool kGoal>
+void trim_prefixes(TrimView& sub, std::span<const NodeId> cands,
+                   const Labels& labels, std::uint8_t mark,
                    std::vector<NodeId>& saved) {
   saved.clear();
   saved.reserve(cands.size());  // exactly one entry per candidate
+  // Raw locals: the goal-flag byte stores may alias anything, so reading
+  // the arrays through the view or the vector would reload them per entry.
+  const std::uint64_t* const off = sub.off;
+  NodeId* const adj = sub.adj;
+  std::uint8_t* const goal = sub.goal;
+  NodeId* const deg = sub.deg;
+  const std::uint8_t* const label = labels.data();
   for (std::size_t i = 0; i < cands.size(); ++i) {
-    const NodeId x = cands[i];
+    const auto x = static_cast<std::size_t>(cands[i]);
     if (i + 1 < cands.size()) {
-      prefetch(sub.adj.data() +
-               sub.dag->offsets[static_cast<std::size_t>(cands[i + 1])]);
+      prefetch(adj + off[static_cast<std::size_t>(cands[i + 1])]);
     }
-    const NodeId d0 = sub.deg[static_cast<std::size_t>(x)];
+    const NodeId d0 = deg[x];
     saved.push_back(d0);
-    NodeId* seg = sub.adj.data() + sub.dag->offsets[static_cast<std::size_t>(x)];
+    NodeId* const seg = adj + off[x];
+    std::uint8_t* const gseg = kGoal ? goal + off[x] : nullptr;
     NodeId k = 0;
     for (NodeId j = 0; j < d0; ++j) {
       // Branchless conditional swap: the survive test flips a
@@ -495,145 +411,231 @@ void trim_prefixes(TrimDag& sub, std::span<const NodeId> cands,
       const bool take = label[static_cast<std::size_t>(w)] == mark;
       seg[j] = take ? a : w;
       seg[k] = take ? w : a;
+      if constexpr (kGoal) {
+        const std::uint8_t gw = gseg[j];
+        const std::uint8_t ga = gseg[k];
+        gseg[j] = take ? ga : gw;
+        gseg[k] = take ? gw : ga;
+      }
       k += static_cast<NodeId>(take);
     }
-    sub.deg[static_cast<std::size_t>(x)] = k;
+    deg[x] = k;
   }
 }
 
-/// Counting recursion over the trimmed sub-DAG. Entry invariant: every
-/// candidate is labeled `level` and trimmed to the candidate set (the
-/// parent — or the root loop — ran `trim_prefixes`). `remaining` ≥ 2.
-std::uint64_t count_trim(TrimDag& sub, std::span<const NodeId> cands,
-                         std::uint8_t level, int remaining, Labels& label,
-                         Scratch& scratch) {
-  if (static_cast<int>(cands.size()) < remaining) return 0;
-  if (remaining == 2) {
-    // The prefix invariant makes the two last levels a pure degree sum:
-    // deg[x] counts exactly the completing pairs (x, w) within `cands`.
-    std::uint64_t count = 0;
-    for (const NodeId x : cands) {
-      count += static_cast<std::uint64_t>(sub.deg[static_cast<std::size_t>(x)]);
+/// One kernel run over a CliqueDag. kEmit appends cliques to `flat`
+/// (otherwise only counts); kGoal restricts emission to cliques holding at
+/// least one flagged edge. Goal bookkeeping: `goal_in[x]` counts the
+/// flagged edges from the current prefix into candidate x — each prefix
+/// member adds its (trimmed, flag-aligned) row when pushed — so a clique
+/// prefix + {x, w} holds a goal edge iff the prefix already does, or
+/// goal_in[x] or goal_in[w] is non-zero, or the (x, w) entry is flagged.
+/// Once a prefix holds one, its whole subtree emits unfiltered and the
+/// counts are left alone.
+template <bool kGoal, bool kEmit>
+class CliqueWalk {
+ public:
+  CliqueWalk(CliqueDag& dag, CliqueScratch& ws, std::vector<NodeId>* flat)
+      : ws_(ws), flat_(flat) {
+    const auto n = static_cast<std::size_t>(dag.node_count());
+    // Labels and goal counts are all-zero between runs; only growth needs
+    // initializing.
+    if (ws.label.size() < n) ws.label.resize(n, 0);
+    if (kGoal && ws.goal_in.size() < n) ws.goal_in.resize(n, 0);
+    if (ws.deg.size() < n) ws.deg.resize(n);
+    for (std::size_t v = 0; v < n; ++v) {
+      ws.deg[v] = to_node(dag.offsets[v + 1] - dag.offsets[v]);
     }
-    return count;
+    sub_ = TrimView{dag.offsets.data(), dag.adj.data(),
+                    kGoal ? dag.goal.data() : nullptr, ws.deg.data()};
+    n_ = to_node(n);
   }
-  std::uint64_t count = 0;
-  std::vector<NodeId>& saved = scratch[static_cast<std::size_t>(level)];
-  for (const NodeId u : cands) {
-    const auto next = sub.out(u);  // already trimmed to `cands` — free
-    if (static_cast<int>(next.size()) < remaining - 1) continue;
-    for (const NodeId x : next) {
-      label[static_cast<std::size_t>(x)] = static_cast<std::uint8_t>(level + 1);
-    }
-    trim_prefixes(sub, next, label, static_cast<std::uint8_t>(level + 1), saved);
-    count += count_trim(sub, next, static_cast<std::uint8_t>(level + 1),
-                        remaining - 1, label, scratch);
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      label[static_cast<std::size_t>(next[i])] = level;
-      sub.deg[static_cast<std::size_t>(next[i])] = saved[i];
-    }
-  }
-  return count;
-}
 
-/// Listing twin of `count_trim`: same trimming, but the last level emits
-/// the completed cliques straight from the trimmed prefixes.
-template <typename Emit>
-void extend_trim(TrimDag& sub, std::vector<NodeId>& prefix,
-                 std::span<const NodeId> cands, std::uint8_t level,
-                 int remaining, Labels& label, Scratch& scratch,
-                 Emit&& emit) {
-  if (static_cast<int>(cands.size()) < remaining) return;
-  if (remaining == 2) {
-    const std::size_t base = prefix.size();
-    prefix.resize(base + 2);
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      if (i + 1 < cands.size()) {
-        prefetch(sub.adj.data() +
-                 sub.dag->offsets[static_cast<std::size_t>(cands[i + 1])]);
+  std::uint64_t run(int p) {
+    if (p < 1) throw std::invalid_argument("k-clique enumeration: p < 1");
+    if (p == 1) {
+      if constexpr (kEmit && !kGoal) {
+        for (NodeId v = 0; v < n_; ++v) flat_->push_back(v);
       }
-      prefix[base] = cands[i];
-      for (const NodeId w : sub.out(cands[i])) {
-        prefix[base + 1] = w;
-        emit(prefix);
-      }
+      return static_cast<std::uint64_t>(n_);
     }
-    prefix.resize(base);
-    return;
-  }
-  std::vector<NodeId>& saved = scratch[static_cast<std::size_t>(level)];
-  for (const NodeId u : cands) {
-    const auto next = sub.out(u);
-    if (static_cast<int>(next.size()) < remaining - 1) continue;
-    for (const NodeId x : next) {
-      label[static_cast<std::size_t>(x)] = static_cast<std::uint8_t>(level + 1);
+    if (ws_.saved.size() < static_cast<std::size_t>(p)) {
+      ws_.saved.resize(static_cast<std::size_t>(p));
     }
-    trim_prefixes(sub, next, label, static_cast<std::uint8_t>(level + 1), saved);
-    prefix.push_back(u);
-    extend_trim(sub, prefix, next, static_cast<std::uint8_t>(level + 1),
-                remaining - 1, label, scratch, emit);
-    prefix.pop_back();
-    for (std::size_t i = 0; i < next.size(); ++i) {
-      label[static_cast<std::size_t>(next[i])] = level;
-      sub.deg[static_cast<std::size_t>(next[i])] = saved[i];
-    }
-  }
-}
-
-template <typename Emit>
-void for_each_k_clique(const Graph& g, int p, Emit&& emit) {
-  if (p < 1) throw std::invalid_argument("k-clique enumeration: p < 1");
-  if (p == 1) {
-    std::vector<NodeId> single(1);
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      single[0] = v;
-      emit(single);
-    }
-    return;
-  }
-  const DegeneracyDag dag = degeneracy_dag(g);
-  Scratch scratch(static_cast<std::size_t>(p));
-  Labels label(static_cast<std::size_t>(g.node_count()), 0);
-  std::vector<NodeId> prefix;
-  prefix.reserve(static_cast<std::size_t>(p));
-  if (p >= 4) {
-    TrimDag sub(dag);
-    std::vector<NodeId>& saved = scratch[0];
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      const auto cands = dag.out(v);
+    ws_.prefix.clear();
+    ws_.prefix.reserve(static_cast<std::size_t>(p));
+    // p ≤ 3 runs on plain label scans (the merged last levels are optimal
+    // there and trimming would only add partition writes); p ≥ 4 trims.
+    const bool trim = p >= 4;
+    std::vector<NodeId>& saved = ws_.saved[0];
+    std::uint64_t total = 0;
+    for (NodeId v = 0; v < n_; ++v) {
+      const auto cands = sub_.out(v);
       if (static_cast<int>(cands.size()) < p - 1) continue;
-      for (const NodeId w : cands) label[static_cast<std::size_t>(w)] = 1;
-      trim_prefixes(sub, cands, label, 1, saved);
-      prefix.assign(1, v);
-      extend_trim(sub, prefix, cands, 1, p - 1, label, scratch, emit);
+      for (const NodeId w : cands) ws_.label[static_cast<std::size_t>(w)] = 1;
+      if (trim) trim_prefixes<kGoal>(sub_, cands, ws_.label, 1, saved);
+      shift_goal_in(v, cands, 1);
+      if constexpr (kEmit) ws_.prefix.assign(1, v);
+      total += trim ? trim_level(cands, 1, p - 1, false)
+                    : label_level(cands, p - 1);
+      shift_goal_in(v, cands, -1);
       for (std::size_t i = 0; i < cands.size(); ++i) {
-        label[static_cast<std::size_t>(cands[i])] = 0;
-        sub.deg[static_cast<std::size_t>(cands[i])] = saved[i];
+        ws_.label[static_cast<std::size_t>(cands[i])] = 0;
+        if (trim) ws_.deg[static_cast<std::size_t>(cands[i])] = saved[i];
       }
     }
-    return;
+    return total;
   }
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto cands = dag.out(v);
-    if (static_cast<int>(cands.size()) < p - 1) continue;
-    for (const NodeId w : cands) label[static_cast<std::size_t>(w)] = 1;
-    prefix.assign(1, v);
-    extend_clique(dag, prefix, cands, 1, p - 1, label, emit);
-    for (const NodeId w : cands) label[static_cast<std::size_t>(w)] = 0;
+
+ private:
+  /// Adds `delta` times u's flagged entries to the goal counts of its
+  /// current (trimmed) out-row `next`.
+  void shift_goal_in([[maybe_unused]] NodeId u,
+                     [[maybe_unused]] std::span<const NodeId> next,
+                     [[maybe_unused]] int delta) {
+    if constexpr (kGoal) {
+      const std::uint8_t* g = sub_.row_goal(u);
+      std::uint8_t* goal_in = ws_.goal_in.data();
+      for (std::size_t i = 0; i < next.size(); ++i) {
+        auto& c = goal_in[static_cast<std::size_t>(next[i])];
+        c = static_cast<std::uint8_t>(c + delta * g[i]);
+      }
+    }
   }
-}
+
+  bool completes_goal(bool prefix_goal, NodeId x, NodeId w,
+                      std::uint8_t flag) const {
+    return !kGoal || prefix_goal || flag != 0 ||
+           ws_.goal_in[static_cast<std::size_t>(x)] != 0 ||
+           ws_.goal_in[static_cast<std::size_t>(w)] != 0;
+  }
+
+  void emit(NodeId x, NodeId w) {
+    flat_->insert(flat_->end(), ws_.prefix.begin(), ws_.prefix.end());
+    flat_->push_back(x);
+    flat_->push_back(w);
+  }
+
+  /// p ≤ 3: `cands` is the root's out-row, labeled 1 (`remaining` ∈ {1, 2}).
+  /// Completing pairs are emitted straight from the label scan, with no
+  /// candidate materialization.
+  // dcl-hot
+  std::uint64_t label_level(std::span<const NodeId> cands, int remaining) {
+    if (static_cast<int>(cands.size()) < remaining) return 0;
+    if (remaining == 1) {  // p == 2
+      if constexpr (kEmit) {
+        for (std::size_t i = 0; i < cands.size(); ++i) {
+          if (kGoal && sub_.row_goal(ws_.prefix[0])[i] == 0) continue;
+          // dcl-lint: allow(sem-hot-alloc): output buffer, appended by design
+          flat_->push_back(ws_.prefix[0]);
+          // dcl-lint: allow(sem-hot-alloc): output buffer, appended by design
+          flat_->push_back(cands[i]);
+        }
+      }
+      return cands.size();
+    }
+    const std::uint8_t* const label = ws_.label.data();
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < cands.size(); ++i) {
+      if (i + 1 < cands.size()) prefetch(sub_.row(cands[i + 1]));
+      const NodeId x = cands[i];
+      const auto row = sub_.out(x);  // untrimmed at p ≤ 3
+      if constexpr (!kEmit) {
+        for (const NodeId w : row) {
+          total += static_cast<std::uint64_t>(
+              label[static_cast<std::size_t>(w)] == 1);
+        }
+      } else {
+        const std::uint8_t* g = kGoal ? sub_.row_goal(x) : nullptr;
+        for (std::size_t j = 0; j < row.size(); ++j) {
+          const NodeId w = row[j];
+          if (label[static_cast<std::size_t>(w)] != 1) continue;
+          ++total;
+          if (completes_goal(false, x, w, kGoal ? g[j] : 0)) emit(x, w);
+        }
+      }
+    }
+    return total;
+  }
+
+  /// p ≥ 4 recursion over the trimmed view. Entry invariant: every
+  /// candidate is labeled `level` and trimmed to the candidate set (the
+  /// parent — or the root loop — ran `trim_prefixes`). `remaining` ≥ 2.
+  // dcl-hot
+  std::uint64_t trim_level(std::span<const NodeId> cands, std::uint8_t level,
+                           int remaining, bool prefix_goal) {
+    if (static_cast<int>(cands.size()) < remaining) return 0;
+    std::uint64_t total = 0;
+    if (remaining == 2) {
+      // The prefix invariant makes the two last levels a pure degree sum:
+      // deg[x] counts exactly the completing pairs (x, w) within `cands`,
+      // and listing reads them straight off the trimmed prefixes.
+      for (std::size_t i = 0; i < cands.size(); ++i) {
+        const NodeId x = cands[i];
+        const auto row = sub_.out(x);
+        total += row.size();
+        if constexpr (kEmit) {
+          if (i + 1 < cands.size()) prefetch(sub_.row(cands[i + 1]));
+          const std::uint8_t* g = kGoal ? sub_.row_goal(x) : nullptr;
+          for (std::size_t j = 0; j < row.size(); ++j) {
+            if (completes_goal(prefix_goal, x, row[j], kGoal ? g[j] : 0)) {
+              emit(x, row[j]);
+            }
+          }
+        }
+      }
+      return total;
+    }
+    const auto up = static_cast<std::uint8_t>(level + 1);
+    std::vector<NodeId>& saved = ws_.saved[static_cast<std::size_t>(level)];
+    for (const NodeId u : cands) {
+      const auto next = sub_.out(u);  // already trimmed to `cands` — free
+      if (static_cast<int>(next.size()) < remaining - 1) continue;
+      for (const NodeId x : next) ws_.label[static_cast<std::size_t>(x)] = up;
+      trim_prefixes<kGoal>(sub_, next, ws_.label, up, saved);
+      const bool u_goal =
+          prefix_goal ||
+          (kGoal && ws_.goal_in[static_cast<std::size_t>(u)] != 0);
+      if (!u_goal) shift_goal_in(u, next, 1);
+      // dcl-lint: allow(sem-hot-alloc): prefix is reserved to depth p by run()
+      if constexpr (kEmit) ws_.prefix.push_back(u);
+      total += trim_level(next, up, remaining - 1, u_goal);
+      if constexpr (kEmit) ws_.prefix.pop_back();
+      if (!u_goal) shift_goal_in(u, next, -1);
+      for (std::size_t i = 0; i < next.size(); ++i) {
+        ws_.label[static_cast<std::size_t>(next[i])] = level;
+        ws_.deg[static_cast<std::size_t>(next[i])] = saved[i];
+      }
+    }
+    return total;
+  }
+
+  CliqueScratch& ws_;
+  std::vector<NodeId>* flat_;
+  TrimView sub_{};
+  NodeId n_ = 0;
+};
 
 }  // namespace
+
+std::uint64_t list_dag_cliques(CliqueDag& dag, int p, CliqueScratch& scratch,
+                               std::vector<NodeId>& flat) {
+  if (!dag.goal.empty()) {
+    return CliqueWalk<true, true>(dag, scratch, &flat).run(p);
+  }
+  return CliqueWalk<false, true>(dag, scratch, &flat).run(p);
+}
 
 std::vector<Clique> list_k_cliques(const Graph& g, int p) {
   // Two-stage emit: the kernel appends p ids per clique to one flat buffer
   // (amortized-free), and the per-clique vectors are materialized once the
   // total is known — exact outer reserve, no vector-of-vectors growth
   // relocations on the hot path.
+  if (p < 1) throw std::invalid_argument("k-clique enumeration: p < 1");
+  CliqueDag dag = degeneracy_dag(g);
+  CliqueScratch scratch;
   std::vector<NodeId> flat;
-  for_each_k_clique(g, p, [&](const std::vector<NodeId>& clique) {
-    flat.insert(flat.end(), clique.begin(), clique.end());
-  });
+  list_dag_cliques(dag, p, scratch, flat);
   const auto width = static_cast<std::size_t>(p);
   const auto cas = [](NodeId& a, NodeId& b) {  // branchless compare-swap
     const NodeId lo = std::min(a, b);
@@ -681,34 +683,9 @@ std::vector<Clique> list_k_cliques(const Graph& g, int p) {
 std::uint64_t count_k_cliques(const Graph& g, int p) {
   if (p < 1) throw std::invalid_argument("k-clique enumeration: p < 1");
   if (p == 1) return static_cast<std::uint64_t>(g.node_count());
-  const DegeneracyDag dag = degeneracy_dag(g);
-  Scratch scratch(static_cast<std::size_t>(p));
-  Labels label(static_cast<std::size_t>(g.node_count()), 0);
-  std::uint64_t count = 0;
-  if (p >= 4) {
-    TrimDag sub(dag);
-    std::vector<NodeId>& saved = scratch[0];
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      const auto cands = dag.out(v);
-      if (static_cast<int>(cands.size()) < p - 1) continue;
-      for (const NodeId w : cands) label[static_cast<std::size_t>(w)] = 1;
-      trim_prefixes(sub, cands, label, 1, saved);
-      count += count_trim(sub, cands, 1, p - 1, label, scratch);
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        label[static_cast<std::size_t>(cands[i])] = 0;
-        sub.deg[static_cast<std::size_t>(cands[i])] = saved[i];
-      }
-    }
-    return count;
-  }
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto cands = dag.out(v);
-    if (static_cast<int>(cands.size()) < p - 1) continue;
-    for (const NodeId w : cands) label[static_cast<std::size_t>(w)] = 1;
-    count += count_extend(dag, cands, 1, p - 1, label);
-    for (const NodeId w : cands) label[static_cast<std::size_t>(w)] = 0;
-  }
-  return count;
+  CliqueDag dag = degeneracy_dag(g);
+  CliqueScratch scratch;
+  return CliqueWalk<false, false>(dag, scratch, nullptr).run(p);
 }
 
 std::uint64_t count_k_cliques_naive(const Graph& g, int p) {
@@ -717,7 +694,9 @@ std::uint64_t count_k_cliques_naive(const Graph& g, int p) {
   // Recursion over id-increasing neighbor chains; independent of the
   // degeneracy machinery above. `depth` = number of vertices chosen so far.
   std::uint64_t count = 0;
-  Scratch scratch(static_cast<std::size_t>(p));
+  // Per-depth candidate buffers: one allocation per depth serves the
+  // whole recursion.
+  std::vector<std::vector<NodeId>> scratch(static_cast<std::size_t>(p));
   auto recurse = [&](auto&& self, std::span<const NodeId> cands,
                      int depth) -> void {
     if (depth == p) {

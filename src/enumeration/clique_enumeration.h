@@ -10,9 +10,11 @@
 //    no degeneracy machinery (slower; used in tests as a second opinion).
 // Plus Bron–Kerbosch with pivoting for maximal cliques / clique number.
 //
-// The recursions run on the shared sorted-intersection kernels of
-// common/intersect.h with per-depth scratch buffers — the hot path
-// allocates nothing (see docs/PERFORMANCE.md).
+// `list_k_cliques` and `count_k_cliques` run the label-scan DAG kernel
+// that every lister shares (`list_dag_cliques`); the naive counter and
+// Bron–Kerbosch run on the sorted-intersection kernels of
+// common/intersect.h. Both reuse scratch buffers, so the hot paths
+// allocate nothing after warm-up (see docs/PERFORMANCE.md).
 #pragma once
 
 #include <array>
@@ -150,11 +152,52 @@ class CliqueSet {
   std::set<Clique> overflow_;
 };
 
+/// An acyclic orientation in flat CSR form — the input of the one clique
+/// kernel every lister here runs on. Row v holds v's out-neighbors, in any
+/// order. Acyclicity makes every clique a directed path from its unique
+/// source, so the kernel emits each clique exactly once, and its recursion
+/// width is bounded by the maximum out-degree. The kernel reorders rows in
+/// place (each row keeps its contents, and `goal` moves with `adj`), so a
+/// DAG may be listed again, with its row order unspecified.
+struct CliqueDag {
+  std::vector<std::uint64_t> offsets;  ///< n+1 row fences into `adj`
+  std::vector<NodeId> adj;             ///< out-neighbors per row
+  /// Optional per-edge flags aligned with `adj`. When non-empty, listing
+  /// emits only the cliques holding at least one flagged edge.
+  std::vector<std::uint8_t> goal;
+
+  NodeId node_count() const {
+    return offsets.empty() ? 0 : to_node(offsets.size() - 1);
+  }
+};
+
+/// Reusable kernel state: per-node recursion labels and goal-edge counts
+/// (all zero between runs), trimmed out-degrees, per-level restore buffers
+/// and the current clique prefix. Keep one per thread and pass it to every
+/// run: after warm-up the kernel allocates nothing.
+struct CliqueScratch {
+  std::vector<std::uint8_t> label;
+  std::vector<std::uint8_t> goal_in;
+  std::vector<NodeId> deg;
+  std::vector<std::vector<NodeId>> saved;
+  std::vector<NodeId> prefix;
+};
+
+/// Appends p ids per listed clique of `dag` to `flat`, in DAG path order
+/// (unsorted); with `dag.goal` non-empty, only goal-holding cliques are
+/// appended. Returns the number of p-cliques in the DAG, listed or
+/// filtered out. p >= 1; p = 1 lists every node (none under a goal filter,
+/// since a single node holds no edge).
+std::uint64_t list_dag_cliques(CliqueDag& dag, int p, CliqueScratch& scratch,
+                               std::vector<NodeId>& flat);
+
 /// All Kp instances of g, each as a sorted vertex vector. p >= 1.
-/// p = 1 lists vertices, p = 2 lists edges.
+/// p = 1 lists vertices, p = 2 lists edges. Runs `list_dag_cliques` on the
+/// degeneracy orientation of g.
 std::vector<Clique> list_k_cliques(const Graph& g, int p);
 
-/// Number of Kp instances (no materialization).
+/// Number of Kp instances (no materialization): the same kernel on the
+/// degeneracy orientation of g, in its counting form.
 std::uint64_t count_k_cliques(const Graph& g, int p);
 
 /// Independent counting implementation used to cross-check the oracle.

@@ -8,10 +8,11 @@
 //    ≤ n^δ that we return explicitly (the paper's Es,v sets);
 //  * |Er| ≤ |E|/6.
 //
-// Construction (centralized; DESIGN.md §2 documents the substitution): we
-// alternate low-degree peeling (removed nodes contribute their remaining
-// edges to Es, oriented away — this is the arboricity witness) with
-// spectral sweep-cut refinement (cut edges go to Er; both sides recurse).
+// Construction (centralized — the distributed algorithm is charged
+// analytically, see below): we alternate low-degree peeling (removed
+// nodes contribute their remaining edges to Es, oriented away — this is
+// the arboricity witness) with spectral sweep-cut refinement (cut edges go
+// to Er; both sides recurse).
 // The conductance threshold φ is chosen as 1/Θ(log m) so the recursion
 // charges at most |E|/6 edges to Er, while accepted clusters still mix in
 // O(polylog) time; see `default_conductance_threshold`.
@@ -39,7 +40,6 @@ struct Cluster {
   std::vector<NodeId> nodes;          ///< sorted original node ids
   NodeId min_internal_degree = 0;     ///< min degree w.r.t. Em edges
   std::int64_t internal_edges = 0;    ///< |Em ∩ C×C|
-  double mixing_time = 0.0;           ///< spectral estimate, lazy walk
 };
 
 struct ExpanderDecomposition {
@@ -96,9 +96,16 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
                                          const DecompositionConfig& config,
                                          Rng& rng);
 
+/// Spectral mixing-time estimate (lazy walk, `iterations` power steps) of
+/// cluster `c`'s Em subgraph in decomposition `d` of `g`. Diagnostic only:
+/// `expander_decompose` never computes it, and it draws from a private
+/// per-cluster stream, so asking for it cannot change a decomposition.
+double cluster_mixing_time(const Graph& g, const ExpanderDecomposition& d,
+                           const Cluster& c, int iterations);
+
 /// Structural check of Definition 2.2; returns a human-readable error list
-/// (empty == valid). `max_mixing_time` bounds the per-cluster spectral
-/// mixing estimate.
+/// (empty == valid). `max_mixing_time` bounds every cluster's
+/// `cluster_mixing_time` (computed here, with `config.power_iterations`).
 std::vector<std::string> verify_decomposition(
     const Graph& g, NodeId ambient_n, const DecompositionConfig& config,
     const ExpanderDecomposition& d, double max_mixing_time);

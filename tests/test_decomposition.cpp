@@ -118,6 +118,52 @@ TEST(Decomposition, DeterministicUnderSeed) {
   EXPECT_EQ(da.clusters.size(), db.clusters.size());
 }
 
+/// A decomposition declaring all of `g` one Em cluster.
+ExpanderDecomposition whole_graph_cluster(const Graph& g) {
+  ExpanderDecomposition d;
+  d.part.assign(static_cast<std::size_t>(g.edge_count()), EdgePart::cluster);
+  d.es_away_from_lower.assign(static_cast<std::size_t>(g.edge_count()), false);
+  d.cluster_of.assign(static_cast<std::size_t>(g.node_count()), 0);
+  Cluster c;
+  c.min_internal_degree = g.node_count();
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    c.nodes.push_back(v);
+    c.min_internal_degree = std::min(c.min_internal_degree, g.degree(v));
+  }
+  c.internal_edges = g.edge_count();
+  d.clusters.push_back(c);
+  d.em_count = g.edge_count();
+  return d;
+}
+
+TEST(Decomposition, VerifyRejectsSlowMixingCluster) {
+  // The decomposition stores no mixing estimate; verify_decomposition
+  // computes one per cluster on demand and must still reject a cluster
+  // that mixes slowly. The 64-cycle's lazy walk has spectral gap
+  // ≈ (π/64)² (t_mix in the thousands); K16's is ≈ 1/2 (t_mix ≈ 10).
+  DecompositionConfig cfg;
+  cfg.absolute_degree = 1;  // peel threshold 1: only mixing can fail
+  constexpr double kBound = 100.0;
+
+  const Graph cycle = cycle_graph(64);
+  const auto slow = whole_graph_cluster(cycle);
+  EXPECT_GT(cluster_mixing_time(cycle, slow, slow.clusters[0],
+                                cfg.power_iterations),
+            kBound);
+  const auto errors = verify_decomposition(cycle, 64, cfg, slow, kBound);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("mixing-time estimate"), std::string::npos)
+      << errors[0];
+
+  const Graph clique = complete_graph(16);
+  const auto fast = whole_graph_cluster(clique);
+  EXPECT_LT(cluster_mixing_time(clique, fast, fast.clusters[0],
+                                cfg.power_iterations),
+            kBound);
+  const auto ok = verify_decomposition(clique, 16, cfg, fast, kBound);
+  EXPECT_TRUE(ok.empty()) << ok.front();
+}
+
 // Parameterized invariant sweep: every (family, n, δ) must satisfy
 // Definition 2.2.
 class DecompositionSweep

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/parallel_for.h"
 #include "enumeration/clique_enumeration.h"
 #include "graph/generators.h"
 
@@ -18,6 +21,28 @@ TEST(Detection, FindsWitnessWhenPresent) {
   ASSERT_EQ(result.witness.size(), 6u);
   EXPECT_TRUE(is_clique(planted.graph, result.witness));
   EXPECT_GT(result.rounds, 0.0);
+}
+
+TEST(Detection, WitnessIsTheSmallestOracleClique) {
+  // The witness is the lexicographic minimum of the Kp set — a function
+  // of the input alone, whatever order the listers reported in (thread
+  // count and shard order permute the reports).
+  Rng rng(3);
+  const auto planted = planted_clique(80, 7, 0.05, rng);
+  KpConfig cfg;
+  cfg.p = 4;
+  const auto oracle = list_k_cliques(planted.graph, cfg.p);
+  ASSERT_GT(oracle.size(), 1u);
+  const Clique smallest = *std::min_element(oracle.begin(), oracle.end());
+  EXPECT_EQ(detect_kp(planted.graph, cfg).witness, smallest);
+
+  const int threads = shard_threads();
+  set_shard_threads(4);
+  set_shard_audit(ShardAudit::reverse);
+  const auto permuted = detect_kp(planted.graph, cfg);
+  set_shard_audit(ShardAudit::off);
+  set_shard_threads(threads);
+  EXPECT_EQ(permuted.witness, smallest);
 }
 
 TEST(Detection, NegativeOnCliqueFreeGraphs) {

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
+#include "common/parallel_for.h"
+#include "core/kp_lister.h"
+#include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
 #include "graph/generators.h"
 #include "graph/orientation.h"
+#include "graph/workloads.h"
 #include "routing/cluster_router.h"
 
 namespace dcl {
@@ -312,6 +319,304 @@ TEST(InClusterListing, HolderCountMismatchThrows) {
   Rng rng(11);
   ListingOutput out(s.g.node_count());
   EXPECT_THROW(in_cluster_list(s.problem(3), rng, out), std::invalid_argument);
+}
+
+// ---- The orient-once kernel, differentially -------------------------------
+//
+// Every representative's reports must equal what a per-representative
+// rebuild produces: a Graph over exactly the held edges its part multiset
+// covers, listed with list_k_cliques and goal-filtered through
+// Graph::edge_id. That reference lives only here. The cases span p ∈ {3..6}
+// and q ∈ {1, 2, 3}, with randomly mixed goal flags and with part-aligned
+// goal flags that produce all-goal, mixed and zero-goal representatives.
+// The pipeline-level case pins ListingOutput counters and fingerprints
+// across thread counts and shard orders.
+
+/// Sparse random noise plus eight planted (p+2)-cliques on random nodes, so
+/// every part combination sees some Kp.
+Graph planted_graph(NodeId n, int p, Rng& rng) {
+  const auto pairs = static_cast<std::int64_t>(n) * (n - 1) / 2;
+  const auto noise_edges =
+      static_cast<EdgeId>(std::min<std::int64_t>(4LL * n, pairs / 3));
+  const Graph noise = erdos_renyi_gnm(n, noise_edges, rng);
+  std::vector<Edge> edges(noise.edges().begin(), noise.edges().end());
+  for (int c = 0; c < 8; ++c) {
+    std::vector<NodeId> members;
+    while (members.size() < static_cast<std::size_t>(p + 2)) {
+      const auto v = static_cast<NodeId>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      if (std::find(members.begin(), members.end(), v) == members.end()) {
+        members.push_back(v);
+      }
+    }
+    for (std::size_t x = 0; x < members.size(); ++x) {
+      for (std::size_t y = x + 1; y < members.size(); ++y) {
+        edges.push_back(make_edge(members[x], members[y]));
+      }
+    }
+  }
+  return Graph::from_edges(n, std::move(edges));
+}
+
+/// Part of every planned node, read off the plan's part-major compact
+/// ranges (nodes without held edges stay -1).
+std::vector<int> parts_of(const InClusterPlan& plan, NodeId n) {
+  std::vector<int> part(static_cast<std::size_t>(n), -1);
+  for (int a = 0; a < plan.q; ++a) {
+    for (NodeId c = plan.part_begin[static_cast<std::size_t>(a)];
+         c < plan.part_begin[static_cast<std::size_t>(a) + 1]; ++c) {
+      part[static_cast<std::size_t>(
+          plan.compact_to_global[static_cast<std::size_t>(c)])] = a;
+    }
+  }
+  return part;
+}
+
+struct Reference {
+  CliqueSet reports;
+  EdgeId local_edges = 0;
+};
+
+/// The rebuild lister for cluster node j: a Graph over every held edge j's
+/// multiset covers, every Kp of it, kept iff one of its edges is a goal
+/// edge (looked up by edge id).
+Reference reference_reports(const Scenario& s, const std::vector<int>& part,
+                            int q, int p, NodeId j) {
+  const std::vector<int> mset = part_multiset(j, q, p);
+  std::vector<Edge> edges;
+  for (const auto& held : s.holders) {
+    for (const KnownEdge& e : held) {
+      if (multiset_covers(mset, part[static_cast<std::size_t>(e.tail)],
+                          part[static_cast<std::size_t>(e.head)])) {
+        edges.push_back(make_edge(e.tail, e.head));
+      }
+    }
+  }
+  const Graph local = Graph::from_edges(s.g.node_count(), std::move(edges));
+  Reference ref;
+  ref.local_edges = local.edge_count();
+  for (const Clique& c : list_k_cliques(local, p)) {
+    bool has_goal = false;
+    for (std::size_t x = 0; x < c.size(); ++x) {
+      for (std::size_t y = x + 1; y < c.size(); ++y) {
+        has_goal = has_goal || s.goal[*s.g.edge_id(c[x], c[y])];
+      }
+    }
+    if (has_goal) ref.reports.insert(c);
+  }
+  return ref;
+}
+
+enum class GoalMode { all, random_mix, part_zero };
+
+struct RosterShape {
+  int all_goal = 0;
+  int mixed = 0;
+  int zero_goal_dropped = 0;
+  std::uint64_t reported = 0;
+};
+
+/// Plans the scenario, then checks every representative's reports against
+/// the reference and every dropped representative for an empty reference.
+RosterShape check_against_reference(Scenario& s, int p, int expected_q,
+                                    GoalMode mode, std::uint64_t seed) {
+  RosterShape shape;
+  const auto n = s.g.node_count();
+  {
+    // The partition depends on the RNG alone, so a first plan reveals it.
+    Rng probe(seed);
+    const InClusterPlan plan = in_cluster_plan(s.problem(p), probe);
+    EXPECT_EQ(plan.q, expected_q) << "p=" << p;
+    const std::vector<int> part = parts_of(plan, n);
+    Rng flags(seed ^ 0xf1a95ULL);
+    for (EdgeId e = 0; e < s.g.edge_count(); ++e) {
+      const Edge& ed = s.g.edge(e);
+      bool goal = true;
+      if (mode == GoalMode::random_mix) goal = flags.next_bool(0.5);
+      if (mode == GoalMode::part_zero) {
+        goal = part[static_cast<std::size_t>(ed.u)] == 0 &&
+               part[static_cast<std::size_t>(ed.v)] == 0;
+      }
+      s.goal.set(e, goal);
+    }
+  }
+  Rng rng(seed);
+  const InClusterPlan plan = in_cluster_plan(s.problem(p), rng);
+  const int q = plan.q;
+  const std::vector<int> part = parts_of(plan, n);
+
+  std::vector<bool> planned(static_cast<std::size_t>(n), false);
+  for (std::size_t r = 0; r < plan.reps.size(); ++r) {
+    const InClusterPlan::Rep& rep = plan.reps[r];
+    planned[static_cast<std::size_t>(rep.node)] = true;
+    ++(rep.all_goal ? shape.all_goal : shape.mixed);
+    ListingOutput out(n);
+    const std::uint64_t reported = in_cluster_enumerate(plan, r, r + 1, out);
+    shape.reported += reported;
+    const Reference ref = reference_reports(s, part, q, p, rep.node);
+    EXPECT_EQ(rep.edges, ref.local_edges) << "p=" << p << " rep " << rep.node;
+    // Each clique is reported once: the report multiset is the set.
+    EXPECT_EQ(reported, ref.reports.size())
+        << "p=" << p << " rep " << rep.node;
+    EXPECT_EQ(out.total_reports(), ref.reports.size());
+    EXPECT_EQ(out.reports_of(s.cluster.nodes[static_cast<std::size_t>(
+                  rep.node)]),
+              ref.reports.size());
+    EXPECT_TRUE(out.cliques() == ref.reports)
+        << "p=" << p << " q=" << q << " rep " << rep.node;
+  }
+
+  std::vector<std::vector<int>> tuples;
+  for (NodeId j = 0; j < n; ++j) tuples.push_back(part_multiset(j, q, p));
+  const std::vector<NodeId> rep_of = representative_table(tuples, q);
+  for (NodeId j = 0; j < n; ++j) {
+    if (rep_of[static_cast<std::size_t>(j)] != j ||
+        planned[static_cast<std::size_t>(j)]) {
+      continue;
+    }
+    const Reference ref = reference_reports(s, part, q, p, j);
+    EXPECT_TRUE(ref.reports.empty()) << "dropped rep " << j << " p=" << p;
+    if (ref.local_edges >= p * (p - 1) / 2) ++shape.zero_goal_dropped;
+  }
+  return shape;
+}
+
+/// Cluster sizes landing on q = floor(k^{1/p}) ∈ {1, 2, 3}.
+NodeId cluster_size(int p, int q) {
+  const auto pow = [p](NodeId base) {
+    NodeId x = 1;
+    for (int i = 0; i < p; ++i) x *= base;
+    return x;
+  };
+  return q == 1 ? pow(2) - 1 : pow(q);
+}
+
+TEST(InClusterKernel, MatchesRebuildReferenceOnMixedGoals) {
+  for (const int p : {3, 4, 5, 6}) {
+    for (const int q : {1, 2, 3}) {
+      Rng gen(static_cast<std::uint64_t>(100 * p + q));
+      Scenario s(planted_graph(cluster_size(p, q), p, gen));
+      const RosterShape shape = check_against_reference(
+          s, p, q, GoalMode::random_mix, static_cast<std::uint64_t>(p + q));
+      EXPECT_GT(shape.mixed, 0) << "p=" << p << " q=" << q;
+      EXPECT_GT(shape.reported, 0u) << "p=" << p << " q=" << q;
+    }
+  }
+}
+
+TEST(InClusterKernel, MatchesRebuildReferenceOnAllGoalEdges) {
+  for (const int p : {3, 4, 5, 6}) {
+    for (const int q : {1, 2, 3}) {
+      Rng gen(static_cast<std::uint64_t>(200 * p + q));
+      Scenario s(planted_graph(cluster_size(p, q), p, gen));
+      const RosterShape shape = check_against_reference(
+          s, p, q, GoalMode::all, static_cast<std::uint64_t>(7 * p + q));
+      EXPECT_GT(shape.all_goal, 0) << "p=" << p << " q=" << q;
+      EXPECT_EQ(shape.mixed, 0);
+      EXPECT_GT(shape.reported, 0u) << "p=" << p << " q=" << q;
+    }
+  }
+}
+
+TEST(InClusterKernel, PartAlignedGoalsGiveAllMixedAndZeroGoalReps) {
+  // Goal edges exactly the part-0 internal edges: the all-zeros multiset
+  // holds only goal edges, multisets mixing part 0 with others hold both,
+  // and multisets without part 0 hold none — those are dropped at plan
+  // time and their reference output must be empty.
+  for (const int p : {3, 4, 5, 6}) {
+    for (const int q : {2, 3}) {
+      Rng gen(static_cast<std::uint64_t>(300 * p + q));
+      Scenario s(planted_graph(cluster_size(p, q), p, gen));
+      const RosterShape shape = check_against_reference(
+          s, p, q, GoalMode::part_zero, static_cast<std::uint64_t>(11 * p + q));
+      EXPECT_GT(shape.all_goal, 0) << "p=" << p << " q=" << q;
+      EXPECT_GT(shape.mixed, 0) << "p=" << p << " q=" << q;
+      EXPECT_GT(shape.zero_goal_dropped, 0) << "p=" << p << " q=" << q;
+      EXPECT_GT(shape.reported, 0u) << "p=" << p << " q=" << q;
+    }
+  }
+}
+
+TEST(InClusterKernel, OrientedRowsStayWithinClusterDegeneracy) {
+  // One degeneracy order per plan: a node's out-rows across ALL fragments
+  // together are its out-degree in the cluster graph's orientation, so no
+  // representative DAG can exceed the cluster graph's degeneracy.
+  Rng gen(9);
+  Scenario s(planted_graph(cluster_size(4, 3), 4, gen));
+  Rng rng(10);
+  const InClusterPlan plan = in_cluster_plan(s.problem(4), rng);
+  const NodeId degeneracy = degeneracy_order(s.g).degeneracy;
+  std::vector<std::uint64_t> out_degree(
+      static_cast<std::size_t>(plan.compact_n), 0);
+  std::uint64_t edges = 0;
+  for (const InClusterPlan::Fragment& f : plan.fragments) {
+    if (f.edge_count() == 0) continue;
+    const auto pa = static_cast<std::size_t>(f.part_a);
+    const auto pb = static_cast<std::size_t>(f.part_b);
+    const NodeId a_rows = plan.part_begin[pa + 1] - plan.part_begin[pa];
+    for (std::size_t row = 0; row + 1 < f.off.size(); ++row) {
+      const NodeId u =
+          static_cast<NodeId>(row) < a_rows
+              ? plan.part_begin[pa] + static_cast<NodeId>(row)
+              : plan.part_begin[pb] + static_cast<NodeId>(row) - a_rows;
+      out_degree[static_cast<std::size_t>(u)] += f.off[row + 1] - f.off[row];
+    }
+    edges += static_cast<std::uint64_t>(f.edge_count());
+  }
+  EXPECT_EQ(edges, static_cast<std::uint64_t>(s.g.edge_count()));
+  for (const std::uint64_t d : out_degree) {
+    EXPECT_LE(d, static_cast<std::uint64_t>(degeneracy));
+  }
+}
+
+/// ListingOutput state that must not depend on threads or shard order.
+struct OutputCounters {
+  std::uint64_t total_reports;
+  std::uint64_t unique;
+  std::uint64_t max_per_node;
+  std::uint64_t fingerprint;
+  double rounds;
+  friend bool operator==(const OutputCounters&,
+                         const OutputCounters&) = default;
+};
+
+OutputCounters run_pipeline(const Graph& g, const KpConfig& cfg, int threads,
+                            ShardAudit audit) {
+  const int previous = shard_threads();
+  set_shard_threads(threads);
+  set_shard_audit(audit);
+  ListingOutput out(g.node_count());
+  const KpListResult res = list_kp_collect(g, cfg, out);
+  set_shard_audit(ShardAudit::off);
+  set_shard_threads(previous);
+  EXPECT_FALSE(res.arb_traces.empty()) << "ARB-LIST never ran";
+  EXPECT_EQ(out.unique_count(), count_k_cliques(g, cfg.p));
+  return OutputCounters{out.total_reports(), out.unique_count(),
+                        out.max_reports_per_node(),
+                        out.cliques().fingerprint(), res.total_rounds()};
+}
+
+TEST(InClusterKernel, PipelineOutputIdenticalAcrossThreadsAndShardOrder) {
+  Rng gen_er(14);
+  const Graph er = erdos_renyi_gnm(700, 10000, gen_er);
+  Rng gen_ring(13);
+  const Graph ring = ring_of_cliques_workload(240, gen_ring, 8);
+  struct Input {
+    const Graph* g;
+    int p;
+    double stop_scale;
+  };
+  for (const Input& in : {Input{&er, 4, 0.01}, Input{&ring, 4, 0.1},
+                          Input{&ring, 5, 0.1}}) {
+    KpConfig cfg;
+    cfg.p = in.p;
+    cfg.seed = 3;
+    cfg.stop_scale = in.stop_scale;
+    const OutputCounters t1 = run_pipeline(*in.g, cfg, 1, ShardAudit::off);
+    EXPECT_GT(t1.total_reports, 0u);
+    EXPECT_EQ(run_pipeline(*in.g, cfg, 4, ShardAudit::off), t1);
+    EXPECT_EQ(run_pipeline(*in.g, cfg, 4, ShardAudit::reverse), t1);
+  }
 }
 
 }  // namespace

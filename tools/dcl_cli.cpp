@@ -369,7 +369,8 @@ int cmd_decompose(int argc, char** argv) {
     std::printf("  cluster %d: %zu nodes, min degree %d, %lld internal "
                 "edges, mixing ≈ %.1f\n",
                 c.id, c.nodes.size(), c.min_internal_degree,
-                static_cast<long long>(c.internal_edges), c.mixing_time);
+                static_cast<long long>(c.internal_edges),
+                cluster_mixing_time(g, d, c, cfg.power_iterations));
   }
   const auto errors = verify_decomposition(
       g, g.node_count(), cfg, d, polylog_mixing_bound(g.edge_count()));
