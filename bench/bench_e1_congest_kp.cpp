@@ -6,7 +6,7 @@
 // constant-edge-density Erdős–Rényi graphs (m = Θ(n²)) and fit the
 // log-log growth exponent of the measured rounds per clique size.
 //
-// Reproduction criteria (recorded in EXPERIMENTS.md):
+// Reproduction criteria:
 //  * every fitted exponent stays at or below the paper's worst-case
 //    exponent max(3/4, p/(p+2)) — the Õ(·) envelope;
 //  * exponents are ordered in p (larger cliques are harder), matching the

@@ -9,9 +9,9 @@
 //     list their own K4s in a sequential per-cluster probe — removing the
 //     n^{3/4} term and leaving Õ(n^{2/3}).
 // At simulable n the shared phases dominate absolute totals (the light
-// traffic is capped near n^{0.45} on any instance this small — see
-// EXPERIMENTS.md), so we report the *variant-specific* phase costs, which
-// must favour the k4_fast side as n grows, alongside the totals.
+// traffic is capped near n^{0.45} on any instance this small), so we report
+// the *variant-specific* phase costs, which must favour the k4_fast side as
+// n grows, alongside the totals.
 #include <cstdio>
 
 #include "bench_util.h"

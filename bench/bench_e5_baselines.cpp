@@ -6,8 +6,7 @@
 // message-level (exchange-kind) rounds — which carry none of the Õ(·)
 // polylog charges — and fitted exponents. The reproduction claim is about
 // *scaling*: our exponent must sit below the baselines'; at simulable n the
-// polylog factors inside T2.3/T2.4 keep absolute totals above Δ (the
-// crossover analysis is recorded in EXPERIMENTS.md).
+// polylog factors inside T2.3/T2.4 keep absolute totals above Δ.
 #include <cstdio>
 
 #include "baselines/baselines.h"

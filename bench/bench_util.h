@@ -1,10 +1,9 @@
 // Shared helpers for the experiment harnesses (E1–E8) and the self-timed
 // micro-benchmarks (M1–M3, bench_core).
 //
-// Each bench binary regenerates one claim of the paper as an ASCII table
-// (see DESIGN.md §5 for the experiment index and EXPERIMENTS.md for the
-// recorded paper-vs-measured outcomes). Workload families live in
-// graph/workloads.h so tests and examples can reuse them; helpers here fit
+// Each bench binary regenerates one claim of the paper as an ASCII table;
+// the header comment of each binary names its claim. Workload families live
+// in graph/workloads.h so tests and examples can reuse them; helpers here fit
 // growth exponents, format output, and time kernels without any external
 // benchmarking dependency (see docs/PERFORMANCE.md).
 #pragma once

@@ -12,10 +12,9 @@
 //  * `one_shot_list` — an Eden-et-al-style structural baseline: a single
 //    expander-decomposition pass (no arboricity iteration, no bad-edge
 //    removal, oblivious in-cluster listing) followed by a neighborhood
-//    broadcast of the leftover graph. DESIGN.md §2 documents this
-//    simplification of DISC'19's layered algorithm: it preserves the
-//    one-pass structure whose leftover-broadcast cost the paper's iterated
-//    coupling eliminates;
+//    broadcast of the leftover graph. This simplifies DISC'19's layered
+//    algorithm but preserves the one-pass structure whose leftover-broadcast
+//    cost the paper's iterated coupling eliminates;
 //  * `chang_style_triangle_list` — the p = 3 instantiation of the paper's
 //    own machinery, structurally the SODA'19 triangle lister (clusters list
 //    every triangle with an edge inside; no outside-edge learning needed).

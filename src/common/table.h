@@ -2,7 +2,7 @@
 //
 // Every bench binary in bench/ regenerates one of the paper's claims as a
 // table; this class renders aligned rows so the outputs are directly
-// readable and diffable in EXPERIMENTS.md.
+// readable and diffable.
 #pragma once
 
 #include <iomanip>

@@ -701,33 +701,23 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
                                 bandwidth, cost.messages);
   };
 
-  const auto cluster_count =
-      static_cast<std::int64_t>(deco.clusters.size());
+  std::vector<ClusterTailState> shard_tail(
+      static_cast<std::size_t>(shard_threads()));
+  parallel_for_shards(static_cast<std::int64_t>(deco.clusters.size()),
+                      [&](int shard, std::int64_t lo, std::int64_t hi) {
+                        for (std::int64_t ci = lo; ci < hi; ++ci) {
+                          prepare_cluster(
+                              static_cast<std::size_t>(ci),
+                              shard_tail[static_cast<std::size_t>(shard)]);
+                        }
+                      });
   ClusterTailState tail;
-  if (std::min<std::int64_t>(shard_threads(), cluster_count) <= 1) {
-    for (std::size_t ci = 0; ci < deco.clusters.size(); ++ci) {
-      prepare_cluster(ci, tail);
-    }
-  } else {
-    // Effective shard count (the same formula parallel_for_shards derives,
-    // grain 1): accumulators beyond it would never receive a cluster.
-    const auto buffers = static_cast<std::size_t>(
-        std::min<std::int64_t>(shard_threads(), cluster_count));
-    std::vector<ClusterTailState> shard_tail(buffers);
-    parallel_for_shards(
-        cluster_count, [&](int shard, std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t ci = lo; ci < hi; ++ci) {
-            prepare_cluster(static_cast<std::size_t>(ci),
-                            shard_tail[static_cast<std::size_t>(shard)]);
-          }
-        });
-    for (std::size_t s = 0; s < buffers; ++s) {
-      tail.reshuffle.merge_from(shard_tail[s].reshuffle);
-      tail.partition.merge_from(shard_tail[s].partition);
-      tail.distribution.merge_from(shard_tail[s].distribution);
-      tail.max_learned_edges =
-          std::max(tail.max_learned_edges, shard_tail[s].max_learned_edges);
-    }
+  for (const ClusterTailState& st : shard_tail) {
+    tail.reshuffle.merge_from(st.reshuffle);
+    tail.partition.merge_from(st.partition);
+    tail.distribution.merge_from(st.distribution);
+    tail.max_learned_edges =
+        std::max(tail.max_learned_edges, st.max_learned_edges);
   }
   trace.max_learned_edges =
       std::max(trace.max_learned_edges, tail.max_learned_edges);
@@ -824,65 +814,33 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       est_total, static_cast<std::int64_t>(items.size()),
       kTailEnumGrainWeight);
   trace.tail_shards = tail_shards;
-  auto enumerate_item = [&](const TailItem& item, ListingOutput& sink) {
-    in_cluster_enumerate(plans[item.cluster], item.rep_begin, item.rep_end,
-                         sink);
-  };
-  if (tail_shards <= 1) {
-    // Sequential fast path: report straight into the global collector, no
-    // buffer merge.
-    trace.tail_shard_work.assign(1, est_total);
-    for (const TailItem& item : items) enumerate_item(item, *ctx.out);
-    // The sequential path records the per-item metrics directly; values
-    // match the sharded path's merged cells exactly (histogram folds are
-    // commutative integer adds).
-    if (telemetry != nullptr) {
-      MetricsRegistry& metrics = telemetry->metrics();
-      for (const std::uint64_t w : item_weight) {
-        metrics.counter_add("arb.tail.enumerated_items", 1);
-        metrics.histogram_record("arb.tail.item_est_work", w);
-      }
-    }
-  } else {
-    trace.tail_shard_work.assign(static_cast<std::size_t>(tail_shards), 0);
-    std::vector<ListingOutput> shard_out;
-    shard_out.reserve(static_cast<std::size_t>(tail_shards));
-    const double dup_hint = ctx.out->duplication_factor();
-    for (int s = 0; s < tail_shards; ++s) {
-      shard_out.emplace_back(n);
-      // Shard buffers start cold; seed their reserve discount with the
-      // duplication factor the global collector has already observed.
-      shard_out.back().set_duplication_hint(dup_hint);
-    }
-    // Per-shard metric cells: shard bodies write only their own cell; the
-    // calling thread folds them back in shard order right after the
-    // listing-output merge (the parallel_for_shards merge contract).
-    std::vector<MetricsRegistry::ShardCell> tail_cells;
-    if (telemetry != nullptr) {
-      tail_cells.resize(static_cast<std::size_t>(tail_shards));
-    }
-    parallel_for_weighted_shards(
-        item_weight,
-        [&](int shard, std::int64_t lo, std::int64_t hi) {
-          for (std::int64_t i = lo; i < hi; ++i) {
-            enumerate_item(items[static_cast<std::size_t>(i)],
-                           shard_out[static_cast<std::size_t>(shard)]);
-            trace.tail_shard_work[static_cast<std::size_t>(shard)] +=
-                item_weight[static_cast<std::size_t>(i)];
-            if (telemetry != nullptr) {
-              auto& cell = tail_cells[static_cast<std::size_t>(shard)];
-              cell.counter_add("arb.tail.enumerated_items", 1);
-              cell.histogram_record("arb.tail.item_est_work",
-                                    item_weight[static_cast<std::size_t>(i)]);
-            }
-          }
-        },
-        kTailEnumGrainWeight);
-    for (int s = 0; s < tail_shards; ++s) {
-      ctx.out->merge_from(shard_out[static_cast<std::size_t>(s)]);
-    }
-    if (telemetry != nullptr) telemetry->metrics().merge_cells(tail_cells);
-  }
+  // One shard (or none: no items) reports straight into the global
+  // collector with no buffer merge; several report into per-shard buffers
+  // and per-shard metric cells that the calling thread folds back in shard
+  // order after the region (the parallel_for_shards merge contract).
+  const auto buffers = static_cast<std::size_t>(std::max(tail_shards, 1));
+  trace.tail_shard_work.assign(buffers, 0);
+  std::vector<ListingOutput> shard_out;
+  if (tail_shards > 1) shard_out.assign(buffers, ListingOutput(n));
+  std::vector<MetricsRegistry::ShardCell> tail_cells(buffers);
+  parallel_for_weighted_shards(
+      item_weight,
+      [&](int shard, std::int64_t lo, std::int64_t hi) {
+        const auto s = static_cast<std::size_t>(shard);
+        ListingOutput& sink = tail_shards == 1 ? *ctx.out : shard_out[s];
+        for (std::int64_t i = lo; i < hi; ++i) {
+          const TailItem& item = items[static_cast<std::size_t>(i)];
+          const std::uint64_t w = item_weight[static_cast<std::size_t>(i)];
+          in_cluster_enumerate(plans[item.cluster], item.rep_begin,
+                               item.rep_end, sink);
+          trace.tail_shard_work[s] += w;
+          tail_cells[s].counter_add("arb.tail.enumerated_items", 1);
+          tail_cells[s].histogram_record("arb.tail.item_est_work", w);
+        }
+      },
+      kTailEnumGrainWeight);
+  for (const ListingOutput& buffer : shard_out) ctx.out->merge_from(buffer);
+  if (telemetry != nullptr) telemetry->metrics().merge_cells(tail_cells);
   end_step(enumerate_span);
 
   // ---- Fault plane: broadcast fallback for decimated clusters. -----------
@@ -978,18 +936,15 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     metrics.counter_add("arb.tail.items",
                         static_cast<std::uint64_t>(trace.tail_work_items));
     metrics.counter_add("arb.tail.est_work", est_total);
-    // NB: the tail shard count is a host execution detail (it tracks
-    // DCL_THREADS), so it deliberately stays OUT of the metrics — the run
-    // report must be bit-identical at any thread count.
+    // NB: host execution details — the tail shard count (it tracks
+    // DCL_THREADS) and the CliqueSet's probe displacement (it depends on
+    // the table's capacity history, hence on the shard buffers) —
+    // deliberately stay OUT of the metrics: the run report must be
+    // bit-identical at any thread count.
     metrics.gauge_max("arb.max_learned_edges", trace.max_learned_edges);
-    // CliqueSet load/displacement after this iteration's inserts: the
-    // robin-hood table's fill and worst probe distance, straight from the
-    // global collector.
+    // The global collector's unique-clique count after this iteration.
     metrics.gauge_set("cliqueset.size",
                       static_cast<std::int64_t>(ctx.out->cliques().size()));
-    metrics.gauge_max(
-        "cliqueset.max_displacement",
-        static_cast<std::int64_t>(ctx.out->cliques().max_displacement()));
   }
   return trace;
 }

@@ -467,10 +467,7 @@ std::uint64_t in_cluster_enumerate(const InClusterPlan& plan,
     // task assigned to this cluster (others are other iterations' work);
     // all-goal representatives carry no flags and skip the filter.
     flat.clear();
-    const std::uint64_t listed = list_dag_cliques(dag, p, scratch, flat);
-    // Reserve hint: the dedup table absorbs this enumeration without a
-    // growth rehash (duplication-discounted inside reserve_additional).
-    out.reserve_additional(listed);
+    list_dag_cliques(dag, p, scratch, flat);
     const NodeId reporter =
         plan.cluster->nodes[static_cast<std::size_t>(rep.node)];
     for (std::size_t at = 0; at < flat.size(); at += global.size()) {

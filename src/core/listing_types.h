@@ -34,44 +34,6 @@ class ListingOutput {
     unique_.insert(clique);
   }
 
-  /// Assumed duplication factor on cold start: with zero observations the
-  /// heavy phases still duplicate heavily (PR 4 measured the cache loss of
-  /// sizing the first enumeration for raw reports), so an undiscounted
-  /// cold reserve is the known-bad case. Two is deliberately conservative:
-  /// it halves the cold overshoot without risking an undersized table on
-  /// genuinely duplication-free workloads.
-  static constexpr double kColdStartDuplication = 2.0;
-
-  /// Adopts a duplication factor observed elsewhere (the global collector)
-  /// as a floor for this buffer's reserve discount. Per-shard scratch
-  /// buffers start empty, so their *local* factor lags reality by a whole
-  /// enumeration; seeding them with the global factor makes their reserve
-  /// hints as informed as the sequential execution's.
-  void set_duplication_hint(double factor) {
-    duplication_hint_ = std::max(0.0, factor);
-  }
-
-  /// Reserve hint: the caller is about to report up to `upcoming` cliques
-  /// (e.g. a local enumeration whose size is known before the report
-  /// loop). Pre-sizes the dedup table so those reports trigger no growth
-  /// rehash. The raw count is discounted by the duplication factor
-  /// observed so far: reports far exceed uniques in the heavy phases, and
-  /// a table sized for reports (instead of uniques) costs cache on every
-  /// subsequent probe. Cold start (no observations yet, the first heavy
-  /// enumeration) is clamped to `kColdStartDuplication` instead of the
-  /// undiscounted raw count; an externally supplied hint
-  /// (`set_duplication_hint`) floors the discount either way.
-  void reserve_additional(std::size_t upcoming) {
-    double dup = std::max(duplication_factor(), duplication_hint_);
-    if (dup <= 1.0) {
-      dup = unique_.empty() ? kColdStartDuplication : 1.0;
-    }
-    if (dup > 1.0) {
-      upcoming = static_cast<std::size_t>(static_cast<double>(upcoming) / dup);
-    }
-    unique_.reserve(unique_.size() + upcoming);
-  }
-
   /// Folds a per-shard buffer into this collector: traffic statistics add,
   /// per-node totals add (the running maximum is recomputed from the
   /// merged totals, which is exactly where the sequential running max
@@ -91,8 +53,8 @@ class ListingOutput {
     // keys over in slot (≈ hash) order, and hash-ordered inserts into a
     // table that is still growing degenerate into long probe clusters —
     // measured 60x slower than the same inserts into a pre-sized table.
-    // The overshoot is at most 2x of the final union (not the 10x+ of
-    // report-count reserves), so the PR 4 cache trap does not apply.
+    // The overshoot is at most 2x of the final union, so the table stays
+    // small enough not to cost cache on later probes.
     unique_.reserve(unique_.size() + shard.unique_.size());
     shard.unique_.for_each_span(
         [&](std::span<const NodeId> clique) { unique_.insert(clique); });
@@ -121,7 +83,6 @@ class ListingOutput {
   CliqueSet unique_;
   std::uint64_t total_reports_ = 0;
   std::uint64_t max_reports_ = 0;
-  double duplication_hint_ = 0.0;
   std::vector<std::uint64_t> per_node_reports_;
 };
 
@@ -214,9 +175,9 @@ struct ArbIterationTrace {
   /// Step-5 tail scheduler diagnostics (the two-level work plan): the
   /// flattened (cluster, representative-range) items, the shard count the
   /// weighted allocator derived, the estimated work each shard received,
-  /// and the total estimate — the bench container has one CPU, so balance
-  /// of these estimates (max/mean across shards) IS the parallelism
-  /// evidence, not wall-clock (ROADMAP "standing constraints").
+  /// and the total estimate. Balance of these estimates (max/mean across
+  /// shards) is the parallelism evidence that does not depend on the host's
+  /// core count or load.
   std::int64_t tail_work_items = 0;
   std::int64_t tail_shards = 0;
   std::vector<std::uint64_t> tail_shard_work;

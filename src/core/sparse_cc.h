@@ -18,8 +18,7 @@
 // paper pads with marked fake edges so Lemma 2.7's conditions hold; padding
 // only matters in the regime where the round count is Õ(1) anyway. The
 // paper's factor is 20; that padds every laptop-scale instance, so the knob
-// defaults to 0 (off) and the mechanism is exercised separately in tests
-// (DESIGN.md §4 on asymptotic constants).
+// defaults to 0 (off) and the mechanism is exercised separately in tests.
 #pragma once
 
 #include <cstdint>

@@ -618,12 +618,13 @@ class CliqueWalk {
 
 }  // namespace
 
-std::uint64_t list_dag_cliques(CliqueDag& dag, int p, CliqueScratch& scratch,
-                               std::vector<NodeId>& flat) {
+void list_dag_cliques(CliqueDag& dag, int p, CliqueScratch& scratch,
+                      std::vector<NodeId>& flat) {
   if (!dag.goal.empty()) {
-    return CliqueWalk<true, true>(dag, scratch, &flat).run(p);
+    CliqueWalk<true, true>(dag, scratch, &flat).run(p);
+  } else {
+    CliqueWalk<false, true>(dag, scratch, &flat).run(p);
   }
-  return CliqueWalk<false, true>(dag, scratch, &flat).run(p);
 }
 
 std::vector<Clique> list_k_cliques(const Graph& g, int p) {

@@ -185,10 +185,9 @@ struct CliqueScratch {
 
 /// Appends p ids per listed clique of `dag` to `flat`, in DAG path order
 /// (unsorted); with `dag.goal` non-empty, only goal-holding cliques are
-/// appended. Returns the number of p-cliques in the DAG, listed or
-/// filtered out. p >= 1; p = 1 lists every node (none under a goal filter,
+/// appended. p >= 1; p = 1 lists every node (none under a goal filter,
 /// since a single node holds no edge).
-std::uint64_t list_dag_cliques(CliqueDag& dag, int p, CliqueScratch& scratch,
+void list_dag_cliques(CliqueDag& dag, int p, CliqueScratch& scratch,
                                std::vector<NodeId>& flat);
 
 /// All Kp instances of g, each as a sorted vertex vector. p >= 1.

@@ -14,8 +14,7 @@
 // push/pull that many messages per round through its cluster edges) and
 // the ceil(log2 n) factor stands in for the theorem's subpolynomial routing
 // overhead (the paper's footnote 6 argues this overhead is absorbable since
-// all final complexities are Ω(n^{1/3}); DESIGN.md §2 records the
-// substitution). Batches from different clusters in the same logical step
+// all final complexities are Ω(n^{1/3})). Batches from different clusters in the same logical step
 // are combined with `ParallelRoutingCharge`, which charges the maximum —
 // clusters route simultaneously on disjoint edge sets.
 //

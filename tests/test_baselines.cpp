@@ -97,8 +97,8 @@ TEST(Comparison, AllListersAgreeOnTheSameGraph) {
 TEST(Comparison, OursBeatsTrivialOnDenseGraphsAtMessageLevel) {
   // The paper's headline: sub-linear rounds where the prior art for p ≥ 6
   // was the Δ-round trivial broadcast. At simulable n the polylog factors
-  // buried in the Õ(·) of T2.3/T2.4 dominate absolute totals (EXPERIMENTS.md
-  // E5 reports the crossover analysis); the message-level exchange rounds —
+  // buried in the Õ(·) of T2.3/T2.4 dominate absolute totals (bench_e5
+  // prints the crossover analysis); the message-level exchange rounds —
   // the part with no polylog charges — must already be sub-Δ here.
   Rng rng(8);
   const Graph g = erdos_renyi_gnm(220, 8500, rng);  // avg degree ~77

@@ -96,71 +96,6 @@ TEST(ListingOutput, RetractRemovesFromUniqueButKeepsTrafficTotals) {
   EXPECT_EQ(out.total_reports(), 3u);
 }
 
-TEST(ListingOutput, ReserveAdditionalPreservesState) {
-  ListingOutput out(2);
-  const NodeId a[] = {0, 1, 2};
-  out.report(0, a);
-  out.report(1, a);  // duplicate: duplication factor 2
-  out.reserve_additional(10000);
-  EXPECT_EQ(out.unique_count(), 1u);
-  EXPECT_EQ(out.total_reports(), 2u);
-  EXPECT_TRUE(out.cliques().contains(Clique{0, 1, 2}));
-}
-
-TEST(ListingOutput, ReserveAdditionalClampsTheColdStart) {
-  // Regression for the cold-start reserve trap: with no observations the
-  // duplication factor reads 0.0, which used to mean NO discount — the
-  // first heavy enumeration reserved for raw reports, the exact cache-loss
-  // case the PR 4 A/B measured. The cold hint must now be discounted by
-  // kColdStartDuplication. Observable contract (the table is private):
-  // a cold reserve of N must behave identically to a cold reserve of
-  // N / kColdStartDuplication — and state must be preserved either way.
-  ListingOutput cold(4);
-  cold.reserve_additional(1u << 20);
-  EXPECT_EQ(cold.unique_count(), 0u);
-  EXPECT_EQ(cold.total_reports(), 0u);
-  EXPECT_DOUBLE_EQ(cold.duplication_factor(), 0.0);
-  const NodeId c[] = {0, 1, 2};
-  cold.report(0, c);
-  EXPECT_EQ(cold.unique_count(), 1u);
-  EXPECT_TRUE(cold.cliques().contains(Clique{0, 1, 2}));
-}
-
-TEST(ListingOutput, ReserveDiscountUsesObservedFactorWhenWarm) {
-  // Once reports exist, the observed duplication factor drives the
-  // discount (kColdStartDuplication must NOT override real observations
-  // of no duplication: a warm duplication-free collector reserves the
-  // full hint and absorbs that many inserts without losing state).
-  ListingOutput warm(4);
-  const NodeId a[] = {0, 1, 2};
-  warm.report(0, a);
-  EXPECT_DOUBLE_EQ(warm.duplication_factor(), 1.0);
-  warm.reserve_additional(5000);
-  for (NodeId i = 0; i < 5000; ++i) {
-    const NodeId c[] = {i, i + 10000, i + 20000};
-    warm.report(1, c);
-  }
-  EXPECT_EQ(warm.unique_count(), 5001u);
-}
-
-TEST(ListingOutput, DuplicationHintFloorsTheDiscount) {
-  // Per-shard buffers adopt the global collector's duplication factor:
-  // a hinted cold buffer must keep working exactly like an unhinted one
-  // from the caller's point of view (the hint only changes table sizing).
-  ListingOutput shard(4);
-  shard.set_duplication_hint(8.0);
-  shard.reserve_additional(100000);
-  const NodeId a[] = {0, 1, 2};
-  const NodeId b[] = {1, 2, 3};
-  shard.report(0, a);
-  shard.report(1, a);
-  shard.report(2, b);
-  EXPECT_EQ(shard.unique_count(), 2u);
-  EXPECT_EQ(shard.total_reports(), 3u);
-  EXPECT_TRUE(shard.cliques().contains(Clique{0, 1, 2}));
-  EXPECT_TRUE(shard.cliques().contains(Clique{1, 2, 3}));
-}
-
 TEST(ListingOutput, MergeFromReproducesSequentialCounters) {
   // The cluster-parallel ARB-LIST contract: splitting a report stream
   // across shard buffers and merging them in shard order must land on the

@@ -96,8 +96,8 @@ void check_single_cluster_regime(const RegimeExpectations& e) {
   EXPECT_LE(static_cast<double>(max_work), 1.5 * mean)
       << "max " << max_work << " vs mean " << mean;
 
-  // The single-threaded execution takes the sequential fast path: one
-  // shard carrying all the estimated work.
+  // The single-threaded execution runs the same sharded call with one
+  // shard, which carries all the estimated work.
   const auto& t1 = seq.arb_traces.front();
   EXPECT_EQ(t1.tail_shards, 1);
   ASSERT_EQ(t1.tail_shard_work.size(), 1u);

@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/parallel_for.h"
 #include "congest/round_ledger.h"
 #include "core/kp_lister.h"
 #include "graph/generators.h"
+#include "graph/workloads.h"
 
 namespace dcl {
 namespace {
@@ -181,33 +183,45 @@ TEST(Telemetry, TailSpanWorkUnitsEqualArbTraceTailFields) {
 }
 
 TEST(Telemetry, RunReportAndTraceAreByteIdenticalAcrossShardCounts) {
-  const Graph g = tail_fixture();
-  const KpConfig cfg = tail_config();
+  // The single-cluster fixture plus two multi-cluster inputs, whose tail
+  // plan shards over several clusters and whose clique table fills through
+  // different per-shard buffers at each thread count.
+  KpConfig multi = tail_config();
+  multi.stop_scale = 0.1;
+  Rng er_rng(14);
+  Rng ring_rng(15);
+  const std::pair<Graph, KpConfig> inputs[] = {
+      {tail_fixture(), tail_config()},
+      {erdos_renyi_gnm(90, 1400, er_rng), multi},
+      {ring_of_cliques_workload(240, ring_rng, 6), multi},
+  };
   const int previous = shard_threads();
-  std::string reports[2];
-  std::string traces[2];
-  const int counts[2] = {1, 4};
-  for (int i = 0; i < 2; ++i) {
-    set_shard_threads(counts[i]);
-    TraceCollector collector;
-    ListingOutput out(g.node_count());
-    KpListResult result = [&] {
-      TelemetryScope scope(collector);
-      return list_kp_collect(g, cfg, out);
-    }();
-    std::ostringstream report;
-    write_run_report(report, collector, &result.ledger, "test");
-    reports[i] = report.str();
-    std::ostringstream trace;
-    collector.write_chrome_trace(trace);
-    traces[i] = trace.str();
+  for (const auto& [g, cfg] : inputs) {
+    std::string reports[2];
+    std::string traces[2];
+    const int counts[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      set_shard_threads(counts[i]);
+      TraceCollector collector;
+      ListingOutput out(g.node_count());
+      KpListResult result = [&] {
+        TelemetryScope scope(collector);
+        return list_kp_collect(g, cfg, out);
+      }();
+      std::ostringstream report;
+      write_run_report(report, collector, &result.ledger, "test");
+      reports[i] = report.str();
+      std::ostringstream trace;
+      collector.write_chrome_trace(trace);
+      traces[i] = trace.str();
+    }
+    EXPECT_EQ(reports[0], reports[1]) << "n=" << g.node_count();
+    EXPECT_EQ(traces[0], traces[1]) << "n=" << g.node_count();
+    // The report is virtual-time only: no wall-clock field may appear at
+    // any thread count.
+    EXPECT_EQ(reports[0].find("wall"), std::string::npos);
   }
   set_shard_threads(previous);
-  EXPECT_EQ(reports[0], reports[1]);
-  EXPECT_EQ(traces[0], traces[1]);
-  // The report is virtual-time only: no wall-clock field may appear at
-  // any thread count.
-  EXPECT_EQ(reports[0].find("wall"), std::string::npos);
 }
 
 TEST(Telemetry, CollectionDoesNotPerturbLedgerOrOutput) {
