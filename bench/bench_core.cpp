@@ -521,7 +521,7 @@ int run(const char* out_path) {
   // The q=1 one-huge-cluster regime at real scale: this ER input
   // decomposes into a SINGLE cluster, so the cluster-level sharding above
   // has nothing to split — the entry covers the two-level scheduler's
-  // intra-cluster representative-range shards instead (stop_scale 0.01
+  // intra-cluster DAG-root-range shards instead (stop_scale 0.01
   // forces the iterated pipeline at n=2000; the default 0.1 threshold
   // stops before ARB-LIST on this input). Its t4 twin pins the
   // thread-invariance fingerprint for exactly the regime ISSUE 6 cracked.

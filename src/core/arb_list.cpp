@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <span>
 
 #include "common/math_util.h"
@@ -555,15 +556,16 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   // edge sets). The tail is a two-level scheduler:
   //
   //  * Phase A (plan) shards over *clusters* (ROADMAP lever d): routing to
-  //    responsibility holders, the in-cluster plan (partition, fragments,
-  //    representative roster), and EVERY ledger charge — the charges are a
-  //    pure function of the plans, never of how enumeration is sharded.
-  //  * Phase B (enumerate) flattens the plans' representatives into
-  //    (cluster, representative-range) work items weighted by their
-  //    out-degree² estimates and shards those with the proportional
-  //    weighted allocator — so the q=1 one-huge-cluster regime (every ER
-  //    bench input decomposes to a single cluster) still splits across
-  //    threads instead of collapsing onto one.
+  //    responsibility holders, the in-cluster plan (partition, oriented
+  //    cluster graph, representative roster), and EVERY ledger charge —
+  //    the charges are a pure function of the plans, never of how
+  //    enumeration is sharded.
+  //  * Phase B (enumerate) flattens the plans' oriented cluster graphs into
+  //    (cluster, DAG-root-range) work items weighted by the roots'
+  //    out-degree² and shards those with the proportional weighted
+  //    allocator — so the one-huge-cluster regime (every ER bench input
+  //    decomposes to a single cluster) still splits across threads
+  //    instead of collapsing onto one.
   //
   // Determinism contract: per-cluster RNGs are pre-split in cluster order
   // before the region (the parent stream advances exactly as the
@@ -760,14 +762,15 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   end_step(plan_span);
 
   // ---- Phase B: flattened weighted enumeration. ---------------------------
-  // Every plan's representative list is cut into work items of roughly
-  // est_work_total / kTailTargetItems estimated work each. The item grain
-  // depends only on the plans (never on DCL_THREADS), so the item list is a
-  // pure function of the input; the weighted allocator then assigns the
-  // items to shards proportionally. kTailTargetItems trades balance (more
-  // items = finer allocation) against per-item overhead: 32 items give a
-  // 4-way split 8 items per shard, enough slack for max/mean estimated
-  // work ≤ 1.5 on the single-cluster bench inputs.
+  // Every plan's DAG roots are cut into work items of roughly
+  // est_work_total / kTailTargetItems estimated work each, weighting a root
+  // by its out-degree² (`root_est_work`). The item grain depends only on
+  // the plans (never on DCL_THREADS), so the item list is a pure function
+  // of the input; the weighted allocator then assigns the items to shards
+  // proportionally. kTailTargetItems trades balance (more items = finer
+  // allocation) against per-item overhead: 32 items give a 4-way split 8
+  // items per shard, enough slack for max/mean estimated work ≤ 1.5 on the
+  // single-cluster bench inputs.
   constexpr std::uint64_t kTailTargetItems = 32;
   // Below this much total estimated enumeration work the pool dispatch
   // costs more than the listing; the tail then runs inline (the same
@@ -776,8 +779,8 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
 
   struct TailItem {
     std::uint32_t cluster = 0;
-    std::uint32_t rep_begin = 0;
-    std::uint32_t rep_end = 0;
+    NodeId root_begin = 0;
+    NodeId root_end = 0;
   };
   std::uint64_t est_total = 0;
   for (const InClusterPlan& plan : plans) est_total += plan.est_work_total;
@@ -786,16 +789,18 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   std::vector<TailItem> items;
   std::vector<std::uint64_t> item_weight;
   for (std::size_t ci = 0; ci < deco.clusters.size(); ++ci) {
-    const auto& reps = plans[ci].reps;
-    std::uint32_t begin = 0;
+    if (plans[ci].reps.empty()) continue;
+    const CliqueDag& dag = plans[ci].dag;
+    const NodeId roots = dag.node_count();
+    NodeId begin = 0;
     std::uint64_t acc = 0;
-    for (std::size_t r = 0; r < reps.size(); ++r) {
-      acc += reps[r].est_work;
-      if (acc >= item_grain || r + 1 == reps.size()) {
-        items.push_back(TailItem{static_cast<std::uint32_t>(ci), begin,
-                                 static_cast<std::uint32_t>(r + 1)});
+    for (NodeId v = 0; v < roots; ++v) {
+      acc += root_est_work(dag, v);
+      if (acc >= item_grain || v + 1 == roots) {
+        items.push_back(
+            TailItem{static_cast<std::uint32_t>(ci), begin, v + 1});
         item_weight.push_back(acc);
-        begin = static_cast<std::uint32_t>(r + 1);
+        begin = v + 1;
         acc = 0;
       }
     }
@@ -828,11 +833,18 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       [&](int shard, std::int64_t lo, std::int64_t hi) {
         const auto s = static_cast<std::size_t>(shard);
         ListingOutput& sink = tail_shards == 1 ? *ctx.out : shard_out[s];
+        // One enumerator (DAG copy, kernel scratch, cover memo) serves all
+        // of this shard's consecutive items of the same cluster.
+        std::optional<InClusterEnumerator> enumerator;
+        std::uint32_t bound = 0;
         for (std::int64_t i = lo; i < hi; ++i) {
           const TailItem& item = items[static_cast<std::size_t>(i)];
           const std::uint64_t w = item_weight[static_cast<std::size_t>(i)];
-          in_cluster_enumerate(plans[item.cluster], item.rep_begin,
-                               item.rep_end, sink);
+          if (!enumerator || bound != item.cluster) {
+            enumerator.emplace(plans[item.cluster]);
+            bound = item.cluster;
+          }
+          enumerator->run(item.root_begin, item.root_end, sink);
           trace.tail_shard_work[s] += w;
           tail_cells[s].counter_add("arb.tail.enumerated_items", 1);
           tail_cells[s].histogram_record("arb.tail.item_est_work", w);

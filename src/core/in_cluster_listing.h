@@ -15,8 +15,13 @@
 //  3. delivers every held edge to every cluster node whose part multiset
 //     contains both endpoint parts, computing the exact per-node send and
 //     receive loads that Theorem 2.4 routing would charge;
+//  3.5 (simulation only) interns the held edges' endpoints into compact
+//     ids, deduplicates the held copies, and orients the resulting cluster
+//     graph once along its degeneracy order;
 //  4. has every node enumerate the Kp instances inside its received edge
-//     set and report those containing at least one goal edge of C.
+//     set and report those containing at least one goal edge of C —
+//     simulated by listing the oriented cluster graph once and handing
+//     each clique to every representative whose multiset covers it.
 //
 // Cost model: the returned loads feed a ParallelRoutingCharge in the
 // caller; `InClusterChargeMode::worst_case` replaces the measured loads by
@@ -25,35 +30,40 @@
 //
 // Execution note (docs/PERFORMANCE.md "Cluster-parallel listing"): the
 // routine is split into a *plan* half (steps 1-3.5: partition, buckets,
-// fragments, representative roster, and ALL load accounting) and an
-// *enumerate* half (step 4), so arb_list can shard the enumeration *inside*
-// a cluster by representative ranges without touching the ledger — the
-// charges are a pure function of the plan.
+// the oriented cluster graph, representative roster, and ALL load
+// accounting) and an *enumerate* half (step 4), so arb_list can shard the
+// enumeration *inside* a cluster by DAG-root ranges without touching the
+// ledger — the charges are a pure function of the plan.
 //
-// Orient once: step 4 is local computation, which CONGEST does not charge,
-// so its wall time is pure simulator overhead. The plan therefore peels the
-// cluster's deduplicated held-edge graph ONCE, orients every edge along
-// that degeneracy order, and stores each part-pair fragment as oriented
-// out-rows carrying their goal flags. A representative's local graph is a
-// subgraph of the cluster graph, so its DAG — the concatenation of its
-// covered rows — stays acyclic with out-degree at most the cluster graph's
-// degeneracy; the shared kernel (`list_dag_cliques`) lists each of its
-// cliques exactly once and filters goal edges from the flags it carries.
-// No representative builds a Graph, re-peels, or looks up an edge id.
+// List each cluster once: step 4 is local computation, which CONGEST does
+// not charge, so its wall time is pure simulator overhead. Representative
+// R's local graph is exactly the set of cluster edges whose part pair R
+// covers, so a Kp lies in R's local graph iff R's multiset covers every
+// pair of the clique's parts — iff m_a ≥ min(c_a, 2) for every part a,
+// with c_a the clique's vertices in part a and m_a R's multiplicity of a.
+// The plan therefore peels the cluster's deduplicated held-edge graph ONCE
+// and orients it along that degeneracy order into one goal-flagged
+// `CliqueDag`; the shared kernel (`list_dag_cliques`) lists each of its
+// goal-holding cliques exactly once, and every clique is reported once per
+// representative covering it. A goal edge of a covered clique is in the
+// representative's local graph, so the reports — reporter and clique —
+// are exactly those of one listing per representative local graph.
 //
 // `in_cluster_plan` is safe to call concurrently for DISTINCT clusters (its
-// only shared state is a thread_local interning buffer);
-// `in_cluster_enumerate` is read-only on the plan and safe for concurrent
-// disjoint ranges of the SAME plan. The caller supplies a pre-split
-// per-cluster Rng so results never depend on scheduling.
+// only shared state is a thread_local interning buffer); the enumerate half
+// is read-only on the plan and safe for concurrent disjoint root ranges of
+// the SAME plan. The caller supplies a pre-split per-cluster Rng so results
+// never depend on scheduling.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/listing_types.h"
+#include "enumeration/clique_enumeration.h"
 #include "expander/decomposition.h"
 #include "graph/edge_mask.h"
 #include "graph/graph.h"
@@ -91,90 +101,97 @@ struct InClusterCost {
 
 /// The compiled, enumeration-ready form of one cluster's listing problem —
 /// the plan half of the plan/enumerate split. Holds everything steps 1-3.5
-/// produce (partition, interned compact ids, part-pair CSR fragments, the
-/// surviving representatives with their per-representative work estimates)
-/// plus the full load accounting, which is a pure function of the plan: the
-/// ledger charges never depend on how the enumeration half is sharded.
+/// produce (partition, interned compact ids, the oriented cluster graph,
+/// the surviving representatives) plus the full load accounting, which is
+/// a pure function of the plan: the ledger charges never depend on how the
+/// enumeration half is sharded.
 ///
-/// The plan owns all of its data (no thread_local leakage), so
-/// `in_cluster_enumerate` may run on any thread, at any later time, and
-/// concurrently for disjoint representative ranges of the SAME plan — the
-/// enumeration half only reads it.
+/// The plan owns all of its data (no thread_local leakage), so the
+/// enumeration half may run on any thread, at any later time, and
+/// concurrently for disjoint root ranges of the SAME plan — it only reads
+/// the plan.
 struct InClusterPlan {
-  /// One compiled part-pair bucket {a, b} (a ≤ b): its deduplicated edges
-  /// in compact node ids, each directed along the plan's one degeneracy
-  /// order and stored in its source's out-row. The row space is part a's
-  /// compact range followed, when a ≠ b, by part b's. Compiled once; every
-  /// representative covering {a, b} concatenates these rows into its DAG.
-  struct Fragment {
-    int part_a = 0;
-    int part_b = 0;
-    /// Row offsets index into `nbr` — edge-scale in the q=1 one-fragment
-    /// regime (a fragment can hold every known edge of the cluster), so
-    /// 64-bit like every other edge-position type.
-    std::vector<std::uint64_t> off;  ///< row offsets (+1)
-    std::vector<NodeId> nbr;         ///< out-neighbors, ascending per row
-    std::vector<std::uint8_t> goal;  ///< goal flag, aligned with `nbr`
-    std::int64_t goal_count = 0;
-
-    std::int64_t edge_count() const {
-      return static_cast<std::int64_t>(nbr.size());
-    }
-  };
-
   /// One representative that survived the skip filters (enough edges for a
   /// Kp, at least one goal edge). Representatives below the thresholds are
-  /// excluded at plan time — they cannot report anything.
+  /// excluded at plan time — they cannot cover a reported clique.
   struct Rep {
     NodeId node = -1;        ///< cluster-local index of the representative
-    std::int64_t edges = 0;  ///< local-graph edge count (fragments summed)
-    bool all_goal = false;   ///< every received edge is a goal edge
-    /// Out-degree² estimate of the representative's enumeration cost:
-    /// Σ over local-graph sources u of (deg⁺(u))², with deg⁺(u) counting
-    /// u's neighbors of higher compact id (not the oriented out-degree),
-    /// accumulated in 64 bits — a single 70 000-degree hub already
-    /// overflows 32 (70 000² ≈ 4.9e9).
-    std::uint64_t est_work = 0;
-    /// `frag_refs` positions: bounded by reps × covered pairs, which scales
-    /// with k·p² — 64-bit so a million-node cluster roster cannot wrap.
-    std::uint64_t frag_begin = 0;  ///< range into `frag_refs`
-    std::uint64_t frag_end = 0;
+    std::vector<int> parts;  ///< its sorted part multiset (p parts)
+    std::int64_t edges = 0;  ///< local-graph edge count
   };
 
   const Cluster* cluster = nullptr;  ///< for reporter ids (global node ids)
   int p = 4;
   int q = 1;
-  NodeId compact_n = 0;
   /// Loads + parts; `cliques_reported` stays 0 here (it is an enumeration
-  /// output, accumulated by the `in_cluster_enumerate` return values).
+  /// output, accumulated by the enumeration return values).
   InClusterCost cost;
-  std::vector<NodeId> compact_to_global;
-  std::vector<NodeId> part_begin;  ///< compact range of each part, q+1 fences
-  std::vector<Fragment> fragments;
-  /// Covered fragment indices per representative, ascending (a, b).
-  std::vector<std::uint32_t> frag_refs;
+  std::vector<NodeId> compact_to_global;  ///< in first-seen order
+  std::vector<int> part;                  ///< part of each compact id
+  /// The cluster's deduplicated held-edge graph over compact ids, oriented
+  /// along its degeneracy order. Goal flags are OR-merged per edge and left
+  /// empty when every edge is a goal edge.
+  CliqueDag dag;
   std::vector<Rep> reps;
-  std::uint64_t est_work_total = 0;  ///< Σ reps[i].est_work
+  /// Σ root_est_work over the DAG's roots; 0 when no representative
+  /// survived (the cluster then has nothing to enumerate).
+  std::uint64_t est_work_total = 0;
 };
 
-/// Steps 1-3.5: partition, bucket, compile fragments, pick representatives,
-/// and account every load the routing would charge. Pure with respect to
-/// `rng` (one plan per cluster per pre-split Rng); safe to call concurrently
-/// for DISTINCT clusters.
+/// Estimated enumeration work of one DAG root: its out-degree squared,
+/// in 64 bits — a single 70 000-degree hub already overflows 32
+/// (70 000² ≈ 4.9e9).
+inline std::uint64_t root_est_work(const CliqueDag& dag, NodeId root) {
+  const auto r = static_cast<std::size_t>(root);
+  const std::uint64_t d = dag.offsets[r + 1] - dag.offsets[r];
+  return d * d;
+}
+
+/// Steps 1-3.5: partition, bucket, orient the cluster graph, pick
+/// representatives, and account every load the routing would charge. Pure
+/// with respect to `rng` (one plan per cluster per pre-split Rng); safe to
+/// call concurrently for DISTINCT clusters.
 InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng);
 
-/// Step 4 for the representative range [rep_begin, rep_end): concatenates
-/// each representative's covered fragment rows into its DAG, lists its Kp
-/// instances, and reports the goal-containing ones into `out` (reporter =
-/// the global id of the representative's cluster node; the order of one
-/// representative's reports is unspecified). Returns the number of cliques
-/// reported. Read-only on `plan`: concurrent calls over disjoint
-/// ranges of the same plan are safe, and a representative's output does not
-/// depend on which range contains it — any partition of [0, reps.size())
-/// yields the same union of reports.
-std::uint64_t in_cluster_enumerate(const InClusterPlan& plan,
-                                   std::size_t rep_begin, std::size_t rep_end,
-                                   ListingOutput& out);
+/// Indices into `plan.reps` of the representatives that receive a clique
+/// whose vertices lie in the parts `clique_parts` (sorted, one entry per
+/// vertex): those whose multiset covers every pair of the clique's parts,
+/// i.e. holds each part a at least min(c_a, 2) times. Ascending.
+std::vector<std::uint32_t> covering_reps(const InClusterPlan& plan,
+                                         std::span<const int> clique_parts);
+
+/// Step 4 over ranges of a plan's DAG roots. Lists each goal-holding Kp
+/// whose DAG source lies in the range once and reports it into `out` once
+/// per covering representative (reporter = the global id of the
+/// representative's cluster node; the order of reports is unspecified).
+/// Root ranges partition the reports: any split of [0, n) yields the same
+/// multiset of (reporter, clique) reports. The enumerator owns a copy of
+/// the plan's DAG (the kernel trims rows in place), its kernel scratch and
+/// a cover memo keyed by the clique's sorted part tuple, all reused across
+/// `run` calls; it only reads the plan, so one enumerator per thread may
+/// share a plan. The plan must outlive the enumerator.
+class InClusterEnumerator {
+ public:
+  explicit InClusterEnumerator(const InClusterPlan& plan);
+
+  /// Lists the roots [root_begin, root_end); returns the reports made.
+  std::uint64_t run(NodeId root_begin, NodeId root_end, ListingOutput& out);
+
+ private:
+  /// The memoized covering_reps of the clique at `flat_[at]`.
+  std::span<const std::uint32_t> covering(std::size_t at);
+
+  const InClusterPlan& plan_;
+  CliqueDag dag_;
+  CliqueScratch scratch_;
+  std::vector<NodeId> flat_;
+  std::vector<int> parts_;
+  std::vector<NodeId> global_;
+  /// Per packed part tuple (< q^p keys): where its covering rep indices
+  /// start in `memo_reps_`, just past their count; 0 = not yet computed.
+  std::vector<std::size_t> memo_at_;
+  std::vector<std::uint32_t> memo_reps_;
+};
 
 /// Plan + enumerate everything: reports cliques into `out` and returns the
 /// loads. The one-call form used by tests and single-cluster callers.

@@ -173,7 +173,7 @@ struct ArbIterationTrace {
   std::int64_t heavy_relationships = 0;  ///< (node, cluster) heavy pairs
   std::int64_t max_learned_edges = 0;    ///< Remark 2.10 quantity
   /// Step-5 tail scheduler diagnostics (the two-level work plan): the
-  /// flattened (cluster, representative-range) items, the shard count the
+  /// flattened (cluster, DAG-root-range) items, the shard count the
   /// weighted allocator derived, the estimated work each shard received,
   /// and the total estimate. Balance of these estimates (max/mean across
   /// shards) is the parallelism evidence that does not depend on the host's

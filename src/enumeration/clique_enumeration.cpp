@@ -448,16 +448,16 @@ class CliqueWalk {
     }
     sub_ = TrimView{dag.offsets.data(), dag.adj.data(),
                     kGoal ? dag.goal.data() : nullptr, ws.deg.data()};
-    n_ = to_node(n);
   }
 
-  std::uint64_t run(int p) {
+  /// Lists the cliques whose DAG source lies in [root_begin, root_end).
+  std::uint64_t run(int p, NodeId root_begin, NodeId root_end) {
     if (p < 1) throw std::invalid_argument("k-clique enumeration: p < 1");
     if (p == 1) {
       if constexpr (kEmit && !kGoal) {
-        for (NodeId v = 0; v < n_; ++v) flat_->push_back(v);
+        for (NodeId v = root_begin; v < root_end; ++v) flat_->push_back(v);
       }
-      return static_cast<std::uint64_t>(n_);
+      return static_cast<std::uint64_t>(root_end - root_begin);
     }
     if (ws_.saved.size() < static_cast<std::size_t>(p)) {
       ws_.saved.resize(static_cast<std::size_t>(p));
@@ -469,7 +469,7 @@ class CliqueWalk {
     const bool trim = p >= 4;
     std::vector<NodeId>& saved = ws_.saved[0];
     std::uint64_t total = 0;
-    for (NodeId v = 0; v < n_; ++v) {
+    for (NodeId v = root_begin; v < root_end; ++v) {
       const auto cands = sub_.out(v);
       if (static_cast<int>(cands.size()) < p - 1) continue;
       for (const NodeId w : cands) ws_.label[static_cast<std::size_t>(w)] = 1;
@@ -613,17 +613,17 @@ class CliqueWalk {
   CliqueScratch& ws_;
   std::vector<NodeId>* flat_;
   TrimView sub_{};
-  NodeId n_ = 0;
 };
 
 }  // namespace
 
 void list_dag_cliques(CliqueDag& dag, int p, CliqueScratch& scratch,
-                      std::vector<NodeId>& flat) {
+                      std::vector<NodeId>& flat, NodeId root_begin,
+                      NodeId root_end) {
   if (!dag.goal.empty()) {
-    CliqueWalk<true, true>(dag, scratch, &flat).run(p);
+    CliqueWalk<true, true>(dag, scratch, &flat).run(p, root_begin, root_end);
   } else {
-    CliqueWalk<false, true>(dag, scratch, &flat).run(p);
+    CliqueWalk<false, true>(dag, scratch, &flat).run(p, root_begin, root_end);
   }
 }
 
@@ -636,7 +636,7 @@ std::vector<Clique> list_k_cliques(const Graph& g, int p) {
   CliqueDag dag = degeneracy_dag(g);
   CliqueScratch scratch;
   std::vector<NodeId> flat;
-  list_dag_cliques(dag, p, scratch, flat);
+  list_dag_cliques(dag, p, scratch, flat, 0, dag.node_count());
   const auto width = static_cast<std::size_t>(p);
   const auto cas = [](NodeId& a, NodeId& b) {  // branchless compare-swap
     const NodeId lo = std::min(a, b);
@@ -686,7 +686,8 @@ std::uint64_t count_k_cliques(const Graph& g, int p) {
   if (p == 1) return static_cast<std::uint64_t>(g.node_count());
   CliqueDag dag = degeneracy_dag(g);
   CliqueScratch scratch;
-  return CliqueWalk<false, false>(dag, scratch, nullptr).run(p);
+  return CliqueWalk<false, false>(dag, scratch, nullptr)
+      .run(p, 0, dag.node_count());
 }
 
 std::uint64_t count_k_cliques_naive(const Graph& g, int p) {

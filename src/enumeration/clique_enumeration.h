@@ -183,12 +183,15 @@ struct CliqueScratch {
   std::vector<NodeId> prefix;
 };
 
-/// Appends p ids per listed clique of `dag` to `flat`, in DAG path order
-/// (unsorted); with `dag.goal` non-empty, only goal-holding cliques are
-/// appended. p >= 1; p = 1 lists every node (none under a goal filter,
-/// since a single node holds no edge).
+/// Appends p ids per listed clique of `dag` whose DAG source (first id)
+/// lies in the root range [root_begin, root_end) to `flat`, in DAG path
+/// order (unsorted); with `dag.goal` non-empty, only goal-holding cliques
+/// are appended. Root ranges partition the cliques: listing [0, n) in any
+/// split lists each clique exactly once. p >= 1; p = 1 lists the range's
+/// nodes (none under a goal filter, since a single node holds no edge).
 void list_dag_cliques(CliqueDag& dag, int p, CliqueScratch& scratch,
-                               std::vector<NodeId>& flat);
+                      std::vector<NodeId>& flat, NodeId root_begin,
+                      NodeId root_end);
 
 /// All Kp instances of g, each as a sorted vertex vector. p >= 1.
 /// p = 1 lists vertices, p = 2 lists edges. Runs `list_dag_cliques` on the

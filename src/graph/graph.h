@@ -48,8 +48,8 @@ class Graph {
 
   /// Fast-path factory for callers that already hold a normalized
   /// (`u < v`), lexicographically sorted, duplicate-free edge list — e.g.
-  /// the in-cluster lister's fragment assembly, which emits edges in
-  /// sorted order by construction. Skips the normalize/sort/unique pass of
+  /// the in-cluster plan's deduplicated cluster graph, which is sorted
+  /// before it is peeled. Skips the normalize/sort/unique pass of
   /// `from_edges` and builds the CSR with one counting scatter (the
   /// scatter of a sorted edge list leaves every neighbor row sorted, so no
   /// per-row sort is needed either). The precondition is checked in debug

@@ -209,9 +209,9 @@ TEST(InClusterListing, InternBuffersSurviveShrinkThenGrowAcrossGraphs) {
 }
 
 TEST(InClusterListing, DuplicateHeldEdgesDoNotChangeTheListing) {
-  // Fragment compilation dedups identical held edges and ORs their goal
-  // flags; a bucket holding the same edge twice (here: duplicated inside
-  // one holder's list before dedup normally happens upstream) must list
+  // The plan dedups identical held edges and ORs their goal flags; a
+  // cluster holding the same edge twice (here: duplicated inside one
+  // holder's list before dedup normally happens upstream) must list
   // exactly the same cliques as the clean problem.
   Rng gen(7);
   Scenario clean(erdos_renyi_gnp(20, 0.5, gen));
@@ -230,8 +230,10 @@ TEST(InClusterListing, DuplicateHeldEdgesDoNotChangeTheListing) {
 }
 
 TEST(InClusterPlanEnumerate, SplitRangesReproduceTheFullListing) {
-  // The plan/enumerate contract: any partition of [0, reps.size()) into
-  // ranges yields the same union of reports as the one-call wrapper.
+  // The plan/enumerate contract: any partition of the DAG roots [0, n)
+  // into ranges yields the same reports as the one-call wrapper — here a
+  // two-way split through separate enumerators and a three-way split
+  // through one enumerator reused across its ranges.
   Rng gen(12);
   Scenario s(erdos_renyi_gnm(64, 600, gen));
   Rng rng_a(13), rng_b(13);
@@ -244,62 +246,45 @@ TEST(InClusterPlanEnumerate, SplitRangesReproduceTheFullListing) {
   EXPECT_EQ(plan.cost.messages, cost.messages);
   EXPECT_EQ(plan.cost.parts, cost.parts);
   ASSERT_GE(plan.reps.size(), 2u) << "scenario too small to split";
-  ListingOutput split(s.g.node_count());
-  std::uint64_t reported = 0;
-  const std::size_t mid = plan.reps.size() / 2;
-  reported += in_cluster_enumerate(plan, 0, mid, split);
-  reported += in_cluster_enumerate(plan, mid, plan.reps.size(), split);
-  EXPECT_EQ(reported, cost.cliques_reported);
-  EXPECT_TRUE(split.cliques() == whole.cliques());
-  EXPECT_EQ(split.total_reports(), whole.total_reports());
+  const NodeId roots = plan.dag.node_count();
+  ASSERT_GE(roots, 3);
+  {
+    ListingOutput split(s.g.node_count());
+    std::uint64_t reported = 0;
+    reported += InClusterEnumerator(plan).run(0, roots / 2, split);
+    reported += InClusterEnumerator(plan).run(roots / 2, roots, split);
+    EXPECT_EQ(reported, cost.cliques_reported);
+    EXPECT_TRUE(split.cliques() == whole.cliques());
+    EXPECT_EQ(split.total_reports(), whole.total_reports());
+  }
+  {
+    ListingOutput split(s.g.node_count());
+    InClusterEnumerator enumerator(plan);
+    std::uint64_t reported = 0;
+    reported += enumerator.run(2 * roots / 3, roots, split);
+    reported += enumerator.run(0, roots / 3, split);
+    reported += enumerator.run(roots / 3, 2 * roots / 3, split);
+    EXPECT_EQ(reported, cost.cliques_reported);
+    EXPECT_TRUE(split.cliques() == whole.cliques());
+    EXPECT_EQ(split.total_reports(), whole.total_reports());
+  }
 }
 
 TEST(InClusterPlanEnumerate, EstimatesAccumulateIn64Bits) {
-  // Synthetic star cluster: a 70 000-leaf hub forced into a single part
-  // (k = 5 < 2^p, so q = 1) gives ONE representative whose local graph has
-  // a single 70 000-entry row — its out-degree² estimate is 4.9e9, past
-  // anything a 32-bit accumulator can hold. A wrapped estimate would show
-  // up here as est_work != 70 000².
+  // A hand-built hub DAG: one root with 70 000 out-neighbors. Its
+  // out-degree² estimate is 4.9e9, past anything a 32-bit accumulator can
+  // hold; a wrapped estimate would show up here as != 70 000².
   constexpr NodeId kLeaves = 70000;
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(kLeaves));
-  for (NodeId v = 1; v <= kLeaves; ++v) edges.push_back(Edge{0, v});
-  Graph star = Graph::from_edges(kLeaves + 1, std::move(edges));
-
-  Cluster cluster;
-  cluster.id = 0;
-  for (NodeId v = 0; v < 5; ++v) cluster.nodes.push_back(v);
-  cluster.min_internal_degree = 1;
-  std::vector<std::vector<KnownEdge>> holders(5);
-  for (EdgeId e = 0; e < star.edge_count(); ++e) {
-    const Edge& ed = star.edge(e);
-    const NodeId idx =
-        responsible_cluster_index(ed.u, star.node_count(), 5);
-    holders[static_cast<std::size_t>(idx)].push_back(KnownEdge{ed.u, ed.v});
-  }
-  EdgeMask goal;
-  goal.assign(star.edge_count(), true);
-
-  InClusterProblem pr;
-  pr.base = &star;
-  pr.cluster = &cluster;
-  pr.edges_by_holder = &holders;
-  pr.goal_edge = &goal;
-  pr.p = 4;
-
-  Rng rng(14);
-  const InClusterPlan plan = in_cluster_plan(pr, rng);
-  EXPECT_EQ(plan.q, 1);
-  ASSERT_EQ(plan.reps.size(), 1u);
+  CliqueDag dag;
+  dag.offsets.assign(static_cast<std::size_t>(kLeaves) + 2, kLeaves);
+  dag.offsets[0] = 0;
+  for (NodeId v = 1; v <= kLeaves; ++v) dag.adj.push_back(v);
   const std::uint64_t expected =
       static_cast<std::uint64_t>(kLeaves) * static_cast<std::uint64_t>(kLeaves);
-  EXPECT_EQ(plan.reps[0].est_work, expected);
-  EXPECT_EQ(plan.est_work_total, expected);
-  EXPECT_GT(plan.est_work_total,
+  EXPECT_EQ(root_est_work(dag, 0), expected);
+  EXPECT_GT(root_est_work(dag, 0),
             std::uint64_t{std::numeric_limits<std::uint32_t>::max()});
-  // A star has no K4: the (cheap) enumeration must report nothing.
-  ListingOutput out(star.node_count());
-  EXPECT_EQ(in_cluster_enumerate(plan, 0, plan.reps.size(), out), 0u);
+  EXPECT_EQ(root_est_work(dag, kLeaves), 0u);
 }
 
 TEST(InClusterPlanEnumerate, RepsBelowThresholdsAreDroppedAtPlanTime) {
@@ -358,23 +343,28 @@ Graph planted_graph(NodeId n, int p, Rng& rng) {
   return Graph::from_edges(n, std::move(edges));
 }
 
-/// Part of every planned node, read off the plan's part-major compact
-/// ranges (nodes without held edges stay -1).
+/// Part of every planned node, read off the plan's compact part map
+/// (nodes without held edges stay -1).
 std::vector<int> parts_of(const InClusterPlan& plan, NodeId n) {
   std::vector<int> part(static_cast<std::size_t>(n), -1);
-  for (int a = 0; a < plan.q; ++a) {
-    for (NodeId c = plan.part_begin[static_cast<std::size_t>(a)];
-         c < plan.part_begin[static_cast<std::size_t>(a) + 1]; ++c) {
-      part[static_cast<std::size_t>(
-          plan.compact_to_global[static_cast<std::size_t>(c)])] = a;
-    }
+  for (std::size_t c = 0; c < plan.compact_to_global.size(); ++c) {
+    part[static_cast<std::size_t>(plan.compact_to_global[c])] = plan.part[c];
   }
   return part;
+}
+
+/// The sorted part tuple of a clique.
+std::vector<int> clique_parts(const Clique& c, const std::vector<int>& part) {
+  std::vector<int> parts;
+  for (const NodeId v : c) parts.push_back(part[static_cast<std::size_t>(v)]);
+  std::sort(parts.begin(), parts.end());
+  return parts;
 }
 
 struct Reference {
   CliqueSet reports;
   EdgeId local_edges = 0;
+  EdgeId local_goals = 0;
 };
 
 /// The rebuild lister for cluster node j: a Graph over every held edge j's
@@ -395,6 +385,9 @@ Reference reference_reports(const Scenario& s, const std::vector<int>& part,
   const Graph local = Graph::from_edges(s.g.node_count(), std::move(edges));
   Reference ref;
   ref.local_edges = local.edge_count();
+  for (const Edge& e : local.edges()) {
+    ref.local_goals += s.goal[*s.g.edge_id(e.u, e.v)] ? 1 : 0;
+  }
   for (const Clique& c : list_k_cliques(local, p)) {
     bool has_goal = false;
     for (std::size_t x = 0; x < c.size(); ++x) {
@@ -416,8 +409,10 @@ struct RosterShape {
   std::uint64_t reported = 0;
 };
 
-/// Plans the scenario, then checks every representative's reports against
-/// the reference and every dropped representative for an empty reference.
+/// Plans the scenario, lists the whole cluster once, hands every clique
+/// to its covering representatives, and checks each representative's
+/// clique set against the reference and every dropped representative for
+/// an empty reference.
 RosterShape check_against_reference(Scenario& s, int p, int expected_q,
                                     GoalMode mode, std::uint64_t seed) {
   RosterShape shape;
@@ -445,24 +440,36 @@ RosterShape check_against_reference(Scenario& s, int p, int expected_q,
   const int q = plan.q;
   const std::vector<int> part = parts_of(plan, n);
 
+  // One whole-cluster listing; the cover dispatch rebuilds each
+  // representative's clique set from it.
+  ListingOutput out(n);
+  shape.reported = InClusterEnumerator(plan).run(0, plan.dag.node_count(), out);
+  EXPECT_EQ(out.total_reports(), shape.reported);
+  std::vector<CliqueSet> received(plan.reps.size());
+  std::uint64_t dispatched = 0;
+  for (const Clique& c : out.cliques().to_vector()) {
+    for (const std::uint32_t r : covering_reps(plan, clique_parts(c, part))) {
+      received[r].insert(c);
+      ++dispatched;
+    }
+  }
+  EXPECT_EQ(dispatched, shape.reported) << "p=" << p;
+
   std::vector<bool> planned(static_cast<std::size_t>(n), false);
   for (std::size_t r = 0; r < plan.reps.size(); ++r) {
     const InClusterPlan::Rep& rep = plan.reps[r];
     planned[static_cast<std::size_t>(rep.node)] = true;
-    ++(rep.all_goal ? shape.all_goal : shape.mixed);
-    ListingOutput out(n);
-    const std::uint64_t reported = in_cluster_enumerate(plan, r, r + 1, out);
-    shape.reported += reported;
+    EXPECT_EQ(rep.parts, part_multiset(rep.node, q, p));
     const Reference ref = reference_reports(s, part, q, p, rep.node);
+    ++(ref.local_goals == ref.local_edges ? shape.all_goal : shape.mixed);
     EXPECT_EQ(rep.edges, ref.local_edges) << "p=" << p << " rep " << rep.node;
-    // Each clique is reported once: the report multiset is the set.
-    EXPECT_EQ(reported, ref.reports.size())
-        << "p=" << p << " rep " << rep.node;
-    EXPECT_EQ(out.total_reports(), ref.reports.size());
+    // Each covered clique is reported once to its representative: the
+    // representative's report count is the size of its reference set.
     EXPECT_EQ(out.reports_of(s.cluster.nodes[static_cast<std::size_t>(
                   rep.node)]),
-              ref.reports.size());
-    EXPECT_TRUE(out.cliques() == ref.reports)
+              ref.reports.size())
+        << "p=" << p << " rep " << rep.node;
+    EXPECT_TRUE(received[r] == ref.reports)
         << "p=" << p << " q=" << q << " rep " << rep.node;
   }
 
@@ -538,35 +545,106 @@ TEST(InClusterKernel, PartAlignedGoalsGiveAllMixedAndZeroGoalReps) {
 }
 
 TEST(InClusterKernel, OrientedRowsStayWithinClusterDegeneracy) {
-  // One degeneracy order per plan: a node's out-rows across ALL fragments
-  // together are its out-degree in the cluster graph's orientation, so no
-  // representative DAG can exceed the cluster graph's degeneracy.
+  // One degeneracy order per plan: the oriented cluster graph holds every
+  // held edge once, and no root's out-row exceeds the cluster graph's
+  // degeneracy.
   Rng gen(9);
   Scenario s(planted_graph(cluster_size(4, 3), 4, gen));
   Rng rng(10);
   const InClusterPlan plan = in_cluster_plan(s.problem(4), rng);
   const NodeId degeneracy = degeneracy_order(s.g).degeneracy;
-  std::vector<std::uint64_t> out_degree(
-      static_cast<std::size_t>(plan.compact_n), 0);
-  std::uint64_t edges = 0;
-  for (const InClusterPlan::Fragment& f : plan.fragments) {
-    if (f.edge_count() == 0) continue;
-    const auto pa = static_cast<std::size_t>(f.part_a);
-    const auto pb = static_cast<std::size_t>(f.part_b);
-    const NodeId a_rows = plan.part_begin[pa + 1] - plan.part_begin[pa];
-    for (std::size_t row = 0; row + 1 < f.off.size(); ++row) {
-      const NodeId u =
-          static_cast<NodeId>(row) < a_rows
-              ? plan.part_begin[pa] + static_cast<NodeId>(row)
-              : plan.part_begin[pb] + static_cast<NodeId>(row) - a_rows;
-      out_degree[static_cast<std::size_t>(u)] += f.off[row + 1] - f.off[row];
+  EXPECT_EQ(plan.dag.adj.size(), static_cast<std::size_t>(s.g.edge_count()));
+  for (NodeId v = 0; v < plan.dag.node_count(); ++v) {
+    const auto r = static_cast<std::size_t>(v);
+    EXPECT_LE(plan.dag.offsets[r + 1] - plan.dag.offsets[r],
+              static_cast<std::uint64_t>(degeneracy));
+  }
+}
+
+TEST(InClusterKernel, SamePartVerticesNeedTheirPartTwice) {
+  // The multiset_covers a == b rule, end to end: a clique with two or more
+  // vertices in part a reaches only representatives holding a at least
+  // twice. Three K4s with part tuples {0,0,0,1}, {0,0,1,1} and {1,1,1,1}
+  // on a q = 2, p = 4 cluster; each representative receives exactly the
+  // K4s whose every part pair its multiset covers.
+  constexpr NodeId kNodes = 40;  // floor(40^{1/4}) = 2 parts
+  std::vector<int> part;
+  {
+    std::vector<Edge> ring;
+    for (NodeId v = 0; v < kNodes; ++v) {
+      ring.push_back(make_edge(v, (v + 1) % kNodes));
     }
-    edges += static_cast<std::uint64_t>(f.edge_count());
+    Scenario probe(Graph::from_edges(kNodes, std::move(ring)));
+    Rng rng(21);
+    part = parts_of(in_cluster_plan(probe.problem(4), rng), kNodes);
   }
-  EXPECT_EQ(edges, static_cast<std::uint64_t>(s.g.edge_count()));
-  for (const std::uint64_t d : out_degree) {
-    EXPECT_LE(d, static_cast<std::uint64_t>(degeneracy));
+  std::vector<NodeId> pool[2];
+  for (NodeId v = 0; v < kNodes; ++v) {
+    pool[part[static_cast<std::size_t>(v)]].push_back(v);
   }
+  ASSERT_GE(pool[0].size(), 5u);
+  ASSERT_GE(pool[1].size(), 7u);
+  const std::vector<std::vector<NodeId>> k4s = {
+      {pool[0][0], pool[0][1], pool[0][2], pool[1][0]},
+      {pool[0][3], pool[0][4], pool[1][1], pool[1][2]},
+      {pool[1][3], pool[1][4], pool[1][5], pool[1][6]}};
+  std::vector<Edge> edges;
+  for (const auto& k4 : k4s) {
+    for (std::size_t x = 0; x < k4.size(); ++x) {
+      for (std::size_t y = x + 1; y < k4.size(); ++y) {
+        edges.push_back(make_edge(k4[x], k4[y]));
+      }
+    }
+  }
+  Scenario s(Graph::from_edges(kNodes, std::move(edges)));
+  Rng rng(21);
+  const InClusterPlan plan = in_cluster_plan(s.problem(4), rng);
+  ASSERT_EQ(plan.q, 2);
+  ListingOutput out(kNodes);
+  InClusterEnumerator(plan).run(0, plan.dag.node_count(), out);
+  EXPECT_EQ(out.unique_count(), 3u);
+
+  // covering_reps agrees with multiset_covers over every pair of parts.
+  std::vector<std::vector<int>> tuples;
+  for (const auto& k4 : k4s) {
+    Clique c(k4.begin(), k4.end());
+    tuples.push_back(clique_parts(c, part));
+    std::vector<std::uint32_t> pairwise;
+    for (std::size_t r = 0; r < plan.reps.size(); ++r) {
+      bool covers = true;
+      for (std::size_t x = 0; x < c.size(); ++x) {
+        for (std::size_t y = x + 1; y < c.size(); ++y) {
+          covers = covers && multiset_covers(plan.reps[r].parts,
+                                             tuples.back()[x],
+                                             tuples.back()[y]);
+        }
+      }
+      if (covers) pairwise.push_back(static_cast<std::uint32_t>(r));
+    }
+    EXPECT_EQ(covering_reps(plan, tuples.back()), pairwise);
+  }
+  EXPECT_EQ(tuples[0], (std::vector<int>{0, 0, 0, 1}));
+  EXPECT_EQ(tuples[1], (std::vector<int>{0, 0, 1, 1}));
+  EXPECT_EQ(tuples[2], (std::vector<int>{1, 1, 1, 1}));
+
+  // Reports per representative multiset. {0,1,1,1} holds part 0 once: it
+  // gets neither K4 with two or more part-0 vertices. {0,0,0,1} holds
+  // part 1 once: it gets only the K4 with one part-1 vertex.
+  const auto reports_of_multiset = [&](const std::vector<int>& mset) {
+    for (const InClusterPlan::Rep& rep : plan.reps) {
+      if (rep.parts == mset) {
+        return out.reports_of(
+            s.cluster.nodes[static_cast<std::size_t>(rep.node)]);
+      }
+    }
+    return std::uint64_t{0};  // dropped at plan time: reports nothing
+  };
+  EXPECT_EQ(reports_of_multiset({0, 0, 0, 0}), 0u);
+  EXPECT_EQ(reports_of_multiset({0, 0, 0, 1}), 1u);
+  EXPECT_EQ(reports_of_multiset({0, 0, 1, 1}), 3u);
+  EXPECT_EQ(reports_of_multiset({0, 1, 1, 1}), 1u);
+  EXPECT_EQ(reports_of_multiset({1, 1, 1, 1}), 1u);
+  EXPECT_EQ(out.total_reports(), 6u);
 }
 
 /// ListingOutput state that must not depend on threads or shard order.

@@ -7,10 +7,13 @@
 //   info <file>                         basic graph statistics
 //   list <file> <p> [general|k4fast|cc|trivial] [seed]
 //        [--faults SPEC | --fault-replay FILE] [--fault-record FILE]
+//        [--stop-scale X] [--trace FILE] [--report FILE]
 //                                       run a lister; print rounds + count;
 //                                       with faults, the oracle degrades to
 //                                       the survivor contract (docs/
-//                                       ROBUSTNESS.md)
+//                                       ROBUSTNESS.md); --stop-scale sets
+//                                       KpConfig::stop_scale (general and
+//                                       k4fast; default 1.0)
 //   count <file> <p>                    sequential exact count (oracle)
 //   decompose <file> <delta>            expander decomposition statistics
 //   dynamic <family> <n> <p> [batches] [seed]
@@ -25,6 +28,7 @@
 //   dcl list g.txt 4 k4fast
 //   dcl decompose g.txt 0.55
 //   dcl dynamic churn 120 4 16 7
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -65,7 +69,7 @@ int usage() {
                "  dcl list <file> <p> [general|k4fast|cc|trivial] [seed]\n"
                "           [--faults SPEC | --fault-replay FILE] "
                "[--fault-record FILE]\n"
-               "           [--trace FILE] [--report FILE]\n"
+               "           [--stop-scale X] [--trace FILE] [--report FILE]\n"
                "           (SPEC e.g. drop=0.1,dup=0.05,delay=0.02:3,"
                "retries=4,seed=7,crash=5@2)\n"
                "  dcl count <file> <p>\n"
@@ -128,6 +132,7 @@ int cmd_list(int argc, char** argv) {
   // Split option flags from the positional arguments.
   std::string fault_spec, fault_replay, fault_record;
   std::string trace_path, report_path;
+  std::optional<double> stop_scale;
   std::vector<char*> pos;
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
@@ -153,6 +158,16 @@ int cmd_list(int argc, char** argv) {
       trace_path = flag_value("--trace");
     } else if (a.rfind("--report", 0) == 0 && (a.size() == 8 || a[8] == '=')) {
       report_path = flag_value("--report");
+    } else if (a.rfind("--stop-scale", 0) == 0 &&
+               (a.size() == 12 || a[12] == '=')) {
+      const std::string value = flag_value("--stop-scale");
+      char* end = nullptr;
+      const double x = std::strtod(value.c_str(), &end);
+      if (value.empty() || *end != '\0' || !(x > 0.0) || !std::isfinite(x)) {
+        throw std::runtime_error(
+            "--stop-scale must be a positive number, got '" + value + "'");
+      }
+      stop_scale = x;
     } else if (a.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag '%s'\n", a.c_str());
       return usage();
@@ -212,6 +227,7 @@ int cmd_list(int argc, char** argv) {
     cfg.k4_fast = (algo == "k4fast");
     cfg.seed = seed;
     cfg.faults = faulty ? &plan : nullptr;
+    if (stop_scale) cfg.stop_scale = *stop_scale;
     const auto result = list_kp_collect(g, cfg, out);
     rounds = result.total_rounds();
     crashed = result.crashed_nodes;
@@ -221,6 +237,8 @@ int cmd_list(int argc, char** argv) {
     retransmitted = result.ledger.retransmitted_messages();
     report_ledger = result.ledger;
     result.ledger.print_audited(std::cout);
+  } else if (stop_scale) {
+    throw std::runtime_error("--stop-scale applies to general and k4fast only");
   } else if (algo == "cc") {
     if (faulty && !plan.crashes().empty()) {
       throw std::runtime_error(
