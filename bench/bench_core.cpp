@@ -21,6 +21,7 @@
 #include "congest/engine.h"
 #include "congest/fault_plan.h"
 #include "core/kp_lister.h"
+#include "core/sparse_cc.h"
 #include "dynamic/dynamic_lister.h"
 #include "enumeration/clique_enumeration.h"
 #include "graph/generators.h"
@@ -229,6 +230,61 @@ void list_kp_benchmark(BenchReport& report, const char* input_name,
 /// round-trips it bit-exactly (doubles hold integers < 2^53 exactly).
 double fold_fingerprint(std::uint64_t fp) {
   return static_cast<double>((fp ^ (fp >> 32)) & 0xffffffffULL);
+}
+
+/// The Section 4 CONGESTED-CLIQUE lister end to end. Its counters pin the
+/// simulated cost (ledger rounds and messages) and the output contract:
+/// the clique set (count and folded fingerprint) plus the per-node report
+/// multiset's totals and maximum, so a change to how representatives list
+/// their cliques cannot move who reports what without failing the diff.
+void sparse_cc_benchmark(BenchReport& report, const std::string& name,
+                         const Graph& g, const SparseCcConfig& cfg) {
+  TraceCollector ref_trace;
+  ListingOutput ref_out(g.node_count());
+  const SparseCcResult ref = [&] {
+    TelemetryScope scope(ref_trace);
+    return sparse_cc_list(g, cfg, ref_out);
+  }();
+  maybe_attach_report(name, ref_trace, &ref.ledger);
+  auto& t = report.add(time_kernel(
+      name,
+      [&] {
+        ListingOutput out(g.node_count());
+        return sparse_cc_list(g, cfg, out).total_reports;
+      },
+      static_cast<double>(ref.unique_cliques)));
+  t.counters.emplace_back("ledger_total_rounds", ref.total_rounds());
+  t.counters.emplace_back("ledger_total_messages",
+                          static_cast<double>(ref.ledger.total_messages()));
+  t.counters.emplace_back("unique_cliques",
+                          static_cast<double>(ref.unique_cliques));
+  t.counters.emplace_back("total_reports",
+                          static_cast<double>(ref.total_reports));
+  t.counters.emplace_back("max_reports_per_node",
+                          static_cast<double>(ref_out.max_reports_per_node()));
+  t.counters.emplace_back("fingerprint_fold32",
+                          fold_fingerprint(ref_out.cliques().fingerprint()));
+}
+
+void sparse_cc_benchmarks(BenchReport& report) {
+  // The perfbench cc-p4 input and configuration.
+  Rng cc_rng(21);
+  const Graph cc_input = erdos_renyi_gnm(1000, 20000, cc_rng);
+  SparseCcConfig cc_cfg;
+  cc_cfg.p = 4;
+  cc_cfg.seed = 7;
+  sparse_cc_benchmark(report, "sparse_cc/p=4/er_n1000_m20000", cc_input,
+                      cc_cfg);
+  // Section 4's fake-edge padding: about 5 600 fake edges join the 2 000
+  // real ones, so the loads count them while the listing must skip them.
+  Rng pad_rng(22);
+  const Graph pad_input = erdos_renyi_gnm(200, 2000, pad_rng);
+  SparseCcConfig pad_cfg;
+  pad_cfg.p = 3;
+  pad_cfg.seed = 7;
+  pad_cfg.pad_factor = 1.0;
+  sparse_cc_benchmark(report, "sparse_cc/p=3/er_n200_m2000_pad1", pad_input,
+                      pad_cfg);
 }
 
 /// Telemetry A/B: the same fixed-seed list_kp run with the observability
@@ -528,6 +584,7 @@ int run(const char* out_path) {
   Rng q1_rng(14);
   const Graph q1_input = erdos_renyi_gnm(2000, 30000, q1_rng);
   list_kp_benchmark(report, "er1c_n2000_m30000", q1_input, 4, 0.01);
+  sparse_cc_benchmarks(report);
 
   fault_plane_ab_benchmark(report);
   telemetry_ab_benchmark(report);

@@ -114,8 +114,8 @@ void parallel_for_shards(std::int64_t n, Body&& body,
 // ranges carry most of the enumeration work). The weighted variant takes a
 // per-item work estimate and cuts *contiguous* item ranges of near-equal
 // total weight instead. All weight arithmetic is 64-bit end to end:
-// out-degree² estimates overflow uint32 well below the ROADMAP target
-// scales (a single 70k-degree hub exceeds 2^32 on its own).
+// out-degree² estimates overflow uint32 far below the graph sizes the
+// simulators target (a single 70k-degree hub exceeds 2^32 on its own).
 
 /// Total weight, summed in 64 bits.
 inline std::uint64_t weighted_total(std::span<const std::uint64_t> weights) {

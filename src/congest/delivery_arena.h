@@ -15,10 +15,10 @@
 // per-phase allocations once the arena has warmed up. `inbox(v)` is an O(1)
 // offset read returned as a std::span over the arena.
 //
-// Sparse phases (ROADMAP lever f): the counting passes are
-// generation-stamped instead of zero-filled. A phase that touches d
-// distinct endpoints histograms and prefix-sums only those d slots (a
-// stale stamp reads as "count 0 / empty inbox"), so delivery costs
+// Sparse phases: the counting passes are generation-stamped instead of
+// zero-filled. A phase that touches d distinct endpoints histograms and
+// prefix-sums only those d slots (a stale stamp reads as "count 0 / empty
+// inbox"), so delivery costs
 // O(traffic + d log d) instead of two O(n) fills — the regime that matters
 // on million-node graphs where a phase moves a handful of messages. Dense
 // phases (d ≥ n/4) fall back to the classic full passes, which stamp every

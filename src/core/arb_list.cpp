@@ -44,8 +44,8 @@ struct CurrentView {
 /// array and membership is a binary search over a short sorted row.
 struct ClusterNeighborTable {
   // Row offsets are prefix sums bounded by Σ_v |N(v)| = 2m — edge-scale,
-  // past 2^32 at ROADMAP-item-5 graph sizes — so they are 64-bit even
-  // though every individual row length is node-scale.
+  // past 2^32 on graphs of tens of millions of nodes — so they are 64-bit
+  // even though every individual row length is node-scale.
   std::vector<std::uint64_t> off;  // n+1 row offsets
   std::vector<std::pair<int, std::int32_t>> entries;
 
@@ -555,7 +555,8 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   // independently (§2.4: clusters route and list in parallel on disjoint
   // edge sets). The tail is a two-level scheduler:
   //
-  //  * Phase A (plan) shards over *clusters* (ROADMAP lever d): routing to
+  //  * Phase A (plan) shards over *clusters*, whose plans are independent
+  //    of each other (each has its own pre-split Rng): routing to
   //    responsibility holders, the in-cluster plan (partition, oriented
   //    cluster graph, representative roster), and EVERY ledger charge —
   //    the charges are a pure function of the plans, never of how

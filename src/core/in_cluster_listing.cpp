@@ -39,13 +39,11 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
     pt = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(q)));
   }
 
-  // Step 2: part multisets per cluster node, and the coverage table
-  // cover[(a,b)] = number of cluster nodes whose multiset covers {a,b}.
-  std::vector<std::vector<int>> tuple(static_cast<std::size_t>(k));
-  for (NodeId j = 0; j < k; ++j) {
-    tuple[static_cast<std::size_t>(j)] = part_multiset(j, q, p);
-  }
-  const std::vector<std::int64_t> cover = coverage_table(tuple, q);
+  // Step 2: the distinct part multisets of the cluster nodes, and the
+  // coverage table cover[(a,b)] = number of cluster nodes whose multiset
+  // covers {a,b}.
+  const PartMultisets msets = part_multisets(k, q, p);
+  const std::vector<std::int64_t> cover = coverage_table(msets, q);
 
   // ---- Step 3 + 3.5: count, intern and deduplicate the held edges. -----
   //
@@ -184,33 +182,23 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
 
   // Receive loads, then the representative roster. Nodes with identical
   // part multisets receive identical edge sets and would produce identical
-  // outputs, so only the first representative of each multiset reports
-  // (a pure simulation shortcut: loads are still accounted for every node,
-  // and the *union* of outputs — the correctness contract — is unchanged).
-  // The representative of a multiset is its minimum cluster index, read
-  // from the sorted flat table. Representatives that cannot report anything
+  // outputs, so only the representative of each multiset (its minimum
+  // cluster index) reports (a pure simulation shortcut: loads are still
+  // accounted for every node, and the *union* of outputs — the correctness
+  // contract — is unchanged). Representatives that cannot report anything
   // (too few edges for a Kp, or no goal edge received) are dropped HERE, at
   // plan time: no clique they cover can hold a goal edge.
-  const std::vector<NodeId> rep = representative_table(tuple, q);
-  std::vector<std::int64_t> recv_load(static_cast<std::size_t>(k), 0);
-  for (NodeId j = 0; j < k; ++j) {
-    auto& s = tuple[static_cast<std::size_t>(j)];
-    const bool is_rep = rep[static_cast<std::size_t>(j)] == j;
-    std::int64_t rep_edges = 0;
-    std::int64_t rep_goals = 0;
-    for (int a = 0; a < q; ++a) {
-      for (int b = a; b < q; ++b) {
-        if (!multiset_covers(s, a, b)) continue;
-        const auto idx = static_cast<std::size_t>(pair_index(a, b, q));
-        recv_load[static_cast<std::size_t>(j)] += held_per_pair[idx];
-        rep_edges += pair_edges[idx];
-        rep_goals += pair_goals[idx];
-      }
-    }
-    if (!is_rep || rep_edges < p * (p - 1) / 2 || rep_goals == 0) {
+  plan.reps.reserve(msets.parts.size());
+  for (std::size_t m = 0; m < msets.parts.size(); ++m) {
+    const std::vector<int>& s = msets.parts[m];
+    const std::int64_t recv = covered_sum(s, held_per_pair, q);
+    plan.cost.max_recv = std::max(plan.cost.max_recv, recv);
+    plan.cost.messages += static_cast<std::uint64_t>(recv * msets.nodes[m]);
+    const std::int64_t rep_edges = covered_sum(s, pair_edges, q);
+    if (rep_edges < p * (p - 1) / 2 || covered_sum(s, pair_goals, q) == 0) {
       continue;
     }
-    plan.reps.push_back(InClusterPlan::Rep{j, std::move(s), rep_edges});
+    plan.reps.push_back(InClusterPlan::Rep{msets.rep[m], s, rep_edges});
   }
   if (!plan.reps.empty()) {
     for (NodeId v = 0; v < compact_n; ++v) {
@@ -218,13 +206,8 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
     }
   }
 
-  for (NodeId j = 0; j < k; ++j) {
-    plan.cost.max_send =
-        std::max(plan.cost.max_send, send_load[static_cast<std::size_t>(j)]);
-    plan.cost.max_recv =
-        std::max(plan.cost.max_recv, recv_load[static_cast<std::size_t>(j)]);
-    plan.cost.messages += static_cast<std::uint64_t>(
-        recv_load[static_cast<std::size_t>(j)]);
+  for (const std::int64_t load : send_load) {
+    plan.cost.max_send = std::max(plan.cost.max_send, load);
   }
 
   if (problem.charge_mode == InClusterChargeMode::worst_case) {
@@ -240,49 +223,20 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
   return plan;
 }
 
-std::vector<std::uint32_t> covering_reps(const InClusterPlan& plan,
-                                         std::span<const int> clique_parts) {
-  std::vector<std::uint32_t> covering;
-  for (std::size_t r = 0; r < plan.reps.size(); ++r) {
-    const std::vector<int>& held = plan.reps[r].parts;
-    bool covers = true;
-    for (std::size_t i = 0; covers && i < clique_parts.size();) {
-      const int a = clique_parts[i];
-      std::size_t c = 0;
-      for (; i < clique_parts.size() && clique_parts[i] == a; ++i) ++c;
-      const auto [lo, hi] = std::equal_range(held.begin(), held.end(), a);
-      covers = static_cast<std::size_t>(hi - lo) >= std::min<std::size_t>(c, 2);
-    }
-    if (covers) covering.push_back(static_cast<std::uint32_t>(r));
-  }
-  return covering;
-}
-
 InClusterEnumerator::InClusterEnumerator(const InClusterPlan& plan)
     : plan_(plan),
       dag_(plan.dag),
+      covers_(
+          [&] {
+            std::vector<std::vector<int>> multisets;
+            for (const InClusterPlan::Rep& rep : plan.reps) {
+              multisets.push_back(rep.parts);
+            }
+            return multisets;
+          }(),
+          plan.q, plan.p),
       parts_(static_cast<std::size_t>(plan.p)),
-      global_(static_cast<std::size_t>(plan.p)),
-      memo_at_(static_cast<std::size_t>(ipow(plan.q, plan.p)), 0) {}
-
-std::span<const std::uint32_t> InClusterEnumerator::covering(std::size_t at) {
-  for (std::size_t i = 0; i < parts_.size(); ++i) {
-    parts_[i] = plan_.part[static_cast<std::size_t>(flat_[at + i])];
-  }
-  std::sort(parts_.begin(), parts_.end());
-  std::size_t key = 0;
-  for (const int a : parts_) {
-    key = key * static_cast<std::size_t>(plan_.q) + static_cast<std::size_t>(a);
-  }
-  std::size_t& end = memo_at_[key];
-  if (end == 0) {
-    const std::vector<std::uint32_t> reps = covering_reps(plan_, parts_);
-    memo_reps_.push_back(static_cast<std::uint32_t>(reps.size()));
-    end = memo_reps_.size();
-    memo_reps_.insert(memo_reps_.end(), reps.begin(), reps.end());
-  }
-  return {memo_reps_.data() + end, memo_reps_[end - 1]};
-}
+      global_(static_cast<std::size_t>(plan.p)) {}
 
 std::uint64_t InClusterEnumerator::run(NodeId root_begin, NodeId root_end,
                                        ListingOutput& out) {
@@ -298,7 +252,10 @@ std::uint64_t InClusterEnumerator::run(NodeId root_begin, NodeId root_end,
       global_[i] =
           plan_.compact_to_global[static_cast<std::size_t>(flat_[at + i])];
     }
-    for (const std::uint32_t r : covering(at)) {
+    for (std::size_t i = 0; i < parts_.size(); ++i) {
+      parts_[i] = plan_.part[static_cast<std::size_t>(flat_[at + i])];
+    }
+    for (const std::uint32_t r : covers_.covering(parts_)) {
       out.report(plan_.cluster->nodes[static_cast<std::size_t>(
                      plan_.reps[r].node)],
                  global_);

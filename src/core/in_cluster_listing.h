@@ -40,7 +40,9 @@
 // R's local graph is exactly the set of cluster edges whose part pair R
 // covers, so a Kp lies in R's local graph iff R's multiset covers every
 // pair of the clique's parts — iff m_a ≥ min(c_a, 2) for every part a,
-// with c_a the clique's vertices in part a and m_a R's multiplicity of a.
+// with c_a the clique's vertices in part a and m_a R's multiplicity of a
+// (`covers_part_tuple` in core/part_tables.h, the rule the CONGESTED-CLIQUE
+// lister shares).
 // The plan therefore peels the cluster's deduplicated held-edge graph ONCE
 // and orients it along that degeneracy order into one goal-flagged
 // `CliqueDag`; the shared kernel (`list_dag_cliques`) lists each of its
@@ -63,6 +65,7 @@
 
 #include "common/rng.h"
 #include "core/listing_types.h"
+#include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
 #include "expander/decomposition.h"
 #include "graph/edge_mask.h"
@@ -153,13 +156,6 @@ inline std::uint64_t root_est_work(const CliqueDag& dag, NodeId root) {
 /// call concurrently for DISTINCT clusters.
 InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng);
 
-/// Indices into `plan.reps` of the representatives that receive a clique
-/// whose vertices lie in the parts `clique_parts` (sorted, one entry per
-/// vertex): those whose multiset covers every pair of the clique's parts,
-/// i.e. holds each part a at least min(c_a, 2) times. Ascending.
-std::vector<std::uint32_t> covering_reps(const InClusterPlan& plan,
-                                         std::span<const int> clique_parts);
-
 /// Step 4 over ranges of a plan's DAG roots. Lists each goal-holding Kp
 /// whose DAG source lies in the range once and reports it into `out` once
 /// per covering representative (reporter = the global id of the
@@ -167,9 +163,9 @@ std::vector<std::uint32_t> covering_reps(const InClusterPlan& plan,
 /// Root ranges partition the reports: any split of [0, n) yields the same
 /// multiset of (reporter, clique) reports. The enumerator owns a copy of
 /// the plan's DAG (the kernel trims rows in place), its kernel scratch and
-/// a cover memo keyed by the clique's sorted part tuple, all reused across
-/// `run` calls; it only reads the plan, so one enumerator per thread may
-/// share a plan. The plan must outlive the enumerator.
+/// a `PartTupleCovers` memo over the representatives' multisets, all
+/// reused across `run` calls; it only reads the plan, so one enumerator
+/// per thread may share a plan. The plan must outlive the enumerator.
 class InClusterEnumerator {
  public:
   explicit InClusterEnumerator(const InClusterPlan& plan);
@@ -178,19 +174,13 @@ class InClusterEnumerator {
   std::uint64_t run(NodeId root_begin, NodeId root_end, ListingOutput& out);
 
  private:
-  /// The memoized covering_reps of the clique at `flat_[at]`.
-  std::span<const std::uint32_t> covering(std::size_t at);
-
   const InClusterPlan& plan_;
   CliqueDag dag_;
   CliqueScratch scratch_;
+  PartTupleCovers covers_;
   std::vector<NodeId> flat_;
   std::vector<int> parts_;
   std::vector<NodeId> global_;
-  /// Per packed part tuple (< q^p keys): where its covering rep indices
-  /// start in `memo_reps_`, just past their count; 0 = not yet computed.
-  std::vector<std::size_t> memo_at_;
-  std::vector<std::uint32_t> memo_reps_;
 };
 
 /// Plan + enumerate everything: reports cliques into `out` and returns the

@@ -1,22 +1,27 @@
-// Flat partition-multiset tables for the CONGESTED-CLIQUE listers.
+// Partition-multiset tables for the CONGESTED-CLIQUE listers.
 //
 // Both the sparse-case clique lister (core/sparse_cc.cpp) and the
 // in-cluster lister (core/in_cluster_listing.cpp) assign node i the sorted
-// multiset of the p base-q digits of i mod q^p, then repeatedly ask
-//   * does node i's multiset cover the part pair {a, b}?  and
-//   * which node is the representative (minimum id) of each multiset?
-// The cover test runs over the sorted digit lists via the shared
-// intersection kernels; the representative map — previously a
-// std::map<std::vector<int>, NodeId> with a tree walk and a vector compare
-// per lookup — is replaced here by a sorted flat table: every multiset
-// packs into one integer key (< q^p <= n), one sort of (key, id) pairs
-// groups equal multisets into runs, and the run head (the minimum id, since
-// ids ascend within a run) is the representative. Lookup is an O(1) array
-// read (`rep[i]`).
+// multiset of the p base-q digits of i mod q^p. Node i learns exactly the
+// edges whose part pair its multiset covers, so both listers ask the same
+// questions, answered here once:
+//  * which distinct multisets occur, how many nodes hold each, and which
+//    node (the minimum id) represents it? (`part_multisets`; ids i and
+//    i mod q^p share a multiset, so at most q^p ids are decoded);
+//  * how many nodes cover each part pair, and how many edges does one
+//    multiset receive? (`coverage_table`, `covered_sum`: per multiset,
+//    weighted by its node count, O(#multisets * q^2));
+//  * which multisets receive a given clique? A clique lies in a node's
+//    local graph iff the multiset covers every pair of the clique's parts,
+//    i.e. holds each part a at least min(c_a, 2) times, where c_a counts
+//    the clique's vertices in part a (`covers_part_tuple`, memoised per
+//    packed part tuple by `PartTupleCovers`).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/intersect.h"
@@ -51,54 +56,128 @@ inline int pair_index(int a, int b, int q) {
   return a * q + b;
 }
 
-/// rep[i] = minimum id whose multiset equals tuples[i]'s. Sorted flat
-/// table: multisets pack into integer keys (digit-weighted base-q sums,
-/// unique per multiset and < q^p), one sort groups equal keys into runs,
-/// and each run's first id is its representative.
-inline std::vector<NodeId> representative_table(
-    const std::vector<std::vector<int>>& tuples, int q) {
-  const auto k = tuples.size();
-  std::vector<std::int64_t> key(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    std::int64_t packed = 0;
-    for (const int digit : tuples[i]) packed = packed * q + digit;
-    key[i] = packed;
-  }
-  std::vector<NodeId> order(k);
-  for (std::size_t i = 0; i < k; ++i) order[i] = static_cast<NodeId>(i);
-  std::sort(order.begin(), order.end(), [&](NodeId x, NodeId y) {
-    if (key[static_cast<std::size_t>(x)] != key[static_cast<std::size_t>(y)]) {
-      return key[static_cast<std::size_t>(x)] < key[static_cast<std::size_t>(y)];
+/// The distinct part multisets of the nodes [0, k), in ascending order of
+/// their representatives.
+struct PartMultisets {
+  std::vector<std::vector<int>> parts;  ///< sorted multiset (p parts)
+  std::vector<NodeId> rep;              ///< minimum id holding it
+  std::vector<std::int64_t> nodes;      ///< number of ids in [0, k) holding it
+};
+
+/// Groups the ids [0, k) by part multiset. Id i holds the multiset of
+/// i mod q^p, so only the first min(k, q^p) ids are decoded, each weighted
+/// by the ids congruent to it; the first id of a multiset is its minimum.
+inline PartMultisets part_multisets(NodeId k, int q, int p) {
+  PartMultisets m;
+  const std::int64_t space = ipow(q, p);
+  const std::int64_t ids = std::min<std::int64_t>(k, space);
+  std::vector<std::int64_t> slot(static_cast<std::size_t>(space), -1);
+  for (std::int64_t j = 0; j < ids; ++j) {
+    std::vector<int> s = part_multiset(static_cast<NodeId>(j), q, p);
+    std::int64_t key = 0;
+    for (const int digit : s) key = key * q + digit;
+    std::int64_t& at = slot[static_cast<std::size_t>(key)];
+    if (at < 0) {
+      at = static_cast<std::int64_t>(m.parts.size());
+      m.parts.push_back(std::move(s));
+      m.rep.push_back(static_cast<NodeId>(j));
+      m.nodes.push_back(0);
     }
-    return x < y;
-  });
-  std::vector<NodeId> rep(k);
-  NodeId head = -1;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (i == 0 || key[static_cast<std::size_t>(order[i])] !=
-                      key[static_cast<std::size_t>(order[i - 1])]) {
-      head = order[i];
-    }
-    rep[static_cast<std::size_t>(order[i])] = head;
+    m.nodes[static_cast<std::size_t>(at)] += (k - 1 - j) / space + 1;
   }
-  return rep;
+  return m;
 }
 
-/// cover[(a,b)] = number of tuples covering the unordered part pair {a,b};
-/// a q*q table indexed by pair_index.
-inline std::vector<std::int64_t> coverage_table(
-    const std::vector<std::vector<int>>& tuples, int q) {
+/// Σ table[pair_index(a, b, q)] over the part pairs {a, b} that the sorted
+/// multiset `s` covers: the edges a node holding `s` receives, given the
+/// per-pair edge counts.
+inline std::int64_t covered_sum(const std::vector<int>& s,
+                                const std::vector<std::int64_t>& table,
+                                int q) {
+  std::int64_t sum = 0;
+  for (int a = 0; a < q; ++a) {
+    for (int b = a; b < q; ++b) {
+      if (multiset_covers(s, a, b)) {
+        sum += table[static_cast<std::size_t>(pair_index(a, b, q))];
+      }
+    }
+  }
+  return sum;
+}
+
+/// cover[(a,b)] = number of nodes whose multiset covers the unordered part
+/// pair {a,b}; a q*q table indexed by pair_index.
+inline std::vector<std::int64_t> coverage_table(const PartMultisets& m,
+                                                int q) {
   std::vector<std::int64_t> cover(checked_mul64(q, q), 0);
-  for (const auto& s : tuples) {
+  for (std::size_t i = 0; i < m.parts.size(); ++i) {
     for (int a = 0; a < q; ++a) {
       for (int b = a; b < q; ++b) {
-        if (multiset_covers(s, a, b)) {
-          ++cover[static_cast<std::size_t>(pair_index(a, b, q))];
+        if (multiset_covers(m.parts[i], a, b)) {
+          cover[static_cast<std::size_t>(pair_index(a, b, q))] += m.nodes[i];
         }
       }
     }
   }
   return cover;
 }
+
+/// Whether the sorted multiset `held` covers every part pair of the sorted
+/// part tuple `tuple` (one entry per clique vertex): it holds each part a
+/// at least min(c_a, 2) times, c_a being a's count in `tuple`.
+inline bool covers_part_tuple(std::span<const int> held,
+                              std::span<const int> tuple) {
+  for (std::size_t i = 0; i < tuple.size();) {
+    const int a = tuple[i];
+    std::size_t c = 0;
+    for (; i < tuple.size() && tuple[i] == a; ++i) ++c;
+    const auto [lo, hi] = std::equal_range(held.begin(), held.end(), a);
+    if (static_cast<std::size_t>(hi - lo) < std::min<std::size_t>(c, 2)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Which of a fixed list of part multisets receive a clique, memoised per
+/// clique part tuple: a sorted tuple of p parts packs into a base-q key
+/// below q^p, and each distinct tuple's cover list is computed once.
+class PartTupleCovers {
+ public:
+  PartTupleCovers(std::vector<std::vector<int>> multisets, int q, int p)
+      : multisets_(std::move(multisets)),
+        q_(static_cast<std::size_t>(q)),
+        at_(static_cast<std::size_t>(ipow(q, p)), 0) {}
+
+  /// Ascending indices of the multisets covering the clique whose p
+  /// vertices lie in `parts` (any order; sorted in place).
+  std::span<const std::uint32_t> covering(std::span<int> parts) {
+    std::sort(parts.begin(), parts.end());
+    std::size_t key = 0;
+    for (const int a : parts) key = key * q_ + static_cast<std::size_t>(a);
+    std::size_t& end = at_[key];
+    if (end == 0) {
+      const std::size_t count_at = lists_.size();
+      lists_.push_back(0);
+      for (std::size_t r = 0; r < multisets_.size(); ++r) {
+        if (covers_part_tuple(multisets_[r], parts)) {
+          lists_.push_back(static_cast<std::uint32_t>(r));
+        }
+      }
+      lists_[count_at] =
+          static_cast<std::uint32_t>(lists_.size() - count_at - 1);
+      end = count_at + 1;
+    }
+    return {lists_.data() + end, lists_[end - 1]};
+  }
+
+ private:
+  std::vector<std::vector<int>> multisets_;
+  std::size_t q_;
+  /// Per packed tuple: where its indices start in `lists_`, just past
+  /// their count; 0 = not yet computed.
+  std::vector<std::size_t> at_;
+  std::vector<std::uint32_t> lists_;
+};
 
 }  // namespace dcl

@@ -5,9 +5,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "common/intersect.h"
 #include "common/math_util.h"
-#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
 #include "core/part_tables.h"
@@ -15,16 +13,6 @@
 #include "graph/orientation.h"
 
 namespace dcl {
-
-namespace {
-
-struct DirectedEdge {
-  NodeId tail;
-  NodeId head;
-  bool fake;
-};
-
-}  // namespace
 
 SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
                               ListingOutput& out) {
@@ -56,40 +44,34 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
 
   // Arboricity-witness orientation: each edge has a unique sender (tail).
   const Orientation orient = degeneracy_orientation(g);
-  std::vector<DirectedEdge> edges;
-  edges.reserve(static_cast<std::size_t>(g.edge_count()));
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    edges.push_back({orient.tail(e), orient.head(e), false});
-  }
 
   // Fake-edge padding (Section 4): bring m/n^{1/p} up to
-  // pad_factor · n · log n. Fake edges are flagged and never listed.
+  // pad_factor · n · log n. Fake edges only add load: the listing below
+  // runs on g, so they are never listed. Each is sent by its lower end.
+  std::vector<Edge> fake;
   if (cfg.pad_factor > 0) {
     const double target_m = cfg.pad_factor * static_cast<double>(n) *
                             std::log2(static_cast<double>(std::max<NodeId>(2, n))) *
                             static_cast<double>(q);
+    const auto key = [](const Edge& e) {
+      return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.u))
+              << 32) |
+             static_cast<std::uint32_t>(e.v);
+    };
     std::unordered_set<std::uint64_t> present;
-    present.reserve(edges.size() * 2);
-    for (const auto& de : edges) {
-      const Edge e = make_edge(de.tail, de.head);
-      present.insert((static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                          e.u))
-                      << 32) |
-                     static_cast<std::uint32_t>(e.v));
-    }
+    present.reserve(static_cast<std::size_t>(g.edge_count()) * 2);
+    for (const Edge& e : g.edges()) present.insert(key(e));
     const auto possible = static_cast<double>(n) * (n - 1) / 2.0;
-    while (static_cast<double>(edges.size()) < std::min(target_m, possible)) {
+    while (static_cast<double>(g.edge_count()) +
+               static_cast<double>(fake.size()) <
+           std::min(target_m, possible)) {
       const auto a = to_node(rng.next_below(static_cast<std::uint64_t>(n)));
       const auto b = to_node(rng.next_below(static_cast<std::uint64_t>(n)));
       if (a == b) continue;
       const Edge e = make_edge(a, b);
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.u)) << 32) |
-          static_cast<std::uint32_t>(e.v);
-      if (!present.insert(key).second) continue;
-      edges.push_back({e.u, e.v, true});
-      ++result.fake_edges;
+      if (present.insert(key(e)).second) fake.push_back(e);
     }
+    result.fake_edges = static_cast<std::int64_t>(fake.size());
   }
 
   // Round 1: every node announces its random part (one message to each
@@ -121,86 +103,37 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
                                  announce_msgs);
   }
 
-  // Bucket edges by part pair (Lemma 2.7 balance check) and compute loads.
-  std::vector<std::vector<DirectedEdge>> bucket(
-      checked_mul64(q, q));
-  for (const auto& de : edges) {
-    bucket[static_cast<std::size_t>(
-               pair_index(part[static_cast<std::size_t>(de.tail)],
-                          part[static_cast<std::size_t>(de.head)], q))]
-        .push_back(de);
-  }
-  for (const auto& b : bucket) {
-    result.max_pair_bucket =
-        std::max(result.max_pair_bucket, static_cast<std::int64_t>(b.size()));
-  }
-
-  // Part multisets and the coverage table, sharded over the node index.
-  // Shards write disjoint tuple slots; the per-shard coverage tables are
-  // integer histograms whose sum is independent of shard interleaving, so
-  // the merged table is bit-identical to the sequential build.
-  std::vector<std::vector<int>> tuple(static_cast<std::size_t>(n));
-  // Sized by shard_threads() alone — an upper bound on whatever shard
-  // count parallel_for_shards derives, so the two can never disagree.
-  std::vector<std::vector<std::int64_t>> shard_cover(
-      static_cast<std::size_t>(shard_threads()));
-  // Per-node work is q^2 multiset probes; the grain keeps small instances
-  // inline (see parallel_for_shards).
-  constexpr std::int64_t kCoverGrain = 128;
-  parallel_for_shards(n, [&](int shard, std::int64_t lo, std::int64_t hi) {
-    auto& local_cover = shard_cover[static_cast<std::size_t>(shard)];
-    local_cover.assign(checked_mul64(q, q), 0);
-    for (std::int64_t i = lo; i < hi; ++i) {
-      auto& s = tuple[static_cast<std::size_t>(i)];
-      s = part_multiset(static_cast<NodeId>(i), q, p);
-      for (int a = 0; a < q; ++a) {
-        for (int b = a; b < q; ++b) {
-          if (multiset_covers(s, a, b)) {
-            ++local_cover[static_cast<std::size_t>(pair_index(a, b, q))];
-          }
-        }
-      }
-    }
-  }, kCoverGrain);
-  std::vector<std::int64_t> cover(checked_mul64(q, q), 0);
-  for (const auto& local_cover : shard_cover) {
-    for (std::size_t idx = 0; idx < local_cover.size(); ++idx) {
-      cover[idx] += local_cover[idx];
-    }
-  }
-
   // Edge distribution: each tail sends its edge to every covering node.
   // Loads are computed exactly; the Lenzen-mode round charge is
   // ceil(max(max_send, max_recv)/(n-1)) + O(1) (CliqueNetwork's formula).
+  // Per part pair edge counts (real and fake) give Lemma 2.7's balance
+  // check and every receive load: a node receives the edges of the pairs
+  // its multiset covers, so loads are computed once per distinct multiset
+  // and weighted by the nodes holding it.
+  const PartMultisets msets = part_multisets(n, q, p);
+  const std::vector<std::int64_t> cover = coverage_table(msets, q);
+  std::vector<std::int64_t> pair_edges(checked_mul64(q, q), 0);
   std::vector<std::int64_t> send_load(static_cast<std::size_t>(n), 0);
-  std::vector<std::int64_t> recv_load(static_cast<std::size_t>(n), 0);
-  std::uint64_t total_msgs = 0;
-  for (const auto& de : edges) {
-    const int idx = pair_index(part[static_cast<std::size_t>(de.tail)],
-                               part[static_cast<std::size_t>(de.head)], q);
-    send_load[static_cast<std::size_t>(de.tail)] +=
-        cover[static_cast<std::size_t>(idx)];
+  const auto distribute = [&](NodeId tail, NodeId head) {
+    const auto idx = static_cast<std::size_t>(
+        pair_index(part[static_cast<std::size_t>(tail)],
+                   part[static_cast<std::size_t>(head)], q));
+    ++pair_edges[idx];
+    send_load[static_cast<std::size_t>(tail)] += cover[idx];
+  };
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    distribute(orient.tail(e), orient.head(e));
   }
-  // Receive loads are independent per node: shard over the node index
-  // (disjoint recv_load slots; reads are all const).
-  parallel_for_shards(n, [&](int, std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t i = lo; i < hi; ++i) {
-      for (int a = 0; a < q; ++a) {
-        for (int b = a; b < q; ++b) {
-          if (multiset_covers(tuple[static_cast<std::size_t>(i)], a, b)) {
-            recv_load[static_cast<std::size_t>(i)] += static_cast<std::int64_t>(
-                bucket[static_cast<std::size_t>(pair_index(a, b, q))].size());
-          }
-        }
-      }
-    }
-  }, kCoverGrain);
-  std::int64_t max_load = 0;
-  for (NodeId i = 0; i < n; ++i) {
-    max_load = std::max({max_load, send_load[static_cast<std::size_t>(i)],
-                         recv_load[static_cast<std::size_t>(i)]});
-    total_msgs +=
-        static_cast<std::uint64_t>(recv_load[static_cast<std::size_t>(i)]);
+  for (const Edge& e : fake) distribute(e.u, e.v);
+  result.max_pair_bucket =
+      *std::max_element(pair_edges.begin(), pair_edges.end());
+  std::int64_t max_load =
+      *std::max_element(send_load.begin(), send_load.end());
+  std::uint64_t total_msgs = 0;
+  for (std::size_t m = 0; m < msets.parts.size(); ++m) {
+    const std::int64_t recv = covered_sum(msets.parts[m], pair_edges, q);
+    max_load = std::max(max_load, recv);
+    total_msgs += static_cast<std::uint64_t>(recv * msets.nodes[m]);
   }
   result.max_recv_load = max_load;
   const std::int64_t distribution_rounds =
@@ -224,52 +157,35 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
     return result;
   }
 
-  // Local listing at every node: real edges between its parts. Nodes with
-  // identical part multisets receive identical edge sets; only the first
-  // representative enumerates (simulation shortcut — loads above are per
-  // node, and the union of outputs is unchanged). The representative of a
-  // multiset is its minimum node id, read from the sorted flat table.
-  const std::vector<NodeId> rep = representative_table(tuple, q);
-  // Dense global→compact interning table, reset per representative by
-  // walking the touched ids (to_global) instead of reallocating a map.
-  std::vector<NodeId> to_compact(static_cast<std::size_t>(n), -1);
-  std::vector<NodeId> to_global;
-  for (NodeId i = 0; i < n; ++i) {
-    const auto& s = tuple[static_cast<std::size_t>(i)];
-    if (rep[static_cast<std::size_t>(i)] != i) continue;
-    std::vector<Edge> local;
-    for (const NodeId v : to_global) to_compact[static_cast<std::size_t>(v)] = -1;
-    to_global.clear();
-    auto intern = [&](NodeId v) {
-      NodeId& slot = to_compact[static_cast<std::size_t>(v)];
-      if (slot < 0) {
-        slot = to_node(to_global.size());
-        to_global.push_back(v);
+  // Local listing, simulated once (see the header): list the real edges
+  // of g along the orientation above and report each clique by every
+  // representative whose multiset covers its part tuple.
+  cc_span.sync_to(net.ledger().total_rounds(), net.ledger().total_messages());
+  {
+    SpanGuard list_span(telemetry, "sparse-cc/list", "core");
+    CliqueDag dag;
+    dag.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
+    dag.adj.reserve(static_cast<std::size_t>(g.edge_count()));
+    for (NodeId v = 0; v < n; ++v) {
+      const auto row = orient.out_neighbors(v);
+      dag.adj.insert(dag.adj.end(), row.begin(), row.end());
+      dag.offsets[static_cast<std::size_t>(v) + 1] = dag.adj.size();
+    }
+    CliqueScratch scratch;
+    std::vector<NodeId> flat;
+    list_dag_cliques(dag, p, scratch, flat, 0, n);
+    PartTupleCovers covers(msets.parts, q, p);
+    std::vector<int> parts(static_cast<std::size_t>(p));
+    for (std::size_t at = 0; at < flat.size(); at += parts.size()) {
+      const std::span<const NodeId> clique(flat.data() + at, parts.size());
+      for (std::size_t x = 0; x < parts.size(); ++x) {
+        parts[x] = part[static_cast<std::size_t>(clique[x])];
       }
-      return slot;
-    };
-    for (int a = 0; a < q; ++a) {
-      for (int b = a; b < q; ++b) {
-        if (!multiset_covers(s, a, b)) continue;
-        for (const auto& de :
-             bucket[static_cast<std::size_t>(pair_index(a, b, q))]) {
-          if (de.fake) continue;  // marked fake edges are never listed
-          local.push_back(make_edge(intern(de.tail), intern(de.head)));
-        }
+      for (const std::uint32_t r : covers.covering(parts)) {
+        out.report(msets.rep[r], clique);
       }
     }
-    if (static_cast<int>(local.size()) < p * (p - 1) / 2) continue;
-    const Graph local_graph =
-        Graph::from_edges(to_node(to_global.size()),
-                          std::move(local));
-    const auto cliques = list_k_cliques(local_graph, p);
-    std::vector<NodeId> global(static_cast<std::size_t>(p));
-    for (const auto& c : cliques) {
-      for (std::size_t x = 0; x < c.size(); ++x) {
-        global[x] = to_global[static_cast<std::size_t>(c[x])];
-      }
-      out.report(i, global);
-    }
+    list_span.add_work(flat.size() / parts.size());
   }
 
   result.ledger = net.ledger();

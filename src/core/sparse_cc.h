@@ -12,12 +12,23 @@
 //    part multiset covers the edge's part pair;
 //  * load balance is Lemma 2.7: with high probability each part pair holds
 //    O(m/n^{2/p}) edges, so by Lenzen routing each node receives
-//    O(p²·m/n^{2/p}) messages = O(p²·m/n^{1+2/p} + 1) rounds.
+//    O(p²·m/n^{2/p}) messages = O(p²·m/n^{1+2/p} + 1) rounds;
+//  * every node lists the Kp of the real edges it received. A Kp lies in a
+//    node's local graph iff the node's multiset covers every pair of the
+//    clique's parts (`covers_part_tuple`, core/part_tables.h).
+//
+// Listing is local computation, which the model does not charge, so the
+// simulation does it once: nodes with equal multisets hold equal edge sets
+// and only the representative of each (its minimum id) reports; the real
+// edges of g are listed a single time along the degeneracy orientation,
+// and each clique is reported by every representative whose multiset
+// covers it. That is exactly the (reporter, clique) reports of one listing
+// per representative; loads and round charges are still per node.
 //
 // Fake-edge padding (Section 4): when m/n^{1/p} < pad_factor·n·log n the
 // paper pads with marked fake edges so Lemma 2.7's conditions hold; padding
 // only matters in the regime where the round count is Õ(1) anyway. The
-// paper's factor is 20; that padds every laptop-scale instance, so the knob
+// paper's factor is 20; that pads every laptop-scale instance, so the knob
 // defaults to 0 (off) and the mechanism is exercised separately in tests.
 #pragma once
 

@@ -15,9 +15,9 @@ namespace {
 /// Rows are independent (out[v] reads only x), so they shard over the
 /// worker pool — each out[v] is computed by exactly one shard with the
 /// same per-row summation order as the sequential loop, so the result is
-/// bit-identical at any DCL_THREADS (ROADMAP lever e; the π-weighted
-/// reductions around this stay sequential, their summation order is part
-/// of the fixed-seed fingerprint).
+/// bit-identical at any DCL_THREADS. The π-weighted reductions around this
+/// stay sequential: their summation order is part of the fixed-seed
+/// fingerprint.
 void apply_lazy_walk(const Graph& g, const std::vector<double>& x,
                      std::vector<double>& out) {
   // A row is a few flops per neighbor, and the power iteration applies

@@ -1,7 +1,7 @@
 // Checked conversions between the id/index widths the engine mixes.
 //
-// The repo's scale contract (ROADMAP item 5): `NodeId` is 32-bit because
-// node counts stay below 2^31 even at "tens of millions of nodes", but
+// The repo's scale contract: `NodeId` is 32-bit because node counts stay
+// below 2^31 even on graphs of tens of millions of nodes, but
 // *edge-scale* quantities — edge ids, CSR offsets, per-phase message
 // totals, out-degree² work estimates — must be 64-bit, because m and
 // Σdeg = 2m pass 2^32 long before n does. Narrowing back down to 32 bits

@@ -375,9 +375,9 @@ std::vector<std::vector<Delivery>> reference_deliver(
   return inboxes;
 }
 
-/// Generation-stamped delivery (ROADMAP lever f): a phase touching a
-/// handful of endpoints must not pay — or depend on — O(n) state. The
-/// regression alternates sparse phases (the stamped path), dense phases
+/// Generation-stamped delivery: a phase touching a handful of endpoints
+/// must not pay — or depend on — O(n) state. The regression alternates
+/// sparse phases (the stamped path), dense phases
 /// (the full-sweep fallback), and empty phases on one arena, checking
 /// every inbox against the reference stable sort each time: stale stamps
 /// must read as empty, and no offsets may leak across phases or across

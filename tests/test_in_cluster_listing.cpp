@@ -448,7 +448,9 @@ RosterShape check_against_reference(Scenario& s, int p, int expected_q,
   std::vector<CliqueSet> received(plan.reps.size());
   std::uint64_t dispatched = 0;
   for (const Clique& c : out.cliques().to_vector()) {
-    for (const std::uint32_t r : covering_reps(plan, clique_parts(c, part))) {
+    const std::vector<int> tuple = clique_parts(c, part);
+    for (std::size_t r = 0; r < plan.reps.size(); ++r) {
+      if (!covers_part_tuple(plan.reps[r].parts, tuple)) continue;
       received[r].insert(c);
       ++dispatched;
     }
@@ -473,14 +475,8 @@ RosterShape check_against_reference(Scenario& s, int p, int expected_q,
         << "p=" << p << " q=" << q << " rep " << rep.node;
   }
 
-  std::vector<std::vector<int>> tuples;
-  for (NodeId j = 0; j < n; ++j) tuples.push_back(part_multiset(j, q, p));
-  const std::vector<NodeId> rep_of = representative_table(tuples, q);
-  for (NodeId j = 0; j < n; ++j) {
-    if (rep_of[static_cast<std::size_t>(j)] != j ||
-        planned[static_cast<std::size_t>(j)]) {
-      continue;
-    }
+  for (const NodeId j : part_multisets(n, q, p).rep) {
+    if (planned[static_cast<std::size_t>(j)]) continue;
     const Reference ref = reference_reports(s, part, q, p, j);
     EXPECT_TRUE(ref.reports.empty()) << "dropped rep " << j << " p=" << p;
     if (ref.local_edges >= p * (p - 1) / 2) ++shape.zero_goal_dropped;
@@ -604,12 +600,11 @@ TEST(InClusterKernel, SamePartVerticesNeedTheirPartTwice) {
   InClusterEnumerator(plan).run(0, plan.dag.node_count(), out);
   EXPECT_EQ(out.unique_count(), 3u);
 
-  // covering_reps agrees with multiset_covers over every pair of parts.
+  // covers_part_tuple agrees with multiset_covers over every pair of parts.
   std::vector<std::vector<int>> tuples;
   for (const auto& k4 : k4s) {
     Clique c(k4.begin(), k4.end());
     tuples.push_back(clique_parts(c, part));
-    std::vector<std::uint32_t> pairwise;
     for (std::size_t r = 0; r < plan.reps.size(); ++r) {
       bool covers = true;
       for (std::size_t x = 0; x < c.size(); ++x) {
@@ -619,9 +614,9 @@ TEST(InClusterKernel, SamePartVerticesNeedTheirPartTwice) {
                                              tuples.back()[y]);
         }
       }
-      if (covers) pairwise.push_back(static_cast<std::uint32_t>(r));
+      EXPECT_EQ(covers_part_tuple(plan.reps[r].parts, tuples.back()), covers)
+          << "rep " << r;
     }
-    EXPECT_EQ(covering_reps(plan, tuples.back()), pairwise);
   }
   EXPECT_EQ(tuples[0], (std::vector<int>{0, 0, 0, 1}));
   EXPECT_EQ(tuples[1], (std::vector<int>{0, 0, 1, 1}));

@@ -282,29 +282,51 @@ TEST(DeterminismUnderThreads, ListKpFingerprintsAreBitIdentical) {
 }
 
 TEST(DeterminismUnderThreads, SparseCcFingerprintsAreBitIdentical) {
-  Rng rng(13);
-  const Graph g = erdos_renyi_gnm(160, 2600, rng);
-  SparseCcConfig cfg;
-  cfg.p = 3;
-  cfg.seed = 5;
+  // Unpadded p = 3, and p = 4 with 2 573 fake edges that add load but
+  // must never be listed. Every node's report count, not only the totals,
+  // must match between 1 and 4 shards.
+  struct Case {
+    NodeId n;
+    std::int64_t m;
+    int p;
+    double pad_factor;
+  };
+  for (const Case& c : {Case{160, 2600, 3, 0.0}, Case{120, 2400, 4, 2.0}}) {
+    Rng rng(13);
+    const Graph g = erdos_renyi_gnm(c.n, c.m, rng);
+    SparseCcConfig cfg;
+    cfg.p = c.p;
+    cfg.seed = 5;
+    cfg.pad_factor = c.pad_factor;
 
-  set_shard_threads(1);
-  ListingOutput out_seq(g.node_count());
-  const SparseCcResult seq = sparse_cc_list(g, cfg, out_seq);
+    set_shard_threads(1);
+    ListingOutput out_seq(g.node_count());
+    const SparseCcResult seq = sparse_cc_list(g, cfg, out_seq);
 
-  ListingOutput out_par(g.node_count());
-  SparseCcResult par;
-  {
-    ScopedShardThreads guard(4);
-    par = sparse_cc_list(g, cfg, out_par);
+    ListingOutput out_par(g.node_count());
+    SparseCcResult par;
+    {
+      ScopedShardThreads guard(4);
+      par = sparse_cc_list(g, cfg, out_par);
+    }
+
+    EXPECT_EQ(seq.fake_edges, par.fake_edges);
+    EXPECT_EQ(seq.fake_edges, c.pad_factor > 0 ? 2573 : 0) << "p=" << c.p;
+    EXPECT_EQ(seq.total_rounds(), par.total_rounds());
+    EXPECT_EQ(seq.ledger.total_messages(), par.ledger.total_messages());
+    EXPECT_EQ(seq.unique_cliques, par.unique_cliques);
+    EXPECT_GT(seq.unique_cliques, 0u) << "p=" << c.p;
+    EXPECT_EQ(seq.total_reports, par.total_reports);
+    EXPECT_EQ(seq.max_recv_load, par.max_recv_load);
+    EXPECT_EQ(seq.max_pair_bucket, par.max_pair_bucket);
+    EXPECT_EQ(out_seq.max_reports_per_node(), out_par.max_reports_per_node());
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      ASSERT_EQ(out_seq.reports_of(v), out_par.reports_of(v))
+          << "p=" << c.p << " node " << v;
+    }
+    EXPECT_TRUE(out_seq.cliques() == out_par.cliques());
+    EXPECT_EQ(out_seq.cliques().fingerprint(), out_par.cliques().fingerprint());
   }
-
-  EXPECT_EQ(seq.total_rounds(), par.total_rounds());
-  EXPECT_EQ(seq.unique_cliques, par.unique_cliques);
-  EXPECT_EQ(seq.total_reports, par.total_reports);
-  EXPECT_EQ(seq.max_recv_load, par.max_recv_load);
-  EXPECT_EQ(seq.max_pair_bucket, par.max_pair_bucket);
-  EXPECT_TRUE(out_seq.cliques() == out_par.cliques());
 }
 
 // ---- Weighted-item sharding -------------------------------------------------

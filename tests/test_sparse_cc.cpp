@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
+#include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -62,6 +64,56 @@ TEST(SparseCc, FakeEdgePaddingDoesNotPolluteOutput) {
   EXPECT_GT(result.fake_edges, 0) << "padding should have engaged";
   EXPECT_TRUE(out.cliques() == CliqueSet(list_k_cliques(g, 3)))
       << "fake edges leaked into the listing";
+}
+
+TEST(SparseCc, EachRepresentativeReportsItsLocalGraphsCliques) {
+  // The one listing against its definition: the representative (minimum
+  // id) of each part multiset reports exactly the Kp of the real edges
+  // whose part pair its multiset covers, and no other node reports.
+  // Without padding, node v's part is the v-th draw of the seeded Rng.
+  for (const int p : {3, 4, 5}) {
+    Rng graph_rng(static_cast<std::uint64_t>(40 + p));
+    const Graph g = erdos_renyi_gnm(200, 3000, graph_rng);
+    const NodeId n = g.node_count();
+    SparseCcConfig cfg;
+    cfg.p = p;
+    cfg.seed = 11;
+    ListingOutput out(n);
+    const auto result = sparse_cc_list(g, cfg, out);
+
+    const auto q = static_cast<int>(result.parts);
+    Rng rng(cfg.seed);
+    std::vector<int> part(static_cast<std::size_t>(n));
+    for (auto& pt : part) {
+      pt = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(q)));
+    }
+    const PartMultisets msets = part_multisets(n, q, p);
+    std::vector<bool> is_rep(static_cast<std::size_t>(n), false);
+    std::uint64_t reports = 0;
+    for (std::size_t m = 0; m < msets.parts.size(); ++m) {
+      std::vector<Edge> local;
+      for (const Edge& e : g.edges()) {
+        if (multiset_covers(msets.parts[m],
+                            part[static_cast<std::size_t>(e.u)],
+                            part[static_cast<std::size_t>(e.v)])) {
+          local.push_back(e);
+        }
+      }
+      const auto cliques =
+          list_k_cliques(Graph::from_edges(n, std::move(local)), p).size();
+      const NodeId rep = msets.rep[m];
+      is_rep[static_cast<std::size_t>(rep)] = true;
+      EXPECT_EQ(out.reports_of(rep), cliques) << "p=" << p << " rep " << rep;
+      reports += cliques;
+    }
+    for (NodeId v = 0; v < n; ++v) {
+      if (!is_rep[static_cast<std::size_t>(v)]) {
+        EXPECT_EQ(out.reports_of(v), 0u) << "p=" << p << " node " << v;
+      }
+    }
+    EXPECT_EQ(out.total_reports(), reports) << "p=" << p;
+    EXPECT_GT(out.unique_count(), 0u) << "p=" << p;
+  }
 }
 
 TEST(SparseCc, RoundsGrowWithDensity) {

@@ -16,6 +16,7 @@
 #include "common/parallel_for.h"
 #include "congest/round_ledger.h"
 #include "core/kp_lister.h"
+#include "core/sparse_cc.h"
 #include "graph/generators.h"
 #include "graph/workloads.h"
 
@@ -222,6 +223,52 @@ TEST(Telemetry, RunReportAndTraceAreByteIdenticalAcrossShardCounts) {
     EXPECT_EQ(reports[0].find("wall"), std::string::npos);
   }
   set_shard_threads(previous);
+}
+
+TEST(Telemetry, SparseCcListSpanIsThreadInvariant) {
+  // The CONGESTED-CLIQUE pipeline's listing child span: it opens after
+  // every charged phase (no rounds or messages of its own), its work units
+  // are the cliques of the one listing, and the run report and trace stay
+  // byte-identical at 1 vs 4 shards.
+  Rng rng(21);
+  const Graph g = erdos_renyi_gnm(200, 3000, rng);
+  SparseCcConfig cfg;
+  cfg.p = 4;
+  cfg.seed = 7;
+  const int previous = shard_threads();
+  std::string reports[2];
+  std::string traces[2];
+  const int counts[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    set_shard_threads(counts[i]);
+    TraceCollector collector;
+    ListingOutput out(g.node_count());
+    const SparseCcResult result = [&] {
+      TelemetryScope scope(collector);
+      return sparse_cc_list(g, cfg, out);
+    }();
+    const TraceSpan* run = collector.find_span("sparse-cc");
+    const TraceSpan* list = collector.find_span("sparse-cc/list");
+    ASSERT_NE(run, nullptr);
+    ASSERT_NE(list, nullptr);
+    EXPECT_EQ(collector.spans()[static_cast<std::size_t>(list->parent)].name,
+              "sparse-cc");
+    EXPECT_EQ(list->begin.rounds, result.total_rounds());
+    EXPECT_EQ(list->begin.messages, result.ledger.total_messages());
+    EXPECT_EQ(list->rounds_delta(), 0.0);
+    EXPECT_EQ(list->messages_delta(), 0u);
+    EXPECT_EQ(list->work_units(), out.unique_count());
+    EXPECT_GT(out.unique_count(), 0u);
+    std::ostringstream report;
+    write_run_report(report, collector, &result.ledger, "test");
+    reports[i] = report.str();
+    std::ostringstream trace;
+    collector.write_chrome_trace(trace);
+    traces[i] = trace.str();
+  }
+  set_shard_threads(previous);
+  EXPECT_EQ(reports[0], reports[1]);
+  EXPECT_EQ(traces[0], traces[1]);
 }
 
 TEST(Telemetry, CollectionDoesNotPerturbLedgerOrOutput) {

@@ -35,6 +35,12 @@ named, testable rules over `src/` and `tools/dcl_cli.cpp`:
                        quantities with no reserve() for the container in
                        sight: a growth-rehash hazard on hot paths, not a
                        determinism bug — reported but never fatal.
+  roadmap-ref          No code comment may cite a ROADMAP item, lever or
+                       section: ROADMAP.md is renumbered and rewritten as
+                       work lands, so such a pointer goes stale silently.
+                       A comment states its reason inline. Runs over the
+                       tests, benches and examples too (comment rules only
+                       there; the lint self-test corpora are skipped).
 
 Allowlist: a violating line (or the line directly above it) may carry
 
@@ -66,6 +72,7 @@ RULES = {
     "float-ledger": "float accumulator feeds a RoundLedger charge",
     "raw-thread": "raw std::thread/std::async outside the audited pool",
     "reserve-hint": "push_back loop over n/m-sized range without reserve()",
+    "roadmap-ref": "code comment cites a ROADMAP item, lever or section",
     "bad-allow": "malformed dcl-lint allow() annotation",
 }
 WARNING_RULES = {"reserve-hint"}
@@ -460,6 +467,23 @@ def rule_reserve_hint(sf):
     return findings
 
 
+# Any mention of ROADMAP other than a plain pointer at the file itself.
+ROADMAP_REF_RE = re.compile(
+    r"\bROADMAP\b(?!\.md)|\bROADMAP\.md\W*(?:item|lever|§)")
+
+
+def rule_roadmap_ref(sf):
+    findings = []
+    for ln, comment in sorted(sf.comments.items()):
+        for m in ROADMAP_REF_RE.finditer(comment):
+            findings.append(Finding(
+                sf.relpath, ln + comment.count("\n", 0, m.start()),
+                "roadmap-ref",
+                "comment cites ROADMAP contents, which are renumbered and "
+                "rewritten as work lands — state the reason inline"))
+    return findings
+
+
 # ---------------------------------------------------------------------------
 # Taint pass: which files belong to a TU that charges the RoundLedger or
 # reports into ListingOutput?
@@ -519,22 +543,33 @@ def collect_files(root, paths):
     return sorted(set(r.replace(os.sep, "/") for r in rels))
 
 
-def run_lint(root, paths):
+# Trees outside the library: their code may time itself or spawn threads,
+# so only the comment rules run there. The lint self-test corpora plant
+# violations on purpose and are skipped.
+COMMENT_ONLY_PATHS = ["tests", "bench", "examples", "perfbench"]
+FIXTURE_DIRS = ("tests/lint_fixtures/", "tests/semlint_fixtures/")
+
+
+def run_lint(root, paths, comment_only_paths=()):
     files = [SourceFile(root, r) for r in collect_files(root, paths)]
+    comment_files = [SourceFile(root, r)
+                     for r in collect_files(root, comment_only_paths)
+                     if not r.startswith(FIXTURE_DIRS)]
     tainted = compute_tainted(files, root)
     findings = []
-    for sf in files:
-        raw = []
-        raw += rule_wallclock(sf)
-        raw += rule_unordered_iteration(sf, tainted)
-        raw += rule_float_ledger(sf)
-        raw += rule_raw_thread(sf)
-        raw += rule_reserve_hint(sf)
+    for sf in files + comment_files:
+        raw = rule_roadmap_ref(sf)
+        if sf in files:
+            raw += rule_wallclock(sf)
+            raw += rule_unordered_iteration(sf, tainted)
+            raw += rule_float_ledger(sf)
+            raw += rule_raw_thread(sf)
+            raw += rule_reserve_hint(sf)
         kept = [f for f in raw if not sf.allowed(f.line, f.rule)]
         kept += sf.bad_allows  # bad-allow is never allowlistable
         findings += kept
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return files, findings
+    return files + comment_files, findings
 
 
 def main(argv):
@@ -542,7 +577,9 @@ def main(argv):
         prog="dcl_lint.py",
         description="determinism-contract lint (see docs/ANALYSIS.md)")
     ap.add_argument("paths", nargs="*",
-                    help="files/dirs to lint (default: src/ tools/dcl_cli.cpp)")
+                    help="files/dirs to lint (default: src/ "
+                         "tools/dcl_cli.cpp, plus the comment rules over "
+                         "tests/ bench/ examples/ perfbench/)")
     ap.add_argument("--root", default=None,
                     help="repo root (default: parent of this script)")
     ap.add_argument("--expect", action="store_true",
@@ -561,8 +598,10 @@ def main(argv):
     root = args.root or os.path.dirname(
         os.path.dirname(os.path.abspath(__file__)))
     paths = args.paths or ["src", "tools/dcl_cli.cpp"]
+    comment_only_paths = [] if args.paths else [
+        p for p in COMMENT_ONLY_PATHS if os.path.isdir(os.path.join(root, p))]
     try:
-        files, findings = run_lint(root, paths)
+        files, findings = run_lint(root, paths, comment_only_paths)
     except FileNotFoundError as e:
         print(f"dcl_lint: no such file or directory: {e}", file=sys.stderr)
         return 2
