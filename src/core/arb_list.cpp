@@ -16,26 +16,78 @@ namespace dcl {
 
 namespace {
 
-/// Per-node adjacency restricted to the current logical edge set.
-struct CurrentView {
-  // neighbor / edge-id pairs per node (sorted by neighbor id).
-  std::vector<std::vector<std::pair<NodeId, EdgeId>>> adj;
-  // out-neighbors per node under the current orientation.
-  std::vector<std::vector<std::pair<NodeId, EdgeId>>> out;
+/// The orientation tail of base edge `e`: the endpoint it points away from.
+NodeId tail_of(const Graph& base, const EdgeMask& away, EdgeId e) {
+  const Edge& ed = base.edge(e);
+  return away[e] ? ed.u : ed.v;
+}
 
+/// The current logical edge set as two CSRs filled by a counting pass
+/// over `cur`: every node's neighbors with the aligned ids of the edges to
+/// them, and its out-edges under the current orientation. Edges are
+/// visited in ascending id order, which is lexicographic, so every row is
+/// sorted by neighbor id, as `Graph` rows are.
+class CurrentView {
+ public:
   CurrentView(const Graph& base, const EdgeMask& cur, const EdgeMask& away) {
     const auto n = static_cast<std::size_t>(base.node_count());
-    adj.resize(n);
-    out.resize(n);
+    // Row offsets are edge-scale (Σ deg = 2m), hence 64-bit.
+    adj_off_.assign(n + 1, 0);
+    out_off_.assign(n + 1, 0);
     cur.for_each_set([&](EdgeId e) {
       const Edge& ed = base.edge(e);
-      adj[static_cast<std::size_t>(ed.u)].emplace_back(ed.v, e);
-      adj[static_cast<std::size_t>(ed.v)].emplace_back(ed.u, e);
-      const NodeId tail = away[e] ? ed.u : ed.v;
-      const NodeId head = base.other_endpoint(e, tail);
-      out[static_cast<std::size_t>(tail)].emplace_back(head, e);
+      ++adj_off_[static_cast<std::size_t>(ed.u) + 1];
+      ++adj_off_[static_cast<std::size_t>(ed.v) + 1];
+      ++out_off_[static_cast<std::size_t>(tail_of(base, away, e)) + 1];
+    });
+    for (std::size_t v = 1; v <= n; ++v) {
+      adj_off_[v] += adj_off_[v - 1];
+      out_off_[v] += out_off_[v - 1];
+    }
+    nbr_.resize(adj_off_[n]);
+    edge_.resize(adj_off_[n]);
+    out_.resize(out_off_[n]);
+    std::vector<std::uint64_t> adj_at(adj_off_.begin(), adj_off_.end() - 1);
+    std::vector<std::uint64_t> out_at(out_off_.begin(), out_off_.end() - 1);
+    cur.for_each_set([&](EdgeId e) {
+      const Edge& ed = base.edge(e);
+      const std::uint64_t iu = adj_at[static_cast<std::size_t>(ed.u)]++;
+      const std::uint64_t iv = adj_at[static_cast<std::size_t>(ed.v)]++;
+      nbr_[iu] = ed.v;
+      edge_[iu] = e;
+      nbr_[iv] = ed.u;
+      edge_[iv] = e;
+      out_[out_at[static_cast<std::size_t>(tail_of(base, away, e))]++] = e;
     });
   }
+
+  /// v's current-graph neighbors, sorted.
+  std::span<const NodeId> neighbors(NodeId v) const {
+    return row(adj_off_, nbr_, v);
+  }
+  /// Ids of the edges to `neighbors(v)`, aligned with it.
+  std::span<const EdgeId> incident_edges(NodeId v) const {
+    return row(adj_off_, edge_, v);
+  }
+  /// Ids of v's out-edges under the current orientation, by head.
+  std::span<const EdgeId> out_edges(NodeId v) const {
+    return row(out_off_, out_, v);
+  }
+
+ private:
+  template <class T>
+  static std::span<const T> row(const std::vector<std::uint64_t>& off,
+                                const std::vector<T>& entries, NodeId v) {
+    const auto b = off[static_cast<std::size_t>(v)];
+    const auto e = off[static_cast<std::size_t>(v) + 1];
+    return {entries.data() + b, static_cast<std::size_t>(e - b)};
+  }
+
+  std::vector<std::uint64_t> adj_off_;  // n+1 row offsets into nbr_/edge_
+  std::vector<std::uint64_t> out_off_;  // n+1 row offsets into out_
+  std::vector<NodeId> nbr_;
+  std::vector<EdgeId> edge_;
+  std::vector<EdgeId> out_;
 };
 
 /// Per-node cluster-neighbor counts g_{v,C}: one CSR of (cluster, count)
@@ -105,7 +157,7 @@ ClusterNeighborTable build_cluster_neighbors(NodeId n, const CurrentView& view,
     for (std::int64_t i = lo; i < hi; ++i) {
       const auto v = static_cast<NodeId>(i);
       scratch.clear();
-      for (const auto& [w, e] : view.adj[static_cast<std::size_t>(v)]) {
+      for (const NodeId w : view.neighbors(v)) {
         const int c = cluster_of[static_cast<std::size_t>(w)];
         if (c >= 0 && cluster_of[static_cast<std::size_t>(v)] != c) {
           scratch.push_back(c);
@@ -206,10 +258,9 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     er_edges.push_back(base.edge(e));
     sub_to_base.push_back(e);
   });
-  const Graph gr = Graph::from_edges(n, std::move(er_edges));
-  // Graph::from_edges preserves the lexicographic order of the (already
-  // sorted, distinct) base edges, so sub edge i corresponds to
-  // sub_to_base[i].
+  // Base edges visited in id order are already normalized, sorted and
+  // distinct, so sub edge i corresponds to sub_to_base[i].
+  const Graph gr = Graph::from_sorted_edges(n, std::move(er_edges));
   DecompositionConfig dcfg = cfg.decomposition;
   dcfg.absolute_degree = ctx.cluster_degree;
   Rng deco_rng = ctx.rng->split();
@@ -245,20 +296,20 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     return trace;
   }
 
-  // The "current graph" for this call: all Es ∪ Er ∪ Em edges that existed
-  // on entry (Em edges are removed only after the call).
-  EdgeMask cur = es | er;
-  for (const EdgeId be : em_edges) cur.set(be);
-  CurrentView view(base, cur, away);
-
-  const auto& cluster_of = deco.cluster_of;
-
   // ---- Step 2a: cluster announcement + g_{v,C} (one exchange round). -----
   // Every cluster node tells its current-graph neighbors its cluster id;
   // v then knows g_{v,C} for each adjacent cluster C. Built sharded into
   // the flat CSR table; the announce message count is the sum of all
-  // per-cluster counts (one message per cross-cluster adjacency).
+  // per-cluster counts (one message per cross-cluster adjacency). The span
+  // also owns the build of the current-graph view the announcement walks.
   const std::int32_t announce_span = begin_step("arb/cluster-announce");
+  // The "current graph" for this call: all Es ∪ Er ∪ Em edges that existed
+  // on entry (Em edges are removed only after the call).
+  EdgeMask cur = es | er;
+  for (const EdgeId be : em_edges) cur.set(be);
+  const CurrentView view(base, cur, away);
+
+  const auto& cluster_of = deco.cluster_of;
   const ClusterNeighborTable cluster_neighbors =
       build_cluster_neighbors(n, view, cluster_of);
   std::uint64_t announce_msgs = 0;
@@ -289,13 +340,14 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   // v sends its ≤ A outgoing edges in round-robin chunks across its
   // C-neighbors; per-edge congestion is the chunk size.
   const std::int32_t heavy_span = begin_step("arb/heavy-edges");
-  std::vector<std::vector<KnownEdge>> learned(static_cast<std::size_t>(n));
+  // Edges learned from outside the cluster, per node, as base edge ids.
+  std::vector<std::vector<EdgeId>> learned(static_cast<std::size_t>(n));
   std::int64_t heavy_phase_load = 0;
   std::uint64_t heavy_msgs = 0;
   for (NodeId v = 0; v < n; ++v) {
     const auto clusters_of_v = cluster_neighbors.row(v);
     if (clusters_of_v.empty()) continue;
-    const auto& out_v = view.out[static_cast<std::size_t>(v)];
+    const auto out_v = view.out_edges(v);
     for (const auto& [c, count] : clusters_of_v) {
       if (count <= heavy_threshold) continue;  // C-light
       ++trace.heavy_relationships;
@@ -303,15 +355,14 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       // Collect v's neighbors inside cluster c (sorted by id via adj order).
       std::vector<NodeId> receivers;
       receivers.reserve(static_cast<std::size_t>(count));
-      for (const auto& [w, e] : view.adj[static_cast<std::size_t>(v)]) {
+      for (const NodeId w : view.neighbors(v)) {
         if (cluster_of[static_cast<std::size_t>(w)] == c) {
           receivers.push_back(w);
         }
       }
       for (std::size_t i = 0; i < out_v.size(); ++i) {
         const NodeId u = receivers[i % receivers.size()];
-        learned[static_cast<std::size_t>(u)].push_back(
-            KnownEdge{v, out_v[i].first});
+        learned[static_cast<std::size_t>(u)].push_back(out_v[i]);
       }
       heavy_msgs += out_v.size();
       heavy_phase_load = std::max(
@@ -338,7 +389,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       const auto u = static_cast<NodeId>(i);
       const int c = cluster_of[static_cast<std::size_t>(u)];
       if (c < 0) continue;
-      for (const auto& [v, e] : view.adj[static_cast<std::size_t>(u)]) {
+      for (const NodeId v : view.neighbors(u)) {
         if (cluster_of[static_cast<std::size_t>(v)] == c) continue;
         ++msgs;
         if (!is_heavy_for(v, c)) ++ulight[static_cast<std::size_t>(u)];
@@ -409,7 +460,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
         if (c < 0 || bad[static_cast<std::size_t>(u)]) continue;
         // L(u): u's C-light neighbors outside the cluster.
         light_list.clear();
-        for (const auto& [v, e] : view.adj[static_cast<std::size_t>(u)]) {
+        for (const NodeId v : view.neighbors(u)) {
           if (cluster_of[static_cast<std::size_t>(v)] != c &&
               !is_heavy_for(v, c)) {
             light_list.push_back(v);
@@ -419,7 +470,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
         for (const NodeId w : light_list) {
           mark[static_cast<std::size_t>(w)] = true;
         }
-        for (const auto& [v, e] : view.adj[static_cast<std::size_t>(u)]) {
+        for (const NodeId v : view.neighbors(u)) {
           if (cluster_of[static_cast<std::size_t>(v)] == c) continue;
           // u → v: the whole list; v → u: the members adjacent to v.
           stats.broadcast_load = std::max(
@@ -427,14 +478,14 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
               static_cast<std::int64_t>(light_list.size()));
           stats.broadcast_msgs += light_list.size();
           std::int64_t matches = 0;
-          for (const auto& [w, we] : view.adj[static_cast<std::size_t>(v)]) {
+          const auto v_nbrs = view.neighbors(v);
+          const auto v_edges = view.incident_edges(v);
+          for (std::size_t j = 0; j < v_nbrs.size(); ++j) {
+            const NodeId w = v_nbrs[j];
             if (w == u || !mark[static_cast<std::size_t>(w)]) continue;
             ++matches;
             // v reports the edge {v,w} with its orientation bit.
-            const Edge& ed = base.edge(we);
-            const NodeId tail = away[we] ? ed.u : ed.v;
-            learned[static_cast<std::size_t>(u)].push_back(
-                KnownEdge{tail, base.other_endpoint(we, tail)});
+            learned[static_cast<std::size_t>(u)].push_back(v_edges[j]);
           }
           stats.response_msgs += static_cast<std::uint64_t>(matches);
           stats.response_load = std::max(stats.response_load, matches);
@@ -500,11 +551,12 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       if (!survivors.empty() && !learned_u.empty()) {
         std::uint64_t relearned = 0;
         std::size_t slot = 0;
-        for (const KnownEdge& ke : learned_u) {
-          if (faults->is_dead(ke.tail) || faults->is_dead(ke.head)) continue;
+        for (const EdgeId e : learned_u) {
+          const Edge& ed = base.edge(e);
+          if (faults->is_dead(ed.u) || faults->is_dead(ed.v)) continue;
           learned[static_cast<std::size_t>(
                       survivors[slot++ % survivors.size()])]
-              .push_back(ke);
+              .push_back(e);
           ++relearned;
         }
         if (relearned > 0) {
@@ -633,37 +685,44 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     if (k == 0) return;
     const std::int64_t bandwidth =
         std::max<std::int64_t>(1, cluster.min_internal_degree);
-    std::vector<std::vector<KnownEdge>> holders(static_cast<std::size_t>(k));
+    std::vector<std::vector<EdgeId>> holders(static_cast<std::size_t>(k));
     std::vector<std::int64_t> send_load(static_cast<std::size_t>(k), 0);
     std::vector<std::int64_t> recv_load(static_cast<std::size_t>(k), 0);
 
-    auto route = [&](NodeId from_cluster_node, KnownEdge edge) {
-      const NodeId idx = responsible_cluster_index(edge.tail, n, k);
-      holders[static_cast<std::size_t>(idx)].push_back(edge);
+    // Each edge goes to the holder responsible for its orientation tail.
+    auto route = [&](NodeId from_cluster_node, NodeId holder, EdgeId e) {
+      holders[static_cast<std::size_t>(holder)].push_back(e);
       ++send_load[static_cast<std::size_t>(
           id_of[static_cast<std::size_t>(from_cluster_node)])];
-      ++recv_load[static_cast<std::size_t>(idx)];
+      ++recv_load[static_cast<std::size_t>(holder)];
+    };
+    auto holder_of = [&](NodeId tail) {
+      return responsible_cluster_index(tail, n, k);
     };
 
     for (const NodeId u : cluster.nodes) {
       // Own outgoing edges.
-      for (const auto& [head, e] : view.out[static_cast<std::size_t>(u)]) {
-        route(u, KnownEdge{u, head});
-      }
+      const NodeId own_holder = holder_of(u);
+      for (const EdgeId e : view.out_edges(u)) route(u, own_holder, e);
       // Crossing edges oriented away from the outside endpoint (u is the
       // only cluster node guaranteed to know them).
-      for (const auto& [v, e] : view.adj[static_cast<std::size_t>(u)]) {
+      const auto u_nbrs = view.neighbors(u);
+      const auto u_edges = view.incident_edges(u);
+      for (std::size_t j = 0; j < u_nbrs.size(); ++j) {
+        const NodeId v = u_nbrs[j];
         if (cluster_of[static_cast<std::size_t>(v)] == cluster.id) continue;
-        const Edge& ed = base.edge(e);
-        const NodeId tail = away[e] ? ed.u : ed.v;
-        if (tail == v) route(u, KnownEdge{v, u});
+        if (tail_of(base, away, u_edges[j]) == v) {
+          route(u, holder_of(v), u_edges[j]);
+        }
       }
       // Everything learned from outside during steps 2b and 4.
       auto& learned_u = learned[static_cast<std::size_t>(u)];
       st.max_learned_edges =
           std::max(st.max_learned_edges,
                    static_cast<std::int64_t>(learned_u.size()));
-      for (const KnownEdge& edge : learned_u) route(u, edge);
+      for (const EdgeId e : learned_u) {
+        route(u, holder_of(tail_of(base, away, e)), e);
+      }
     }
 
     std::int64_t max_load = 0;
@@ -895,7 +954,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
         if (count == nullptr || *count > heavy_threshold) continue;
         // v is C-light: collect Lv = its cluster-C neighbors.
         std::vector<NodeId> lv;
-        for (const auto& [w, e] : view.adj[static_cast<std::size_t>(v)]) {
+        for (const NodeId w : view.neighbors(v)) {
           if (cluster_of[static_cast<std::size_t>(w)] == cluster.id) {
             lv.push_back(w);
           }
@@ -906,12 +965,12 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
         for (const NodeId w : lv) mark[static_cast<std::size_t>(w)] = true;
         // v queries each neighbor v2 about every u in Lv and lists the K4s
         // {u, w, v, v2} it can certify.
-        for (const auto& [v2, e2] : view.adj[static_cast<std::size_t>(v)]) {
+        for (const NodeId v2 : view.neighbors(v)) {
           if (cluster_of[static_cast<std::size_t>(v2)] == cluster.id) continue;
           probe_msgs += 2 * lv.size();  // queries + bit answers
           // M = Lv ∩ N_cur(v2).
           std::vector<NodeId> inter;
-          for (const auto& [w, e3] : view.adj[static_cast<std::size_t>(v2)]) {
+          for (const NodeId w : view.neighbors(v2)) {
             if (mark[static_cast<std::size_t>(w)]) inter.push_back(w);
           }
           for (std::size_t x = 0; x < inter.size(); ++x) {

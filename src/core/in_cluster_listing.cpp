@@ -11,6 +11,22 @@
 
 namespace dcl {
 
+namespace {
+
+/// Sizes a thread_local scratch map whose slots all hold `clear` between
+/// uses: grows it to `needed`, and drops storage left over from a much
+/// larger earlier base graph (a fresh buffer is equivalent).
+template <class T>
+void size_scratch(std::vector<T>& buf, std::size_t needed, T clear) {
+  if (buf.size() < needed) {
+    buf.resize(needed, clear);
+  } else if (buf.size() > std::max<std::size_t>(4 * needed, 4096)) {
+    std::vector<T>(needed, clear).swap(buf);
+  }
+}
+
+}  // namespace
+
 InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
   const Graph& base = *problem.base;
   const Cluster& cluster = *problem.cluster;
@@ -45,139 +61,164 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
   const PartMultisets msets = part_multisets(k, q, p);
   const std::vector<std::int64_t> cover = coverage_table(msets, q);
 
-  // ---- Step 3 + 3.5: count, intern and deduplicate the held edges. -----
+  // ---- Step 3 + 3.5: count, deduplicate and intern the held edges. ------
   //
-  // Compact interning over base ids, in first-seen order. The dense
-  // base-id → compact-id map is thread_local so its O(n) storage is NOT
-  // re-allocated per cluster call, and safe under the cluster-parallel
-  // caller: each worker thread owns its own buffer. The invariant is "all
-  // `global_to_compact` slots are -1 between uses"; the scope guard below
-  // restores it on every exit path (including exceptions) by walking the
-  // ids interned so far. The compact id list itself lives in the returned
-  // plan — the plan owns all the data the enumeration half reads, so
-  // enumeration may run on other threads.
-  static thread_local std::vector<NodeId> global_to_compact;
-  const auto needed = static_cast<std::size_t>(base.node_count());
-  if (global_to_compact.size() < needed) {
-    global_to_compact.resize(needed, -1);
-  } else if (global_to_compact.size() > std::max<std::size_t>(4 * needed,
-                                                              4096)) {
-    // All slots are -1 between uses, so a fresh buffer is equivalent; drop
-    // storage left over from a much larger earlier base graph.
-    std::vector<NodeId>(needed, -1).swap(global_to_compact);
-  }
-  struct InternReset {
-    std::vector<NodeId>& dense;
-    const std::vector<NodeId>& ids;
-    ~InternReset() {
-      for (const NodeId g : ids) dense[static_cast<std::size_t>(g)] = -1;
+  // Two thread_local maps over the base graph keep their storage across
+  // cluster calls and stay private to each worker of the cluster-parallel
+  // caller: `held` stamps the edge ids already seen (m bytes), and
+  // `node_slot` counts each node's distinct held edges, then holds its
+  // compact id (n ids). Their invariant is "all slots zero between uses";
+  // the scope guard below restores it on every exit path (including the
+  // out-of-range throw) by walking the distinct ids and their endpoints.
+  // The compact id list itself lives in the returned plan — the plan owns
+  // all the data the enumeration half reads, so enumeration may run on
+  // other threads.
+  static thread_local std::vector<std::uint8_t> held;
+  static thread_local std::vector<NodeId> node_slot;
+  const EdgeId base_edges = base.edge_count();
+  size_scratch(held, static_cast<std::size_t>(base_edges), std::uint8_t{0});
+  size_scratch(node_slot, static_cast<std::size_t>(base.node_count()),
+               NodeId{0});
+  std::vector<EdgeId> distinct;
+  struct ScratchReset {
+    const Graph& base;
+    std::vector<std::uint8_t>& held;
+    std::vector<NodeId>& node_slot;
+    const std::vector<EdgeId>& edges;
+    ~ScratchReset() {
+      for (const EdgeId e : edges) {
+        const Edge& ed = base.edge(e);
+        held[static_cast<std::size_t>(e)] = 0;
+        node_slot[static_cast<std::size_t>(ed.u)] = 0;
+        node_slot[static_cast<std::size_t>(ed.v)] = 0;
+      }
     }
-  } intern_reset{global_to_compact, plan.compact_to_global};
-  const auto intern = [&](NodeId g) {
-    NodeId& slot = global_to_compact[static_cast<std::size_t>(g)];
-    if (slot < 0) {
-      slot = to_node(plan.compact_to_global.size());
-      plan.compact_to_global.push_back(g);
-      plan.part.push_back(part[static_cast<std::size_t>(g)]);
-    }
-    return slot;
-  };
+  } scratch_reset{base, held, node_slot, distinct};
 
   // Every held copy counts against its unordered part pair, tracking exact
-  // send loads (holder sends each edge to every covering node). The goal
-  // flag is resolved here, once per held edge per cluster.
-  struct CompactEdge {
-    NodeId lo, hi;
-    std::uint8_t goal;
-  };
-  std::vector<CompactEdge> edges;
+  // send loads (holder sends each edge to every covering node). The first
+  // copy of each edge id joins the distinct list and counts toward its
+  // endpoints' degrees and its part pair's distinct edges and goal edges,
+  // for the roster below.
+  std::size_t copies = 0;
+  for (const auto& h : holders) copies += h.size();
+  distinct.reserve(copies);
   std::vector<std::int64_t> held_per_pair(checked_mul64(q, q), 0);
-  std::vector<std::int64_t> send_load(static_cast<std::size_t>(k), 0);
-  for (NodeId holder = 0; holder < k; ++holder) {
-    for (const KnownEdge& e : holders[static_cast<std::size_t>(holder)]) {
-      const auto idx = static_cast<std::size_t>(
-          pair_index(part[static_cast<std::size_t>(e.tail)],
-                     part[static_cast<std::size_t>(e.head)], q));
-      ++held_per_pair[idx];
-      send_load[static_cast<std::size_t>(holder)] += cover[idx];
-      const auto eid = base.edge_id(e.tail, e.head);
-      const NodeId cu = intern(e.tail);
-      const NodeId cv = intern(e.head);
-      edges.push_back(CompactEdge{
-          std::min(cu, cv), std::max(cu, cv),
-          static_cast<std::uint8_t>(eid.has_value() &&
-                                    (*problem.goal_edge)[*eid])});
-    }
-  }
-  const auto compact_n = to_node(plan.compact_to_global.size());
-
-  // Sort the held copies by compact (lo, hi) and dedup them, OR-merging
-  // the goal flags (the union of held copies), then count each part pair's
-  // distinct edges and goal edges for the roster below.
-  std::sort(edges.begin(), edges.end(),
-            [](const CompactEdge& x, const CompactEdge& y) {
-              return x.lo != y.lo ? x.lo < y.lo : x.hi < y.hi;
-            });
-  std::size_t distinct = 0;
-  for (const CompactEdge& ce : edges) {
-    if (distinct > 0 && edges[distinct - 1].lo == ce.lo &&
-        edges[distinct - 1].hi == ce.hi) {
-      edges[distinct - 1].goal |= ce.goal;
-    } else {
-      edges[distinct++] = ce;
-    }
-  }
-  edges.resize(distinct);
   std::vector<std::int64_t> pair_edges(checked_mul64(q, q), 0);
   std::vector<std::int64_t> pair_goals(checked_mul64(q, q), 0);
   std::uint64_t goal_total = 0;
-  for (const CompactEdge& ce : edges) {
-    const auto idx = static_cast<std::size_t>(
-        pair_index(plan.part[static_cast<std::size_t>(ce.lo)],
-                   plan.part[static_cast<std::size_t>(ce.hi)], q));
-    ++pair_edges[idx];
-    pair_goals[idx] += ce.goal;
-    goal_total += ce.goal;
+  std::size_t endpoints = 0;
+  std::vector<std::int64_t> send_load(static_cast<std::size_t>(k), 0);
+  for (NodeId holder = 0; holder < k; ++holder) {
+    for (const EdgeId e : holders[static_cast<std::size_t>(holder)]) {
+      if (e < 0 || e >= base_edges) {
+        throw std::invalid_argument(
+            "in_cluster_plan: held edge id out of range");
+      }
+      const Edge& ed = base.edge(e);
+      const auto idx = static_cast<std::size_t>(
+          pair_index(part[static_cast<std::size_t>(ed.u)],
+                     part[static_cast<std::size_t>(ed.v)], q));
+      ++held_per_pair[idx];
+      send_load[static_cast<std::size_t>(holder)] += cover[idx];
+      std::uint8_t& seen = held[static_cast<std::size_t>(e)];
+      if (seen != 0) continue;
+      seen = 1;
+      distinct.push_back(e);
+      endpoints += node_slot[static_cast<std::size_t>(ed.u)]++ == 0;
+      endpoints += node_slot[static_cast<std::size_t>(ed.v)]++ == 0;
+      const bool is_goal = (*problem.goal_edge)[e];
+      ++pair_edges[idx];
+      pair_goals[idx] += is_goal;
+      goal_total += is_goal;
+    }
+  }
+  const bool flag_goals = goal_total != distinct.size();
+
+  // Compact ids in ascending global order, so the map preserves the order
+  // of node ids, with CSR row offsets from the degrees. One scan of the
+  // base nodes, which the partition draw above already costs per cluster.
+  std::vector<std::uint64_t> off{0};
+  off.reserve(endpoints + 1);
+  plan.compact_to_global.reserve(endpoints);
+  plan.part.reserve(endpoints);
+  for (NodeId g = 0; g < base.node_count(); ++g) {
+    NodeId& slot = node_slot[static_cast<std::size_t>(g)];
+    if (slot == 0) continue;
+    off.push_back(off.back() + static_cast<std::uint64_t>(slot));
+    slot = to_node(plan.compact_to_global.size());
+    plan.compact_to_global.push_back(g);
+    plan.part.push_back(part[static_cast<std::size_t>(g)]);
+  }
+  const auto compact_n = to_node(plan.compact_to_global.size());
+
+  // The cluster graph as one CSR over compact ids, with a goal flag per
+  // entry when some edge is not a goal edge. Row v holds its lower
+  // neighbors, then its higher ones, each part sorted, built by counting
+  // scatters alone: the first puts each edge's lower endpoint into its
+  // higher endpoint's lower part, in held order; reading the lower parts
+  // in ascending row order fills every higher part in ascending order;
+  // reading the higher parts in ascending row order refills every lower
+  // part in ascending order.
+  std::vector<NodeId> nbr(2 * distinct.size());
+  std::vector<std::uint8_t> nbr_goal(flag_goals ? nbr.size() : 0);
+  const auto move_entry = [&](std::uint64_t from, std::uint64_t to,
+                              NodeId neighbor) {
+    nbr[to] = neighbor;
+    if (flag_goals) nbr_goal[to] = nbr_goal[from];
+  };
+  const auto compact = [&](NodeId g) {
+    return node_slot[static_cast<std::size_t>(g)];
+  };
+  std::vector<std::uint64_t> at(off.begin(), off.end() - 1);
+  for (const EdgeId e : distinct) {
+    const Edge& ed = base.edge(e);
+    const std::uint64_t i = at[static_cast<std::size_t>(compact(ed.v))]++;
+    nbr[i] = compact(ed.u);
+    if (flag_goals) nbr_goal[i] = (*problem.goal_edge)[e];
+  }
+  // Row v's higher part starts where its lower part ended; rows above v
+  // have not written into row v yet when row v is read.
+  std::vector<std::uint64_t> mid(static_cast<std::size_t>(compact_n));
+  for (NodeId v = 0; v < compact_n; ++v) {
+    const auto r = static_cast<std::size_t>(v);
+    mid[r] = at[r];
+    for (std::uint64_t i = off[r]; i < mid[r]; ++i) {
+      move_entry(i, at[static_cast<std::size_t>(nbr[i])]++, v);
+    }
+  }
+  std::copy(off.begin(), off.end() - 1, at.begin());
+  for (NodeId v = 0; v < compact_n; ++v) {
+    const auto r = static_cast<std::size_t>(v);
+    for (std::uint64_t i = mid[r]; i < off[r + 1]; ++i) {
+      move_entry(i, at[static_cast<std::size_t>(nbr[i])]++, v);
+    }
   }
 
-  // Orient once: peel the cluster graph a single time and direct every
-  // edge from its earlier to its later endpoint in that degeneracy order,
-  // so the kernel lists each clique of the cluster graph exactly once.
+  // Orient once: peel the cluster graph a single time and keep, in every
+  // row, the neighbors later in that degeneracy order, so the kernel lists
+  // each clique of the cluster graph exactly once. Rows stay sorted by
+  // neighbor, as the kernel requires.
   std::vector<NodeId> rank(static_cast<std::size_t>(compact_n));
   {
-    std::vector<Edge> sorted;
-    sorted.reserve(edges.size());
-    for (const CompactEdge& ce : edges) sorted.push_back(Edge{ce.lo, ce.hi});
-    const DegeneracyResult dec = degeneracy_order(
-        Graph::from_sorted_edges(compact_n, std::move(sorted)));
+    const DegeneracyResult dec = degeneracy_order(off, nbr);
     for (std::size_t i = 0; i < dec.order.size(); ++i) {
       rank[static_cast<std::size_t>(dec.order[i])] = to_node(i);
     }
   }
-  const bool flag_goals = goal_total != edges.size();
   CliqueDag& dag = plan.dag;
   dag.offsets.assign(static_cast<std::size_t>(compact_n) + 1, 0);
-  const auto source = [&](const CompactEdge& ce) {
-    return rank[static_cast<std::size_t>(ce.lo)] <
-                   rank[static_cast<std::size_t>(ce.hi)]
-               ? ce.lo
-               : ce.hi;
-  };
-  for (const CompactEdge& ce : edges) {
-    ++dag.offsets[static_cast<std::size_t>(source(ce)) + 1];
-  }
-  for (std::size_t v = 1; v < dag.offsets.size(); ++v) {
-    dag.offsets[v] += dag.offsets[v - 1];
-  }
-  std::vector<std::uint64_t> cursor(dag.offsets.begin(),
-                                    dag.offsets.end() - 1);
-  dag.adj.resize(edges.size());
-  if (flag_goals) dag.goal.resize(edges.size());
-  for (const CompactEdge& ce : edges) {
-    const NodeId src = source(ce);
-    const std::uint64_t at = cursor[static_cast<std::size_t>(src)]++;
-    dag.adj[at] = src == ce.lo ? ce.hi : ce.lo;
-    if (flag_goals) dag.goal[at] = ce.goal;
+  dag.adj.reserve(distinct.size());
+  if (flag_goals) dag.goal.reserve(distinct.size());
+  for (NodeId v = 0; v < compact_n; ++v) {
+    const NodeId rv = rank[static_cast<std::size_t>(v)];
+    for (std::uint64_t i = off[static_cast<std::size_t>(v)];
+         i < off[static_cast<std::size_t>(v) + 1]; ++i) {
+      if (rank[static_cast<std::size_t>(nbr[i])] < rv) continue;
+      dag.adj.push_back(nbr[i]);
+      if (flag_goals) dag.goal.push_back(nbr_goal[i]);
+    }
+    dag.offsets[static_cast<std::size_t>(v) + 1] = dag.adj.size();
   }
 
   // Receive loads, then the representative roster. Nodes with identical

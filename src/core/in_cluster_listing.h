@@ -3,8 +3,9 @@
 // Input: one n^δ-cluster C (k nodes, re-identified 0..k-1 per Lemma 2.5)
 // whose nodes collectively hold every edge that can participate in a Kp
 // with a goal edge of C. The edges have already been reshuffled so that the
-// node with new ID i holds exactly the known edges whose tail falls in its
-// responsibility range (Section 2.4.3, "Reshuffling the edges").
+// node with new ID i holds exactly the known edges whose orientation tail
+// falls in its responsibility range (Section 2.4.3, "Reshuffling the
+// edges"); they are named by their base edge ids.
 //
 // This routine then
 //  1. draws the random partition V → [q] with q = floor(k^{1/p}) parts
@@ -15,9 +16,9 @@
 //  3. delivers every held edge to every cluster node whose part multiset
 //     contains both endpoint parts, computing the exact per-node send and
 //     receive loads that Theorem 2.4 routing would charge;
-//  3.5 (simulation only) interns the held edges' endpoints into compact
-//     ids, deduplicates the held copies, and orients the resulting cluster
-//     graph once along its degeneracy order;
+//  3.5 (simulation only) deduplicates the held copies by edge id, interns
+//     their endpoints into compact ids in ascending global order, and
+//     orients the resulting cluster graph once along its degeneracy order;
 //  4. has every node enumerate the Kp instances inside its received edge
 //     set and report those containing at least one goal edge of C —
 //     simulated by listing the oriented cluster graph once and handing
@@ -52,10 +53,10 @@
 // are exactly those of one listing per representative local graph.
 //
 // `in_cluster_plan` is safe to call concurrently for DISTINCT clusters (its
-// only shared state is a thread_local interning buffer); the enumerate half
-// is read-only on the plan and safe for concurrent disjoint root ranges of
-// the SAME plan. The caller supplies a pre-split per-cluster Rng so results
-// never depend on scheduling.
+// only shared state is thread_local dedup and interning scratch); the
+// enumerate half is read-only on the plan and safe for concurrent disjoint
+// root ranges of the SAME plan. The caller supplies a pre-split per-cluster
+// Rng so results never depend on scheduling.
 #pragma once
 
 #include <cstdint>
@@ -73,21 +74,16 @@
 
 namespace dcl {
 
-/// A directed known edge: `tail` is the endpoint the edge is oriented away
-/// from (the reshuffle/grouping key), `head` the other endpoint.
-struct KnownEdge {
-  NodeId tail = -1;
-  NodeId head = -1;
-  friend bool operator==(const KnownEdge&, const KnownEdge&) = default;
-  friend auto operator<=>(const KnownEdge&, const KnownEdge&) = default;
-};
-
 struct InClusterProblem {
   const Graph* base = nullptr;      ///< the ambient n-node graph
   const Cluster* cluster = nullptr;
-  /// Known edges per holder (indexed by new cluster ID); already grouped by
-  /// responsibility range and deduplicated.
-  const std::vector<std::vector<KnownEdge>>* edges_by_holder = nullptr;
+  /// Base edge ids held per holder (indexed by new cluster ID), grouped by
+  /// the responsibility range of each edge's orientation tail. A holder's
+  /// list may repeat an id, and several holders may hold copies of the same
+  /// edge: every copy counts toward the loads, and the plan lists each
+  /// distinct edge once. Ids outside [0, base->edge_count()) throw
+  /// `std::invalid_argument`.
+  const std::vector<std::vector<EdgeId>>* edges_by_holder = nullptr;
   /// Per base-edge-id goal flag (the Êm edges of this ARB-LIST call).
   const EdgeMask* goal_edge = nullptr;
   int p = 4;
@@ -129,11 +125,15 @@ struct InClusterPlan {
   /// Loads + parts; `cliques_reported` stays 0 here (it is an enumeration
   /// output, accumulated by the enumeration return values).
   InClusterCost cost;
-  std::vector<NodeId> compact_to_global;  ///< in first-seen order
+  /// Every endpoint of a held edge, in ascending global id order, so
+  /// compact ids preserve the base order and the plan depends only on the
+  /// SET of held edge ids (never on holder order or duplicate copies).
+  std::vector<NodeId> compact_to_global;
   std::vector<int> part;                  ///< part of each compact id
   /// The cluster's deduplicated held-edge graph over compact ids, oriented
-  /// along its degeneracy order. Goal flags are OR-merged per edge and left
-  /// empty when every edge is a goal edge.
+  /// along its degeneracy order, rows sorted by compact id. Goal flags are
+  /// the edges' `goal_edge` flags, left empty when every edge is a goal
+  /// edge.
   CliqueDag dag;
   std::vector<Rep> reps;
   /// Σ root_est_work over the DAG's roots; 0 when no representative

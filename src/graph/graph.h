@@ -48,12 +48,12 @@ class Graph {
 
   /// Fast-path factory for callers that already hold a normalized
   /// (`u < v`), lexicographically sorted, duplicate-free edge list — e.g.
-  /// the in-cluster plan's deduplicated cluster graph, which is sorted
-  /// before it is peeled. Skips the normalize/sort/unique pass of
-  /// `from_edges` and builds the CSR with one counting scatter (the
-  /// scatter of a sorted edge list leaves every neighbor row sorted, so no
-  /// per-row sort is needed either). The precondition is checked in debug
-  /// builds (assert); edge ids equal positions in `edges`.
+  /// ARB-LIST's Er subgraph, whose base edges arrive in id order. Skips
+  /// the normalize/sort/unique pass of `from_edges` and builds the CSR
+  /// with one counting scatter (the scatter of a sorted edge list leaves
+  /// every neighbor row sorted, so no per-row sort is needed either). The
+  /// precondition is checked in debug builds (assert); edge ids equal
+  /// positions in `edges`.
   static Graph from_sorted_edges(NodeId n, std::vector<Edge> edges);
 
   NodeId node_count() const { return n_; }

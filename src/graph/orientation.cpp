@@ -70,8 +70,12 @@ NodeId Orientation::max_out_degree() const {
   return best;
 }
 
-DegeneracyResult degeneracy_order(const Graph& g) {
-  const auto n = static_cast<std::size_t>(g.node_count());
+namespace {
+
+/// The peeling over any adjacency: `neighbors(v)` is v's row for v < n.
+template <class Rows>
+DegeneracyResult peel(NodeId node_count, Rows neighbors) {
+  const auto n = static_cast<std::size_t>(node_count);
   DegeneracyResult result;
   result.order.reserve(n);
   result.core_number.assign(n, 0);
@@ -88,9 +92,10 @@ DegeneracyResult degeneracy_order(const Graph& g) {
   // ledger.
   std::vector<NodeId> deg(n);
   NodeId max_deg = 0;
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    deg[static_cast<std::size_t>(v)] = g.degree(v);
-    max_deg = std::max(max_deg, g.degree(v));
+  for (NodeId v = 0; v < node_count; ++v) {
+    const auto d = to_node(neighbors(v).size());
+    deg[static_cast<std::size_t>(v)] = d;
+    max_deg = std::max(max_deg, d);
   }
   // Circular lists with one sentinel per bucket (ids n, n+1, …): every
   // element always has live prev/next neighbors, so unlink and push-front
@@ -111,7 +116,7 @@ DegeneracyResult degeneracy_order(const Graph& g) {
     prev[h] = v;
     next[s] = v;
   };
-  for (NodeId v = 0; v < g.node_count(); ++v) {
+  for (NodeId v = 0; v < node_count; ++v) {
     push_front(static_cast<std::size_t>(deg[static_cast<std::size_t>(v)]),
                static_cast<std::size_t>(v));
   }
@@ -133,7 +138,7 @@ DegeneracyResult degeneracy_order(const Graph& g) {
     // compacting survivors branchlessly first keeps the mispredict-prone
     // check out of the pointer-surgery loop.
     std::size_t k = 0;
-    for (const NodeId w : g.neighbors(v)) {
+    for (const NodeId w : neighbors(v)) {
       live[k] = w;
       k += static_cast<std::size_t>(deg[static_cast<std::size_t>(w)] >= 0);
     }
@@ -150,6 +155,23 @@ DegeneracyResult degeneracy_order(const Graph& g) {
   }
   result.degeneracy = current_core;
   return result;
+}
+
+}  // namespace
+
+DegeneracyResult degeneracy_order(const Graph& g) {
+  return peel(g.node_count(), [&g](NodeId v) { return g.neighbors(v); });
+}
+
+DegeneracyResult degeneracy_order(std::span<const std::uint64_t> offsets,
+                                  std::span<const NodeId> adj) {
+  const NodeId n = offsets.empty() ? 0 : to_node(offsets.size() - 1);
+  return peel(n, [&](NodeId v) {
+    const auto b = offsets[static_cast<std::size_t>(v)];
+    const auto e = offsets[static_cast<std::size_t>(v) + 1];
+    return adj.subspan(static_cast<std::size_t>(b),
+                       static_cast<std::size_t>(e - b));
+  });
 }
 
 Orientation degeneracy_orientation(const Graph& g) {

@@ -83,6 +83,13 @@ struct DegeneracyResult {
 /// Matula–Beck bucket peeling; O(n + m).
 DegeneracyResult degeneracy_order(const Graph& g);
 
+/// The same peeling over a CSR adjacency: row v is
+/// `adj[offsets[v], offsets[v+1])`, every edge listed in both endpoints'
+/// rows. The result depends on the row order; sorted rows give exactly
+/// the `Graph` overload's result on the same graph.
+DegeneracyResult degeneracy_order(std::span<const std::uint64_t> offsets,
+                                  std::span<const NodeId> adj);
+
 /// Canonical arboricity-witness orientation (out-degree ≤ degeneracy).
 Orientation degeneracy_orientation(const Graph& g);
 

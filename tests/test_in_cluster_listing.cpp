@@ -24,7 +24,7 @@ namespace {
 struct Scenario {
   Graph g;
   Cluster cluster;
-  std::vector<std::vector<KnownEdge>> holders;
+  std::vector<std::vector<EdgeId>> holders;
   EdgeMask goal;
 
   explicit Scenario(Graph graph) : g(std::move(graph)) {
@@ -37,8 +37,7 @@ struct Scenario {
     for (EdgeId e = 0; e < g.edge_count(); ++e) {
       const NodeId tail = o.tail(e);
       const NodeId idx = responsible_cluster_index(tail, g.node_count(), k);
-      holders[static_cast<std::size_t>(idx)].push_back(
-          KnownEdge{tail, o.head(e)});
+      holders[static_cast<std::size_t>(idx)].push_back(e);
     }
     goal.assign(g.edge_count(), true);
   }
@@ -209,10 +208,10 @@ TEST(InClusterListing, InternBuffersSurviveShrinkThenGrowAcrossGraphs) {
 }
 
 TEST(InClusterListing, DuplicateHeldEdgesDoNotChangeTheListing) {
-  // The plan dedups identical held edges and ORs their goal flags; a
-  // cluster holding the same edge twice (here: duplicated inside one
-  // holder's list before dedup normally happens upstream) must list
-  // exactly the same cliques as the clean problem.
+  // The plan dedups identical held edge ids; a cluster holding the same
+  // edge twice (here: duplicated inside one holder's list before dedup
+  // normally happens upstream) must list exactly the same cliques as the
+  // clean problem.
   Rng gen(7);
   Scenario clean(erdos_renyi_gnp(20, 0.5, gen));
   Scenario doubled = clean;
@@ -306,6 +305,25 @@ TEST(InClusterListing, HolderCountMismatchThrows) {
   EXPECT_THROW(in_cluster_list(s.problem(3), rng, out), std::invalid_argument);
 }
 
+TEST(InClusterListing, HeldEdgeIdOutOfRangeThrows) {
+  // A held id must name a base edge. Both ends of the range throw, and a
+  // clean plan afterwards on the same thread still lists exactly: the
+  // throw left the thread_local dedup and interning maps clear.
+  Scenario s(complete_graph(6));
+  for (const EdgeId bad : {s.g.edge_count(), EdgeId{-1}}) {
+    Scenario broken = s;
+    broken.holders[1].push_back(bad);
+    Rng rng(12);
+    EXPECT_THROW(in_cluster_plan(broken.problem(3), rng),
+                 std::invalid_argument)
+        << "id " << bad;
+  }
+  Rng rng(12);
+  ListingOutput out(s.g.node_count());
+  in_cluster_list(s.problem(3), rng, out);
+  EXPECT_TRUE(out.cliques() == CliqueSet(list_k_cliques(s.g, 3)));
+}
+
 // ---- The orient-once kernel, differentially -------------------------------
 //
 // Every representative's reports must equal what a per-representative
@@ -375,10 +393,11 @@ Reference reference_reports(const Scenario& s, const std::vector<int>& part,
   const std::vector<int> mset = part_multiset(j, q, p);
   std::vector<Edge> edges;
   for (const auto& held : s.holders) {
-    for (const KnownEdge& e : held) {
-      if (multiset_covers(mset, part[static_cast<std::size_t>(e.tail)],
-                          part[static_cast<std::size_t>(e.head)])) {
-        edges.push_back(make_edge(e.tail, e.head));
+    for (const EdgeId id : held) {
+      const Edge& e = s.g.edge(id);
+      if (multiset_covers(mset, part[static_cast<std::size_t>(e.u)],
+                          part[static_cast<std::size_t>(e.v)])) {
+        edges.push_back(e);
       }
     }
   }
@@ -492,6 +511,72 @@ NodeId cluster_size(int p, int q) {
     return x;
   };
   return q == 1 ? pow(2) - 1 : pow(q);
+}
+
+TEST(InClusterListing, PlanDependsOnlyOnTheHeldEdgeSet) {
+  // Compact ids follow the global order and the DAG holds each distinct
+  // held id once, so permuting the holders' lists or copying edges to
+  // more holders moves only the loads, never the DAG or the roster.
+  Rng gen(16);
+  Scenario s(planted_graph(cluster_size(4, 2), 4, gen));
+  Rng flags(17);
+  for (EdgeId e = 0; e < s.g.edge_count(); ++e) {
+    s.goal.set(e, flags.next_bool(0.5));
+  }
+  Rng rng_clean(18);
+  const InClusterPlan clean = in_cluster_plan(s.problem(4), rng_clean);
+  ASSERT_GE(clean.reps.size(), 2u);
+  ASSERT_FALSE(clean.dag.goal.empty()) << "scenario needs mixed goal flags";
+  EXPECT_EQ(std::adjacent_find(clean.compact_to_global.begin(),
+                               clean.compact_to_global.end(),
+                               [](NodeId a, NodeId b) { return a >= b; }),
+            clean.compact_to_global.end())
+      << "compact_to_global must be strictly ascending";
+  EXPECT_EQ(clean.dag.adj.size(), static_cast<std::size_t>(s.g.edge_count()));
+
+  Scenario permuted = s;
+  Rng shuffle(19);
+  for (auto& h : permuted.holders) {
+    for (std::size_t i = h.size(); i > 1; --i) {
+      std::swap(h[i - 1], h[shuffle.next_below(i)]);
+    }
+  }
+  Scenario copied = permuted;
+  const auto k = copied.holders.size();
+  for (std::size_t i = 0; i < k; ++i) {
+    const auto& from = s.holders[i];
+    auto& to = copied.holders[(i + 1) % k];
+    to.insert(to.begin(), from.begin(), from.begin() + from.size() / 2);
+  }
+
+  const auto expect_same_plan = [&](const InClusterPlan& other,
+                                    const char* what) {
+    EXPECT_EQ(other.compact_to_global, clean.compact_to_global) << what;
+    EXPECT_EQ(other.part, clean.part) << what;
+    EXPECT_EQ(other.dag.offsets, clean.dag.offsets) << what;
+    EXPECT_EQ(other.dag.adj, clean.dag.adj) << what;
+    EXPECT_EQ(other.dag.goal, clean.dag.goal) << what;
+    EXPECT_EQ(other.est_work_total, clean.est_work_total) << what;
+    ASSERT_EQ(other.reps.size(), clean.reps.size()) << what;
+    for (std::size_t r = 0; r < clean.reps.size(); ++r) {
+      EXPECT_EQ(other.reps[r].node, clean.reps[r].node) << what;
+      EXPECT_EQ(other.reps[r].parts, clean.reps[r].parts) << what;
+      EXPECT_EQ(other.reps[r].edges, clean.reps[r].edges) << what;
+    }
+  };
+  Rng rng_permuted(18);
+  const InClusterPlan p_plan = in_cluster_plan(permuted.problem(4),
+                                               rng_permuted);
+  expect_same_plan(p_plan, "permuted");
+  EXPECT_EQ(p_plan.cost.max_send, clean.cost.max_send);
+  EXPECT_EQ(p_plan.cost.max_recv, clean.cost.max_recv);
+  EXPECT_EQ(p_plan.cost.messages, clean.cost.messages);
+
+  Rng rng_copied(18);
+  const InClusterPlan c_plan = in_cluster_plan(copied.problem(4), rng_copied);
+  expect_same_plan(c_plan, "copied");
+  EXPECT_GT(c_plan.cost.messages, clean.cost.messages);
+  EXPECT_GT(c_plan.cost.max_recv, clean.cost.max_recv);
 }
 
 TEST(InClusterKernel, MatchesRebuildReferenceOnMixedGoals) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "graph/generators.h"
 
@@ -126,6 +128,17 @@ TEST(DegeneracyOrder, MatchesHistoricalPopOrderExactly) {
     ASSERT_EQ(got.order, want.order) << "n=" << n << " m=" << m;
     ASSERT_EQ(got.core_number, want.core_number);
     ASSERT_EQ(got.degeneracy, want.degeneracy);
+    // The CSR overload over the same sorted rows peels identically.
+    std::vector<std::uint64_t> offsets{0};
+    std::vector<NodeId> adj;
+    for (NodeId v = 0; v < n; ++v) {
+      adj.insert(adj.end(), g.neighbors(v).begin(), g.neighbors(v).end());
+      offsets.push_back(adj.size());
+    }
+    const auto csr = degeneracy_order(offsets, adj);
+    ASSERT_EQ(csr.order, want.order) << "n=" << n << " m=" << m;
+    ASSERT_EQ(csr.core_number, want.core_number);
+    ASSERT_EQ(csr.degeneracy, want.degeneracy);
   }
 }
 

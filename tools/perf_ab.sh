@@ -9,11 +9,14 @@
 # builds it there. After one untimed warm-up run per side, ROUNDS rounds
 # (default 10) run `python3 perfbench/run.py --workload WORKLOAD` once per
 # side at run.py's own run length, alternating which side goes first so
-# slow drift of the host hits both equally. The summary prints each side's median list_t1_ms over the
-# rounds, the B/A ratio, how many rounds B beat A, the exact sim_rounds /
-# sim_messages (which must not differ between runs of one side; a
-# perf-only change must not move them between sides either) and the
-# medians of the remaining end-to-end metrics.
+# slow drift of the host hits both equally. The summary prints each side's
+# median and quartiles of list_t1_ms over the rounds, the B/A ratio, how
+# many rounds B beat A, whether the gain rule holds (B faster in at least
+# 9 of every 10 rounds, and the gap between the medians larger than A's
+# interquartile range), the exact sim_rounds / sim_messages (which must
+# not differ between runs of one side; a perf-only change must not move
+# them between sides either) and the medians of the remaining end-to-end
+# metrics.
 #
 # Environment: AB_SEED, when set, is passed as --seed (default: the
 # workload's own).
@@ -92,14 +95,25 @@ for side in ("a", "b"):
 def values(side, name):
     return [r["metrics"][name]["value"] for r in runs[side]]
 
+def quartiles(xs):
+    # statistics.quantiles needs two points; one run is its own quartiles.
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return q1, q3
+
 print(f"{workload}: {len(runs['a'])} interleaved rounds")
 medians = {}
+iqr = {}
 for side in ("a", "b"):
     t1 = values(side, "list_t1_ms")
     medians[side] = statistics.median(t1)
+    q1, q3 = quartiles(t1)
+    iqr[side] = q3 - q1
     rounds = sorted(set(values(side, "sim_rounds")))
     messages = sorted(set(values(side, "sim_messages")))
     print(f"  {side.upper()}: list_t1_ms median {medians[side]:.3f} "
+          f"[Q1 {q1:.3f}, Q3 {q3:.3f}] "
           f"(runs {', '.join(f'{x:.2f}' for x in t1)})")
     print(f"     sim_rounds {', '.join(repr(x) for x in rounds)}; "
           f"sim_messages {', '.join(repr(x) for x in messages)}"
@@ -112,8 +126,13 @@ for side in ("a", "b"):
         for name in others))
 wins = sum(b < a for a, b in zip(values("a", "list_t1_ms"),
                                  values("b", "list_t1_ms")))
+total = len(runs['a'])
+gap = medians['a'] - medians['b']
 print(f"  B/A median list_t1_ms: {medians['b'] / medians['a']:.3f} "
-      f"(B faster in {wins}/{len(runs['a'])} rounds)")
+      f"(B faster in {wins}/{total} rounds)")
+holds = 10 * wins >= 9 * total and gap > iqr['a']
+print(f"  gain rule (B faster in >= 9/10 of rounds, median gap {gap:.3f} > "
+      f"A IQR {iqr['a']:.3f}): " + ("HOLDS" if holds else "does not hold"))
 same = (values("a", "sim_rounds")[:1] == values("b", "sim_rounds")[:1] and
         values("a", "sim_messages")[:1] == values("b", "sim_messages")[:1])
 print("  simulated cost: " + ("identical" if same else "DIFFERS between A and B"))
