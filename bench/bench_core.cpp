@@ -168,6 +168,12 @@ void maybe_attach_report(const std::string& entry_name,
   write_run_report(out, collector, ledger, entry_name);
 }
 
+/// Folds a 64-bit fingerprint into 32 bits so the JSON double (%.17g)
+/// round-trips it bit-exactly (doubles hold integers < 2^53 exactly).
+double fold_fingerprint(std::uint64_t fp) {
+  return static_cast<double>((fp ^ (fp >> 32)) & 0xffffffffULL);
+}
+
 void list_kp_benchmark(BenchReport& report, const char* input_name,
                        const Graph& g, int p, double stop_scale = 0.1) {
   KpConfig cfg;
@@ -178,27 +184,37 @@ void list_kp_benchmark(BenchReport& report, const char* input_name,
                                 // paths are hot
   const std::string suffix =
       std::string("/p=") + std::to_string(p) + "/" + input_name;
-  // One fixed-seed reference run: the ledger totals are the cost-model
-  // fingerprint that perf refactors must keep bit-identical. It runs under
-  // a collector (collection is non-perturbing — the teleoff A/B entries
-  // prove it) so the entry can attach a run report.
-  TraceCollector ref_trace;
-  const KpListResult ref = [&] {
-    TelemetryScope scope(ref_trace);
-    return list_kp(g, cfg);
-  }();
-  maybe_attach_report("list_kp" + suffix, ref_trace, &ref.ledger);
-  {
-    auto& t = report.add(time_kernel(
-        "list_kp" + suffix,
-        [&] { return list_kp(g, cfg).total_reports; },
-        static_cast<double>(ref.unique_cliques)));
+  // The counters also pin who reports what: the folded clique fingerprint
+  // and the largest per-node report total, as the sparse_cc entries do.
+  const auto add_counters = [](Timing& t, const KpListResult& ref,
+                               const ListingOutput& ref_out) {
     t.counters.emplace_back("ledger_total_rounds", ref.total_rounds());
     t.counters.emplace_back("unique_cliques",
                             static_cast<double>(ref.unique_cliques));
     t.counters.emplace_back("total_reports",
                             static_cast<double>(ref.total_reports));
-  }
+    t.counters.emplace_back(
+        "max_reports_per_node",
+        static_cast<double>(ref_out.max_reports_per_node()));
+    t.counters.emplace_back("fingerprint_fold32",
+                            fold_fingerprint(ref_out.cliques().fingerprint()));
+  };
+  // One fixed-seed reference run: the ledger totals are the cost-model
+  // fingerprint that perf refactors must keep bit-identical. It runs under
+  // a collector (collection is non-perturbing — the teleoff A/B entries
+  // prove it) so the entry can attach a run report.
+  TraceCollector ref_trace;
+  ListingOutput ref_out(g.node_count());
+  const KpListResult ref = [&] {
+    TelemetryScope scope(ref_trace);
+    return list_kp_collect(g, cfg, ref_out);
+  }();
+  maybe_attach_report("list_kp" + suffix, ref_trace, &ref.ledger);
+  add_counters(report.add(time_kernel(
+                   "list_kp" + suffix,
+                   [&] { return list_kp(g, cfg).total_reports; },
+                   static_cast<double>(ref.unique_cliques))),
+               ref, ref_out);
   {
     // The same end-to-end run at 4 shards. DCL_THREADS is a pure speed
     // knob, so this entry's counters must be bit-identical to the
@@ -208,9 +224,10 @@ void list_kp_benchmark(BenchReport& report, const char* input_name,
     const int previous = shard_threads();
     set_shard_threads(4);
     TraceCollector ref4_trace;
+    ListingOutput ref4_out(g.node_count());
     const KpListResult ref4 = [&] {  // counters from a 4-shard run
       TelemetryScope scope(ref4_trace);
-      return list_kp(g, cfg);
+      return list_kp_collect(g, cfg, ref4_out);
     }();
     maybe_attach_report("list_kp_t4" + suffix, ref4_trace, &ref4.ledger);
     auto& t = report.add(time_kernel(
@@ -218,18 +235,8 @@ void list_kp_benchmark(BenchReport& report, const char* input_name,
         [&] { return list_kp(g, cfg).total_reports; },
         static_cast<double>(ref4.unique_cliques)));
     set_shard_threads(previous);
-    t.counters.emplace_back("ledger_total_rounds", ref4.total_rounds());
-    t.counters.emplace_back("unique_cliques",
-                            static_cast<double>(ref4.unique_cliques));
-    t.counters.emplace_back("total_reports",
-                            static_cast<double>(ref4.total_reports));
+    add_counters(t, ref4, ref4_out);
   }
-}
-
-/// Folds a 64-bit fingerprint into 32 bits so the JSON double (%.17g)
-/// round-trips it bit-exactly (doubles hold integers < 2^53 exactly).
-double fold_fingerprint(std::uint64_t fp) {
-  return static_cast<double>((fp ^ (fp >> 32)) & 0xffffffffULL);
 }
 
 /// The Section 4 CONGESTED-CLIQUE lister end to end. Its counters pin the

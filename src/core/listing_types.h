@@ -34,14 +34,36 @@ class ListingOutput {
     unique_.insert(clique);
   }
 
+  /// Records one listing run's reports: row r of `rows` (the `width` ids
+  /// at rows[r·width, (r+1)·width), any order) was output by each of
+  /// reporters[reporter_ends[r-1], reporter_ends[r]) (from 0 for r = 0).
+  /// The per-node totals, `total_reports` and the running maximum move
+  /// exactly as one `report()` per (reporter, row) would move them, but
+  /// each row is inserted into the clique set once, through CliqueSet's
+  /// blocked insert. Rows without a reporter are not reported.
+  void report_rows(std::span<const NodeId> rows, std::size_t width,
+                   std::span<const std::size_t> reporter_ends,
+                   std::span<const NodeId> reporters) {
+    for (const NodeId reporter : reporters) {
+      const std::uint64_t reports =
+          ++per_node_reports_[static_cast<std::size_t>(reporter)];
+      max_reports_ = std::max(max_reports_, reports);
+    }
+    total_reports_ += reporters.size();
+    unique_.insert_rows(rows, width, [&](std::size_t r) {
+      return reporter_ends[r] != (r == 0 ? 0 : reporter_ends[r - 1]);
+    });
+  }
+
   /// Folds a per-shard buffer into this collector: traffic statistics add,
   /// per-node totals add (the running maximum is recomputed from the
   /// merged totals, which is exactly where the sequential running max
-  /// lands), and the clique sets union. Merging shard buffers in shard
-  /// order therefore reproduces the sequential execution's counters and
-  /// clique set bit-identically — the contract the cluster-parallel
-  /// ARB-LIST tail relies on. `shard` must have been constructed for the
-  /// same node count.
+  /// lands), and the clique sets union through CliqueSet's blocked
+  /// `insert_all`. Merging shard buffers in shard order therefore
+  /// reproduces the sequential execution's counters and clique set
+  /// bit-identically — the contract the cluster-parallel ARB-LIST tail
+  /// relies on. `shard` must have been constructed for the same node
+  /// count.
   void merge_from(const ListingOutput& shard) {
     total_reports_ += shard.total_reports_;
     for (std::size_t v = 0; v < per_node_reports_.size(); ++v) {
@@ -49,15 +71,11 @@ class ListingOutput {
       per_node_reports_[v] += shard.per_node_reports_[v];
       max_reports_ = std::max(max_reports_, per_node_reports_[v]);
     }
-    // Reserve the union upper bound BEFORE inserting: for_each_span hands
-    // keys over in slot (≈ hash) order, and hash-ordered inserts into a
-    // table that is still growing degenerate into long probe clusters —
-    // measured 60x slower than the same inserts into a pre-sized table.
-    // The overshoot is at most 2x of the final union, so the table stays
-    // small enough not to cost cache on later probes.
-    unique_.reserve(unique_.size() + shard.unique_.size());
-    shard.unique_.for_each_span(
-        [&](std::span<const NodeId> clique) { unique_.insert(clique); });
+    // No pre-merge reserve: robin-hood placement keeps the slot-order
+    // (≈ hash-order) keys of `shard` cheap to insert into a growing table,
+    // and an A/B of ring8-p4's 4-thread calls measured the union-bound
+    // reserve slower (docs/PERFORMANCE.md, "Per-shard buffers").
+    unique_.insert_all(shard.unique_);
   }
 
   /// Retracts a previously reported clique (delta support for dynamic

@@ -159,7 +159,8 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
 
   // Local listing, simulated once (see the header): list the real edges
   // of g along the orientation above and report each clique by every
-  // representative whose multiset covers its part tuple.
+  // representative whose multiset covers its part tuple, all in one batch
+  // that inserts each clique once.
   cc_span.sync_to(net.ledger().total_rounds(), net.ledger().total_messages());
   {
     SpanGuard list_span(telemetry, "sparse-cc/list", "core");
@@ -176,16 +177,20 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
     list_dag_cliques(dag, p, scratch, flat, 0, n);
     PartTupleCovers covers(msets.parts, q, p);
     std::vector<int> parts(static_cast<std::size_t>(p));
+    std::vector<std::size_t> reporter_ends;
+    std::vector<NodeId> reporters;
+    reporter_ends.reserve(flat.size() / parts.size());
     for (std::size_t at = 0; at < flat.size(); at += parts.size()) {
-      const std::span<const NodeId> clique(flat.data() + at, parts.size());
       for (std::size_t x = 0; x < parts.size(); ++x) {
-        parts[x] = part[static_cast<std::size_t>(clique[x])];
+        parts[x] = part[static_cast<std::size_t>(flat[at + x])];
       }
       for (const std::uint32_t r : covers.covering(parts)) {
-        out.report(msets.rep[r], clique);
+        reporters.push_back(msets.rep[r]);
       }
+      reporter_ends.push_back(reporters.size());
     }
-    list_span.add_work(flat.size() / parts.size());
+    out.report_rows(flat, parts.size(), reporter_ends, reporters);
+    list_span.add_work(reporter_ends.size());
   }
 
   result.ledger = net.ledger();

@@ -22,6 +22,17 @@ std::uint64_t splitmix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Hints a cache-line load of `p`. The label-scan loops prefetch the next
+/// candidate's CSR segment behind the current scan; the blocked clique
+/// inserts prefetch every ideal slot of a block before probing any.
+inline void prefetch(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p);
+#else
+  (void)p;
+#endif
+}
+
 }  // namespace
 
 CliqueSet::PackedKey CliqueSet::pack(std::span<const NodeId> clique) {
@@ -73,6 +84,10 @@ bool CliqueSet::insert_packed(const PackedKey& key) {
   } else if ((packed_count_ + 1) * 10 > slots_.size() * 7) {
     grow();
   }
+  return insert_hashed(key, hash_key(key));
+}
+
+bool CliqueSet::insert_hashed(const PackedKey& key, std::uint64_t hash) {
   // Robin-hood probe: along a probe chain residents appear in
   // non-decreasing ideal-slot order, so an equal key — same ideal slot —
   // must occur before the first resident strictly closer to its own ideal
@@ -84,7 +99,7 @@ bool CliqueSet::insert_packed(const PackedKey& key) {
   // of per call site.
   const std::size_t mask = slots_.size() - 1;
   PackedKey cur = key;
-  std::size_t i = static_cast<std::size_t>(hash_key(cur)) & mask;
+  std::size_t i = static_cast<std::size_t>(hash) & mask;
   std::size_t dist = 0;
   bool scanning = true;  // `cur` is still the probe key, not a displacee
   while (slots_[i][0] != kUnused) {
@@ -101,8 +116,35 @@ bool CliqueSet::insert_packed(const PackedKey& key) {
   }
   slots_[i] = cur;
   ++packed_count_;
-  fingerprint_ += hash_key(key);
+  fingerprint_ += hash;
   return true;
+}
+
+void CliqueSet::insert_block(Block& block) {
+  if (block.size == 0) return;
+  // Grow once for the whole block, as if every key were new: the table
+  // may grow up to one block earlier than per-key inserts would grow it.
+  if (slots_.empty()) reserve(block.size);
+  while ((packed_count_ + block.size) * 10 > slots_.size() * 7) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t b = 0; b < block.size; ++b) {
+    prefetch(&slots_[static_cast<std::size_t>(block.hashes[b]) & mask]);
+  }
+  for (std::size_t b = 0; b < block.size; ++b) {
+    insert_hashed(block.keys[b], block.hashes[b]);
+  }
+  block.size = 0;
+}
+
+void CliqueSet::insert_all(const CliqueSet& other) {
+  Block block;
+  for (const PackedKey& key : other.slots_) {
+    if (key[0] == kUnused) continue;
+    block.push(key);
+    if (block.size == kBlock) insert_block(block);
+  }
+  insert_block(block);
+  for (const Clique& c : other.overflow_) insert(c);
 }
 
 bool CliqueSet::erase_packed(const PackedKey& key) {
@@ -297,17 +339,6 @@ namespace {
 /// depth is ≤ p, and the gathers dominate the kernel, so the smaller
 /// footprint matters more than the width.
 using Labels = std::vector<std::uint8_t>;
-
-/// The label-scan loops gather label[w] for every w in a CSR segment;
-/// prefetching the next candidate's segment hides the adjacency load
-/// behind the current scan.
-inline void prefetch(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p);
-#else
-  (void)p;
-#endif
-}
 
 /// The degeneracy DAG of `g`: out-neighbors strictly later in the
 /// degeneracy order, sorted by id. Two branchless passes over the (sorted)

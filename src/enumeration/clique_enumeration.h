@@ -55,6 +55,33 @@ class CliqueSet {
   /// Allocation-free insert for cliques of ≤ kPackedMax vertices (any
   /// order); falls back to the spill set above that width.
   bool insert(std::span<const NodeId> clique);
+  /// Inserts every row of `flat` that `keep(row index)` accepts, where row
+  /// r is the `width` ids at flat[r·width, (r+1)·width), in any order: the
+  /// same set and fingerprint as one `insert` per kept row, in row order.
+  /// Packed rows go through in blocks of kBlock — pack and hash the
+  /// block, grow once for all of it, prefetch every ideal slot, then place
+  /// each row — so the block's cache misses overlap instead of queuing
+  /// behind one another. Rows wider than kPackedMax take the spill path.
+  /// `width` must be at least 1.
+  template <typename Keep>
+  void insert_rows(std::span<const NodeId> flat, std::size_t width,
+                   Keep&& keep) {
+    Block block;
+    for (std::size_t r = 0; r < flat.size() / width; ++r) {
+      if (!keep(r)) continue;
+      const auto row = flat.subspan(r * width, width);
+      if (width > kPackedMax) {
+        insert(row);
+        continue;
+      }
+      block.push(pack(row));
+      if (block.size == kBlock) insert_block(block);
+    }
+    insert_block(block);
+  }
+  /// Inserts every member of `other`, packed keys through the same blocked
+  /// path as `insert_rows`: the union, with the fingerprint maintained.
+  void insert_all(const CliqueSet& other);
   /// Erases a clique (any vertex order); returns true if it was present.
   /// Packed erase is backward-shift deletion (no tombstones), so lookup
   /// probe lengths never degrade under churn — the dynamic engine erases
@@ -91,9 +118,8 @@ class CliqueSet {
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Visits every member clique as a sorted `std::span<const NodeId>`
-  /// without materializing vectors — the allocation-free bulk-merge path
-  /// (`ListingOutput::merge_from` folds per-shard sets with it). Packed
-  /// cliques are visited in slot order, overflow cliques after in
+  /// without materializing vectors (`insert_all` is the bulk-merge path).
+  /// Packed cliques are visited in slot order, overflow cliques after in
   /// lexicographic order (the spill set is ordered precisely so this
   /// visitation order is deterministic — dcl_lint's unordered-iteration
   /// rule bans hash-order walks on any path that can reach fingerprints);
@@ -126,12 +152,32 @@ class CliqueSet {
 
   static PackedKey pack(std::span<const NodeId> clique);  // sorts inline
   static std::uint64_t hash_key(const PackedKey& key);
+
+  /// Keys per blocked insert: enough misses in flight to cover one probe's
+  /// latency, few enough that the block's keys stay in L1.
+  static constexpr std::size_t kBlock = 16;
+  /// Up to kBlock packed keys with their hashes, filled by the bulk paths.
+  struct Block {
+    std::array<PackedKey, kBlock> keys;
+    std::array<std::uint64_t, kBlock> hashes;
+    std::size_t size = 0;
+    void push(const PackedKey& key) {
+      keys[size] = key;
+      hashes[size] = hash_key(key);
+      ++size;
+    }
+  };
+  /// Inserts the block's keys in order and empties it.
+  void insert_block(Block& block);
   /// Robin-hood placement of a key known to be absent (rehash + the tail
-  /// of insert_packed): probes from the ideal slot, swapping with any
+  /// of insert_hashed): probes from the ideal slot, swapping with any
   /// resident that sits closer to its own ideal than the carried key does.
   static void place_robin_hood(std::vector<PackedKey>& slots, PackedKey key);
 
   bool insert_packed(const PackedKey& key);
+  /// The robin-hood insert probe for `key`, whose hash is `hash`; the
+  /// table must already have room for it.
+  bool insert_hashed(const PackedKey& key, std::uint64_t hash);
   bool erase_packed(const PackedKey& key);
   bool contains_packed(const PackedKey& key) const;
   static std::uint64_t overflow_hash(const Clique& sorted);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 namespace dcl {
 namespace {
 
@@ -138,6 +141,60 @@ TEST(ListingOutput, MergeFromReproducesSequentialCounters) {
   EXPECT_EQ(global.unique_count(), 4u);
   EXPECT_EQ(global.reports_of(3), 1u);
   EXPECT_EQ(global.reports_of(1), 2u);
+}
+
+TEST(ListingOutput, BatchReportMatchesPerReporterReports) {
+  // report_rows moves every per-node count, the total and the running
+  // maximum as one report() per (reporter, row) would, inserts each row
+  // once, and skips rows without a reporter. Rows repeat cliques (also
+  // permuted), and reporters repeat across rows.
+  const NodeId n = 8;
+  const std::vector<NodeId> rows = {0, 1, 2, 3,  //
+                                    4, 5, 6, 7,  //
+                                    3, 2, 1, 0,  //
+                                    1, 2, 3, 4,  //
+                                    2, 3, 4, 5,  //
+                                    0, 1, 2, 3};
+  const std::vector<std::size_t> ends = {2, 2, 5, 6, 6, 8};
+  const std::vector<NodeId> reporters = {0, 7, 7, 0, 3, 7, 7, 1};
+
+  ListingOutput per_reporter(n);
+  for (std::size_t r = 0; r < ends.size(); ++r) {
+    const std::span<const NodeId> row(rows.data() + 4 * r, 4);
+    for (std::size_t i = r == 0 ? 0 : ends[r - 1]; i < ends[r]; ++i) {
+      per_reporter.report(reporters[i], row);
+    }
+  }
+  ListingOutput batch(n);
+  batch.report_rows(rows, 4, ends, reporters);
+
+  const auto expect_same = [&](const ListingOutput& a,
+                               const ListingOutput& b) {
+    EXPECT_EQ(a.total_reports(), b.total_reports());
+    EXPECT_EQ(a.max_reports_per_node(), b.max_reports_per_node());
+    EXPECT_EQ(a.unique_count(), b.unique_count());
+    EXPECT_EQ(a.cliques().fingerprint(), b.cliques().fingerprint());
+    EXPECT_TRUE(a.cliques() == b.cliques());
+    for (NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(a.reports_of(v), b.reports_of(v)) << "v " << v;
+    }
+  };
+  expect_same(batch, per_reporter);
+  EXPECT_EQ(batch.total_reports(), 8u);
+  EXPECT_EQ(batch.unique_count(), 2u);  // {4,5,6,7} and {2,3,4,5} unreported
+  EXPECT_EQ(batch.max_reports_per_node(), 4u);
+
+  // Shards built by report_rows merge to the sequential result.
+  ListingOutput shard_a(n), shard_b(n), merged(n);
+  const std::span<const NodeId> all(rows);
+  shard_a.report_rows(all.first(12), 4, std::span(ends).first(3),
+                      std::span(reporters).first(5));
+  const std::vector<std::size_t> ends_b = {1, 1, 3};
+  shard_b.report_rows(all.subspan(12), 4, ends_b,
+                      std::span(reporters).subspan(5));
+  merged.merge_from(shard_a);
+  merged.merge_from(shard_b);
+  expect_same(merged, per_reporter);
 }
 
 TEST(KpConfigDefaults, MatchPaperStructure) {

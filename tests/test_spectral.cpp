@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/parallel_for.h"
 #include "graph/generators.h"
 
@@ -126,6 +129,32 @@ TEST(SecondEigenvector, DeterministicUnderSeed) {
   ASSERT_EQ(ea.size(), eb.size());
   for (std::size_t i = 0; i < ea.size(); ++i) {
     EXPECT_DOUBLE_EQ(ea[i], eb[i]);
+  }
+}
+
+TEST(SecondEigenvector, MatchesParentBitsOnSkewedGraph) {
+  // Golden value captured from the row-at-a-time lazy-walk kernel: an
+  // FNV-1a hash of the bit patterns of every output double. A kernel that
+  // batches rows must keep each row's own accumulator and neighbor order,
+  // so no double may move. The graph is degree-skewed (hub rows long, most
+  // rows short), n is not a multiple of 4, and at 4 threads the 2048-row
+  // grain gives 4 shards whose bounds are not multiples of 4 either.
+  Rng build_rng(31);
+  const Graph g = power_law_chung_lu(9003, 2.2, 6.0, build_rng);
+  ASSERT_EQ(g.node_count() % 4, 3);
+  const auto bits_hash = [&] {
+    Rng rng(77);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const double value : second_eigenvector(g, rng, 30)) {
+      h = (h ^ std::bit_cast<std::uint64_t>(value)) * 0x100000001b3ULL;
+    }
+    return h;
+  };
+  constexpr std::uint64_t kGolden = 0x5885a964ddb64a39ULL;
+  EXPECT_EQ(bits_hash(), kGolden);
+  {
+    ScopedShardThreads threads(4);
+    EXPECT_EQ(bits_hash(), kGolden);
   }
 }
 
