@@ -24,6 +24,7 @@
 #include "core/sparse_cc.h"
 #include "dynamic/dynamic_lister.h"
 #include "enumeration/clique_enumeration.h"
+#include "expander/decomposition.h"
 #include "graph/generators.h"
 
 namespace dcl::bench {
@@ -172,6 +173,40 @@ void maybe_attach_report(const std::string& entry_name,
 /// round-trips it bit-exactly (doubles hold integers < 2^53 exactly).
 double fold_fingerprint(std::uint64_t fp) {
   return static_cast<double>((fp ^ (fp >> 32)) & 0xffffffffULL);
+}
+
+/// The expander decomposition alone (ARB-LIST step 1's Theorem 2.3
+/// construction) on a list_kp input at cluster degree 2, er1c-p4's. Its
+/// counters pin the Em/Es/Er split and a folded FNV-1a hash of every
+/// edge's part and every node's cluster id.
+void expander_decompose_benchmark(BenchReport& report, const char* input_name,
+                                  const Graph& g) {
+  DecompositionConfig cfg;
+  cfg.absolute_degree = 2;
+  Rng ref_rng(7);
+  const ExpanderDecomposition ref =
+      expander_decompose(g, g.node_count(), cfg, ref_rng);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const EdgePart p : ref.part) {
+    h = (h ^ static_cast<std::uint64_t>(p)) * 0x100000001b3ULL;
+  }
+  for (const int c : ref.cluster_of) {
+    h = (h ^ static_cast<std::uint64_t>(c)) * 0x100000001b3ULL;
+  }
+  auto& t = report.add(time_kernel(
+      std::string("expander_decompose/") + input_name,
+      [&] {
+        Rng rng(7);
+        return static_cast<std::uint64_t>(
+            expander_decompose(g, g.node_count(), cfg, rng).em_count);
+      },
+      static_cast<double>(g.edge_count())));
+  t.counters.emplace_back("clusters",
+                          static_cast<double>(ref.clusters.size()));
+  t.counters.emplace_back("em_edges", static_cast<double>(ref.em_count));
+  t.counters.emplace_back("es_edges", static_cast<double>(ref.es_count));
+  t.counters.emplace_back("er_edges", static_cast<double>(ref.er_count));
+  t.counters.emplace_back("partition_fold32", fold_fingerprint(h));
 }
 
 void list_kp_benchmark(BenchReport& report, const char* input_name,
@@ -591,6 +626,8 @@ int run(const char* out_path) {
   Rng q1_rng(14);
   const Graph q1_input = erdos_renyi_gnm(2000, 30000, q1_rng);
   list_kp_benchmark(report, "er1c_n2000_m30000", q1_input, 4, 0.01);
+  expander_decompose_benchmark(report, "er1c_n2000_m30000", q1_input);
+  expander_decompose_benchmark(report, "ring8_n480", ring_input);
   sparse_cc_benchmarks(report);
 
   fault_plane_ab_benchmark(report);

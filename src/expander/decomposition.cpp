@@ -27,15 +27,15 @@ namespace {
 /// Mutable working view of the not-yet-assigned part of the graph.
 struct WorkState {
   const Graph* g;
-  std::vector<EdgePart> part;       // current labels; `cluster` = unassigned
-  std::vector<bool> assigned;       // edge already finalized into Es/Er?
+  std::vector<EdgePart> part;          // current labels; `cluster` = unassigned
+  std::vector<std::uint8_t> assigned;  // edge already finalized into Es/Er?
   std::vector<bool> es_away_from_lower;
   std::vector<std::int64_t> live_degree;  // degree over unassigned edges
 
   explicit WorkState(const Graph& graph)
       : g(&graph),
         part(static_cast<std::size_t>(graph.edge_count()), EdgePart::cluster),
-        assigned(static_cast<std::size_t>(graph.edge_count()), false),
+        assigned(static_cast<std::size_t>(graph.edge_count()), 0),
         es_away_from_lower(static_cast<std::size_t>(graph.edge_count()),
                            false),
         live_degree(static_cast<std::size_t>(graph.node_count()), 0) {
@@ -46,7 +46,7 @@ struct WorkState {
 
   void assign_es(EdgeId e, NodeId away_from) {
     part[static_cast<std::size_t>(e)] = EdgePart::sparse;
-    assigned[static_cast<std::size_t>(e)] = true;
+    assigned[static_cast<std::size_t>(e)] = 1;
     const Edge& ed = g->edge(e);
     es_away_from_lower[static_cast<std::size_t>(e)] = (away_from == ed.u);
     --live_degree[static_cast<std::size_t>(ed.u)];
@@ -55,7 +55,7 @@ struct WorkState {
 
   void assign_er(EdgeId e) {
     part[static_cast<std::size_t>(e)] = EdgePart::removed;
-    assigned[static_cast<std::size_t>(e)] = true;
+    assigned[static_cast<std::size_t>(e)] = 1;
     const Edge& ed = g->edge(e);
     --live_degree[static_cast<std::size_t>(ed.u)];
     --live_degree[static_cast<std::size_t>(ed.v)];
@@ -70,16 +70,16 @@ std::vector<NodeId> peel_low_degree(WorkState& state,
                                     std::vector<NodeId> component,
                                     std::int64_t threshold) {
   const Graph& g = *state.g;
-  std::vector<bool> in_component(static_cast<std::size_t>(g.node_count()),
-                                 false);
-  for (NodeId v : component) in_component[static_cast<std::size_t>(v)] = true;
+  std::vector<std::uint8_t> in_component(
+      static_cast<std::size_t>(g.node_count()), 0);
+  for (NodeId v : component) in_component[static_cast<std::size_t>(v)] = 1;
 
   std::deque<NodeId> queue;
-  std::vector<bool> queued(static_cast<std::size_t>(g.node_count()), false);
+  std::vector<std::uint8_t> queued(in_component.size(), 0);
   for (NodeId v : component) {
     if (state.live_degree[static_cast<std::size_t>(v)] < threshold) {
       queue.push_back(v);
-      queued[static_cast<std::size_t>(v)] = true;
+      queued[static_cast<std::size_t>(v)] = 1;
     }
   }
   while (!queue.empty()) {
@@ -96,10 +96,10 @@ std::vector<NodeId> peel_low_degree(WorkState& state,
       if (!queued[static_cast<std::size_t>(w)] &&
           state.live_degree[static_cast<std::size_t>(w)] < threshold) {
         queue.push_back(w);
-        queued[static_cast<std::size_t>(w)] = true;
+        queued[static_cast<std::size_t>(w)] = 1;
       }
     }
-    in_component[static_cast<std::size_t>(v)] = false;  // v leaves
+    in_component[static_cast<std::size_t>(v)] = 0;  // v leaves
   }
   std::vector<NodeId> survivors;
   for (NodeId v : component) {
@@ -108,92 +108,105 @@ std::vector<NodeId> peel_low_degree(WorkState& state,
   return survivors;
 }
 
-/// Connected components of `nodes` using only unassigned edges.
+/// Connected components of the ascending `nodes` using only unassigned
+/// edges, each sorted, in order of their smallest member.
 std::vector<std::vector<NodeId>> live_components(const WorkState& state,
                                                  const std::vector<NodeId>& nodes) {
   const Graph& g = *state.g;
-  std::vector<bool> eligible(static_cast<std::size_t>(g.node_count()), false);
-  for (NodeId v : nodes) eligible[static_cast<std::size_t>(v)] = true;
-  std::vector<bool> visited(static_cast<std::size_t>(g.node_count()), false);
-  std::vector<std::vector<NodeId>> components;
+  constexpr int kOutside = -2, kUnvisited = -1;
+  std::vector<int> label(static_cast<std::size_t>(g.node_count()), kOutside);
+  for (NodeId v : nodes) label[static_cast<std::size_t>(v)] = kUnvisited;
+  int count = 0;
   std::vector<NodeId> stack;
   for (NodeId s : nodes) {
-    if (visited[static_cast<std::size_t>(s)]) continue;
-    components.emplace_back();
-    visited[static_cast<std::size_t>(s)] = true;
+    if (label[static_cast<std::size_t>(s)] != kUnvisited) continue;
+    label[static_cast<std::size_t>(s)] = count;
     stack.push_back(s);
     while (!stack.empty()) {
       const NodeId v = stack.back();
       stack.pop_back();
-      components.back().push_back(v);
       const auto nbrs = g.neighbors(v);
       const auto eids = g.incident_edges(v);
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
         if (state.assigned[static_cast<std::size_t>(eids[i])]) continue;
         const NodeId w = nbrs[i];
-        if (eligible[static_cast<std::size_t>(w)] &&
-            !visited[static_cast<std::size_t>(w)]) {
-          visited[static_cast<std::size_t>(w)] = true;
+        if (label[static_cast<std::size_t>(w)] == kUnvisited) {
+          label[static_cast<std::size_t>(w)] = count;
           stack.push_back(w);
         }
       }
     }
-    std::sort(components.back().begin(), components.back().end());
+    ++count;
+  }
+  // Each component was labelled when the scan reached its smallest member,
+  // so bucketing the ascending `nodes` by label yields sorted components
+  // in discovery order.
+  std::vector<std::vector<NodeId>> components(static_cast<std::size_t>(count));
+  for (NodeId v : nodes) {
+    components[static_cast<std::size_t>(label[static_cast<std::size_t>(v)])]
+        .push_back(v);
   }
   return components;
 }
 
-/// Induced live subgraph on `nodes` (unassigned edges only), with the edge
-/// ids of the base graph carried along.
-struct LiveSubgraph {
+/// The subgraph of `g` induced on ascending members, keeping the edges a
+/// predicate accepts: local node i is `members[i]`, local edge i is base
+/// edge `edge_to_original[i]`.
+struct SortedSubgraph {
   Graph graph;
-  std::vector<NodeId> to_original;     // node mapping
   std::vector<EdgeId> edge_to_original;
 };
 
-LiveSubgraph live_subgraph(const WorkState& state,
-                           const std::vector<NodeId>& nodes) {
-  const Graph& g = *state.g;
-  LiveSubgraph out;
-  out.to_original = nodes;  // already sorted
-  std::vector<NodeId> to_new(static_cast<std::size_t>(g.node_count()), -1);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    to_new[static_cast<std::size_t>(nodes[i])] = static_cast<NodeId>(i);
+/// Builds a `SortedSubgraph` with the edges `keep(e)` accepts; `edge_hint`
+/// is the expected edge count. Members ascend and every neighbor row
+/// ascends, so the scan emits normalized local pairs in lexicographic
+/// order: `from_sorted_edges` takes them as they come (it asserts the order
+/// in debug builds) and the scanned ids already are `edge_to_original`.
+template <typename Keep>
+SortedSubgraph sorted_induced_subgraph(const Graph& g,
+                                       const std::vector<NodeId>& members,
+                                       std::size_t edge_hint, Keep keep) {
+  std::vector<NodeId> local(static_cast<std::size_t>(g.node_count()), -1);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    local[static_cast<std::size_t>(members[i])] = to_node(i);
   }
+  SortedSubgraph out;
   std::vector<Edge> edges;
-  std::vector<EdgeId> ids;
-  for (NodeId v : nodes) {
+  edges.reserve(edge_hint);
+  out.edge_to_original.reserve(edge_hint);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const NodeId v = members[i];
     const auto nbrs = g.neighbors(v);
     const auto eids = g.incident_edges(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (state.assigned[static_cast<std::size_t>(eids[i])]) continue;
-      const NodeId w = nbrs[i];
-      if (w <= v) continue;  // visit each live edge once
-      const NodeId nv = to_new[static_cast<std::size_t>(v)];
-      const NodeId nw = to_new[static_cast<std::size_t>(w)];
-      if (nw < 0) continue;
-      // dcl-lint: allow(reserve-hint): live intra-cluster edge count is
-      edges.push_back(make_edge(nv, nw));  // unknown before this scan; a
-      // dcl-lint: allow(reserve-hint): counting prepass would cost as much
-      ids.push_back(eids[i]);  // as the growth on these per-level scratches
+    // Higher neighbors only: each edge is visited from its lower endpoint.
+    for (auto j = static_cast<std::size_t>(
+             std::upper_bound(nbrs.begin(), nbrs.end(), v) - nbrs.begin());
+         j < nbrs.size(); ++j) {
+      const NodeId lw = local[static_cast<std::size_t>(nbrs[j])];
+      if (lw < 0 || !keep(eids[j])) continue;
+      edges.push_back(Edge{to_node(i), lw});
+      out.edge_to_original.push_back(eids[j]);
     }
   }
-  // Graph::from_edges sorts edges; sort (edge, id) pairs the same way so the
-  // id mapping stays aligned.
-  std::vector<std::size_t> perm(edges.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
-  std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
-    return edges[a] < edges[b];
-  });
-  std::vector<Edge> sorted_edges(edges.size());
-  out.edge_to_original.resize(edges.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    sorted_edges[i] = edges[perm[i]];
-    out.edge_to_original[i] = ids[perm[i]];
-  }
-  out.graph = Graph::from_edges(to_node(nodes.size()),
-                                std::move(sorted_edges));
+  out.graph =
+      Graph::from_sorted_edges(to_node(members.size()), std::move(edges));
   return out;
+}
+
+/// Induced live subgraph on the ascending `nodes` (unassigned edges only).
+SortedSubgraph live_subgraph(const WorkState& state,
+                             const std::vector<NodeId>& nodes) {
+  // A piece's live edges never leave it (edges between pieces were cut or
+  // peeled), so its live volume is twice its edge count.
+  std::int64_t live_volume = 0;
+  for (NodeId v : nodes) {
+    live_volume += state.live_degree[static_cast<std::size_t>(v)];
+  }
+  return sorted_induced_subgraph(
+      *state.g, nodes, static_cast<std::size_t>(live_volume / 2),
+      [&state](EdgeId e) {
+        return state.assigned[static_cast<std::size_t>(e)] == 0;
+      });
 }
 
 }  // namespace
@@ -234,7 +247,7 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
     if (piece.empty()) continue;
     for (auto& component : live_components(state, piece)) {
       if (component.size() <= 1) continue;
-      LiveSubgraph sub = live_subgraph(state, component);
+      const SortedSubgraph sub = live_subgraph(state, component);
       if (sub.graph.edge_count() == 0) continue;
       const auto embedding =
           second_eigenvector(sub.graph, rng, config.power_iterations);
@@ -244,9 +257,9 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
       if (splittable) {
         // Remove the cut edges, then recurse on both sides (they may need
         // further peeling as their degrees just dropped).
-        std::vector<bool> in_side(
-            static_cast<std::size_t>(sub.graph.node_count()), false);
-        for (NodeId v : cut.side) in_side[static_cast<std::size_t>(v)] = true;
+        std::vector<std::uint8_t> in_side(
+            static_cast<std::size_t>(sub.graph.node_count()), 0);
+        for (NodeId v : cut.side) in_side[static_cast<std::size_t>(v)] = 1;
         for (EdgeId e = 0; e < sub.graph.edge_count(); ++e) {
           const Edge& ed = sub.graph.edge(e);
           if (in_side[static_cast<std::size_t>(ed.u)] !=
@@ -258,7 +271,7 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
         for (NodeId nv = 0; nv < sub.graph.node_count(); ++nv) {
           (in_side[static_cast<std::size_t>(nv)] ? side_original
                                                  : rest_original)
-              .push_back(sub.to_original[static_cast<std::size_t>(nv)]);
+              .push_back(component[static_cast<std::size_t>(nv)]);
         }
         pending.push_back(std::move(side_original));
         pending.push_back(std::move(rest_original));
@@ -266,7 +279,6 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
         // Accept as a cluster: its live edges become Em.
         Cluster cluster;
         cluster.id = static_cast<int>(result.clusters.size());
-        cluster.nodes = component;
         cluster.internal_edges = sub.graph.edge_count();
         NodeId min_deg = sub.graph.node_count();
         for (NodeId nv = 0; nv < sub.graph.node_count(); ++nv) {
@@ -276,11 +288,12 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
         for (EdgeId e = 0; e < sub.graph.edge_count(); ++e) {
           const EdgeId orig = sub.edge_to_original[static_cast<std::size_t>(e)];
           state.part[static_cast<std::size_t>(orig)] = EdgePart::cluster;
-          state.assigned[static_cast<std::size_t>(orig)] = true;
+          state.assigned[static_cast<std::size_t>(orig)] = 1;
         }
         for (NodeId v : component) {
           result.cluster_of[static_cast<std::size_t>(v)] = cluster.id;
         }
+        cluster.nodes = std::move(component);
         result.clusters.push_back(std::move(cluster));
       }
     }
@@ -315,31 +328,14 @@ double cluster_mixing_time(const Graph& g, const ExpanderDecomposition& d,
                            const Cluster& c, int iterations) {
   // The cluster's Em subgraph over its sorted members — exactly the live
   // subgraph the decomposition accepted (every live edge inside an
-  // accepted component became Em, and no later step touches it). Built
-  // from the members' own incident edges, O(Σdeg · log |C|) per cluster;
-  // a member's local id is its rank in the sorted `c.nodes`.
-  const auto local_id = [&c](NodeId v) -> NodeId {
-    const auto it = std::lower_bound(c.nodes.begin(), c.nodes.end(), v);
-    if (it == c.nodes.end() || *it != v) return -1;
-    return to_node(static_cast<std::size_t>(it - c.nodes.begin()));
-  };
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(c.internal_edges));
-  for (std::size_t i = 0; i < c.nodes.size(); ++i) {
-    const NodeId v = c.nodes[i];
-    const auto nbrs = g.neighbors(v);
-    const auto eids = g.incident_edges(v);
-    for (std::size_t j = 0; j < nbrs.size(); ++j) {
-      if (nbrs[j] <= v) continue;  // visit each edge once
-      if (d.part[static_cast<std::size_t>(eids[j])] != EdgePart::cluster) {
-        continue;
-      }
-      const NodeId lw = local_id(nbrs[j]);
-      if (lw >= 0) edges.push_back(make_edge(to_node(i), lw));
-    }
-  }
+  // accepted component became Em, and no later step touches it).
   const Graph sub =
-      Graph::from_edges(to_node(c.nodes.size()), std::move(edges));
+      sorted_induced_subgraph(
+          g, c.nodes, static_cast<std::size_t>(c.internal_edges),
+          [&d](EdgeId e) {
+            return d.part[static_cast<std::size_t>(e)] == EdgePart::cluster;
+          })
+          .graph;
   // A private stream per cluster: the estimate is a diagnostic and must
   // never draw from (and so perturb) the decomposition's own RNG.
   Rng rng(0x6d6978696e67ULL ^ static_cast<std::uint64_t>(c.id));

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <tuple>
 
 #include "common/math_util.h"
+#include "common/parallel_for.h"
 #include "graph/generators.h"
 #include "graph/orientation.h"
+#include "graph/workloads.h"
 
 namespace dcl {
 namespace {
@@ -162,6 +167,90 @@ TEST(Decomposition, VerifyRejectsSlowMixingCluster) {
             kBound);
   const auto ok = verify_decomposition(clique, 16, cfg, fast, kBound);
   EXPECT_TRUE(ok.empty()) << ok.front();
+}
+
+/// Sets the shard count for one scope, restoring the previous one.
+class ScopedShardThreads {
+ public:
+  explicit ScopedShardThreads(int threads) : previous_(shard_threads()) {
+    set_shard_threads(threads);
+  }
+  ~ScopedShardThreads() { set_shard_threads(previous_); }
+
+ private:
+  int previous_;
+};
+
+/// FNV-1a over everything a decomposition hands its callers: `part`,
+/// `cluster_of`, the Es orientation (Es entries only — the rest are
+/// unspecified), each cluster's fields and the bits of its mixing
+/// estimate, and the decomposition RNG's next draw after the call.
+std::uint64_t decomposition_bits_hash(const Graph& g, std::int64_t degree,
+                                      std::uint64_t seed) {
+  DecompositionConfig cfg;
+  cfg.absolute_degree = degree;
+  Rng rng(seed);
+  const auto d = expander_decompose(g, g.node_count(), cfg, rng);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t word) {
+    h = (h ^ word) * 0x100000001b3ULL;
+  };
+  for (const EdgePart p : d.part) mix(static_cast<std::uint64_t>(p));
+  for (const int c : d.cluster_of) mix(static_cast<std::uint64_t>(c));
+  for (std::size_t e = 0; e < d.part.size(); ++e) {
+    if (d.part[e] == EdgePart::sparse) mix(d.es_away_from_lower[e] ? 1 : 0);
+  }
+  for (const Cluster& c : d.clusters) {
+    mix(static_cast<std::uint64_t>(c.id));
+    mix(c.nodes.size());
+    for (const NodeId v : c.nodes) mix(static_cast<std::uint64_t>(v));
+    mix(static_cast<std::uint64_t>(c.min_internal_degree));
+    mix(static_cast<std::uint64_t>(c.internal_edges));
+    mix(std::bit_cast<std::uint64_t>(
+        cluster_mixing_time(g, d, c, cfg.power_iterations)));
+  }
+  mix(rng.next_u64());
+  return h;
+}
+
+TEST(Decomposition, MatchesParentPartitionBits) {
+  // Golden hashes captured from the decomposition that rebuilt every live
+  // subgraph through a permutation sort and Graph::from_edges and sorted
+  // each component. Building from the already-sorted scan must not move a
+  // bit. Four families: a skewed Chung–Lu graph (six small components
+  // beside a giant one; degree-1 nodes are peeled at cluster degree 4,
+  // and at 1 and 2 the giant cluster's 2 330 rows exceed the 2048-row walk
+  // grain, so 4 threads shard the walk), a ring of cliques (recursive
+  // splits, many pieces), an SBM with a sparse planted cut (one split) and
+  // the clustered workload — each at cluster degree 1, 2 and 4.
+  Rng chung_lu_rng(41), ring_rng(42), sbm_rng(43), clustered_rng(44);
+  const std::array<Graph, 4> graphs = {
+      power_law_chung_lu(2600, 2.2, 6.0, chung_lu_rng),
+      ring_of_cliques_workload(320, ring_rng, 8),
+      stochastic_block_model({120, 100}, 0.3, 0.0005, sbm_rng),
+      clustered_workload(256, clustered_rng),
+  };
+  constexpr std::array<std::int64_t, 3> kDegrees = {1, 2, 4};
+  constexpr std::array<std::uint64_t, 12> kGolden = {
+      0xeeb6b4ab0c5a7dc0ULL, 0x0b490913891610ccULL, 0x94504e3a3c2c05bcULL,
+      0xfa658464267bb408ULL, 0x748df744f3040cf3ULL, 0xc3eef35f0000f8bcULL,
+      0x783be8187a41db42ULL, 0xf3e57dfae7e38e97ULL, 0x6d97d026788ca2f4ULL,
+      0xe83e78a3ce2b79f2ULL, 0xa273351e64dbca00ULL, 0x2c08bc23fdbb6769ULL,
+  };
+  const auto check_all = [&] {
+    for (std::size_t f = 0; f < graphs.size(); ++f) {
+      for (std::size_t k = 0; k < kDegrees.size(); ++k) {
+        const std::uint64_t seed = 100 + 10 * f + k;
+        const std::uint64_t got =
+            decomposition_bits_hash(graphs[f], kDegrees[k], seed);
+        EXPECT_EQ(got, kGolden[f * kDegrees.size() + k])
+            << "family " << f << ", degree " << kDegrees[k];
+      }
+    }
+  };
+  check_all();
+  ScopedShardThreads threads(4);
+  check_all();
 }
 
 // Parameterized invariant sweep: every (family, n, δ) must satisfy

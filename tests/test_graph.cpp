@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace dcl {
 namespace {
@@ -95,6 +98,42 @@ TEST(Graph, EmptyGraph) {
   EXPECT_EQ(g.edge_count(), 0);
   EXPECT_EQ(g.max_degree(), 0);
   EXPECT_EQ(g.connected_components().second, 0);
+}
+
+TEST(Graph, FromSortedEdgesMatchesFromEdges) {
+  // The fast path must build exactly the graph from_edges builds from the
+  // same sorted, duplicate-free list: same edge ids, same CSR rows.
+  const auto expect_same = [](NodeId n, const std::vector<Edge>& edges) {
+    const Graph fast = Graph::from_sorted_edges(n, edges);
+    const Graph ref = Graph::from_edges(n, edges);
+    ASSERT_EQ(fast.node_count(), ref.node_count());
+    ASSERT_TRUE(std::ranges::equal(fast.edges(), ref.edges()));
+    for (NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(fast.degree(v), ref.degree(v)) << "node " << v;
+      EXPECT_TRUE(std::ranges::equal(fast.neighbors(v), ref.neighbors(v)))
+          << "node " << v;
+      EXPECT_TRUE(
+          std::ranges::equal(fast.incident_edges(v), ref.incident_edges(v)))
+          << "node " << v;
+    }
+  };
+  expect_same(0, {});
+  expect_same(5, {});  // isolated nodes only
+  Rng rng(17);
+  for (int round = 0; round < 40; ++round) {
+    const auto n = static_cast<NodeId>(2 + rng.next_below(30));
+    // Keep each pair with probability 1/4, in lexicographic order; the
+    // high-id nodes are left isolated on every other round.
+    const NodeId active =
+        (round % 2 == 0) ? n : static_cast<NodeId>(n / 2 + 1);
+    std::vector<Edge> edges;
+    for (NodeId u = 0; u < active; ++u) {
+      for (NodeId v = u + 1; v < active; ++v) {
+        if (rng.next_below(4) == 0) edges.push_back(Edge{u, v});
+      }
+    }
+    expect_same(n, edges);
+  }
 }
 
 TEST(EdgeListBuilder, BuildsAndValidates) {
