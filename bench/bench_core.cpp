@@ -22,7 +22,6 @@
 #include "congest/fault_plan.h"
 #include "core/kp_lister.h"
 #include "core/sparse_cc.h"
-#include "dynamic/dynamic_lister.h"
 #include "enumeration/clique_enumeration.h"
 #include "expander/decomposition.h"
 #include "graph/generators.h"
@@ -470,127 +469,6 @@ void fault_plane_ab_benchmark(BenchReport& report) {
   }
 }
 
-/// Batch-dynamic maintenance vs from-scratch recompute on the identical
-/// update stream — the amortization claim of docs/PERFORMANCE.md, plus
-/// fixed-seed delta fingerprints (clique totals, CliqueSet fingerprint,
-/// arboricity witness) that must stay bit-identical across perf PRs.
-void dynamic_benchmarks(BenchReport& report) {
-  const int p = 4;
-  Rng stream_rng(5);
-  const UpdateStream stream = churn_stream(512, 8192, 48, 24, stream_rng);
-  const Graph initial = Graph::from_edges(stream.n, stream.initial);
-  const auto batches = static_cast<double>(stream.batches.size());
-
-  // One reference replay for the fingerprint counters (collected, so the
-  // entry can attach a run report; the dynamic engine is purely local —
-  // no ledger section).
-  std::uint64_t added_total = 0, removed_total = 0;
-  TraceCollector churn_trace;
-  DynamicLister ref(initial, p);
-  {
-    TelemetryScope scope(churn_trace);
-    for (const UpdateBatch& b : stream.batches) {
-      ref.apply(b);
-      added_total += ref.last_stats().cliques_added;
-      removed_total += ref.last_stats().cliques_removed;
-    }
-  }
-  maybe_attach_report("dyn_churn_apply/p=4/n512_m8192_b48", churn_trace,
-                      nullptr);
-
-  {
-    auto& t = report.add(time_kernel(
-        "dyn_churn_apply/p=4/n512_m8192_b48",
-        [&] {
-          DynamicLister lister(initial, p);
-          std::uint64_t acc = 0;
-          for (const UpdateBatch& b : stream.batches) {
-            lister.apply(b);
-            acc += lister.last_stats().cliques_added;
-          }
-          return acc ^ lister.fingerprint();
-        },
-        batches));
-    t.counters.emplace_back("clique_count",
-                            static_cast<double>(ref.clique_count()));
-    t.counters.emplace_back("fingerprint_fold32",
-                            fold_fingerprint(ref.fingerprint()));
-    t.counters.emplace_back("cliques_added_total",
-                            static_cast<double>(added_total));
-    t.counters.emplace_back("cliques_removed_total",
-                            static_cast<double>(removed_total));
-    t.counters.emplace_back(
-        "arboricity_witness",
-        static_cast<double>(ref.last_stats().arboricity_witness));
-  }
-  {
-    // The from-scratch alternative: apply the updates structurally, then
-    // re-enumerate and rebuild the clique set at every checkpoint.
-    auto& t = report.add(time_kernel(
-        "dyn_churn_recompute/p=4/n512_m8192_b48",
-        [&] {
-          DynamicGraph g = DynamicGraph::from_graph(initial);
-          std::uint64_t acc = 0;
-          for (const UpdateBatch& b : stream.batches) {
-            for (const Edge& e : b.erase) g.erase_edge(e.u, e.v);
-            for (const Edge& e : b.insert) g.insert_edge(e.u, e.v);
-            CliqueSet set;
-            const auto all = list_k_cliques(g.snapshot(), p);
-            set.reserve(all.size());
-            for (const auto& c : all) set.insert(c);
-            acc = set.size() ^ set.fingerprint();
-          }
-          return acc;
-        },
-        batches));
-    t.counters.emplace_back("clique_count",
-                            static_cast<double>(ref.clique_count()));
-  }
-  {
-    // Second family for fingerprint surface: sliding-window growth and
-    // expiry (batch sizes well above churn's, different delta shape;
-    // p = 3 — the window graph's density regime).
-    const int wp = 3;
-    Rng window_rng(6);
-    const UpdateStream window = sliding_window_stream(400, 24, 600, 4,
-                                                      window_rng);
-    const Graph window_initial = Graph::from_edges(window.n, window.initial);
-    std::uint64_t w_added = 0, w_removed = 0;
-    TraceCollector window_trace;
-    DynamicLister w_ref(window_initial, wp);
-    {
-      TelemetryScope scope(window_trace);
-      for (const UpdateBatch& b : window.batches) {
-        w_ref.apply(b);
-        w_added += w_ref.last_stats().cliques_added;
-        w_removed += w_ref.last_stats().cliques_removed;
-      }
-    }
-    maybe_attach_report("dyn_window_apply/p=3/n400_b24_w4", window_trace,
-                        nullptr);
-    auto& t = report.add(time_kernel(
-        "dyn_window_apply/p=3/n400_b24_w4",
-        [&] {
-          DynamicLister lister(window_initial, wp);
-          std::uint64_t acc = 0;
-          for (const UpdateBatch& b : window.batches) {
-            lister.apply(b);
-            acc += lister.last_stats().cliques_removed;
-          }
-          return acc ^ lister.fingerprint();
-        },
-        static_cast<double>(window.batches.size())));
-    t.counters.emplace_back("clique_count",
-                            static_cast<double>(w_ref.clique_count()));
-    t.counters.emplace_back("fingerprint_fold32",
-                            fold_fingerprint(w_ref.fingerprint()));
-    t.counters.emplace_back("cliques_added_total",
-                            static_cast<double>(w_added));
-    t.counters.emplace_back("cliques_removed_total",
-                            static_cast<double>(w_removed));
-  }
-}
-
 int run(const char* out_path) {
   BenchReport report("bench_core");
 
@@ -633,7 +511,6 @@ int run(const char* out_path) {
   fault_plane_ab_benchmark(report);
   telemetry_ab_benchmark(report);
   simulator_benchmarks(report);
-  dynamic_benchmarks(report);
 
   return finish_report(report, out_path);
 }

@@ -78,11 +78,6 @@ class ListingOutput {
     unique_.insert_all(shard.unique_);
   }
 
-  /// Retracts a previously reported clique (delta support for dynamic
-  /// maintenance); returns true if it was present. Per-node report totals
-  /// are cumulative traffic statistics and are deliberately not unwound.
-  bool retract(std::span<const NodeId> clique) { return unique_.erase(clique); }
-
   const CliqueSet& cliques() const { return unique_; }
   std::uint64_t total_reports() const { return total_reports_; }
   std::uint64_t unique_count() const { return unique_.size(); }

@@ -147,36 +147,6 @@ void CliqueSet::insert_all(const CliqueSet& other) {
   for (const Clique& c : other.overflow_) insert(c);
 }
 
-bool CliqueSet::erase_packed(const PackedKey& key) {
-  if (slots_.empty()) return false;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(hash_key(key)) & mask;
-  while (slots_[i] != key) {
-    if (slots_[i][0] == kUnused) return false;
-    i = (i + 1) & mask;
-  }
-  --packed_count_;
-  fingerprint_ -= hash_key(key);
-  // Backward-shift deletion: close the probe chain by pulling every
-  // displaced follower into the vacated slot; no tombstones, so probe
-  // lengths stay a function of load alone even under heavy churn.
-  std::size_t hole = i;
-  std::size_t j = i;
-  while (true) {
-    j = (j + 1) & mask;
-    if (slots_[j][0] == kUnused) break;
-    const std::size_t ideal = static_cast<std::size_t>(hash_key(slots_[j])) & mask;
-    // slots_[j] may move into the hole iff the hole lies on its probe
-    // path, i.e. the cyclic distance ideal→hole does not exceed ideal→j.
-    if (((j - ideal) & mask) >= ((j - hole) & mask)) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
-  }
-  slots_[hole].fill(kUnused);
-  return true;
-}
-
 bool CliqueSet::contains_packed(const PackedKey& key) const {
   if (slots_.empty()) return false;
   const std::size_t mask = slots_.size() - 1;
@@ -254,21 +224,6 @@ bool CliqueSet::insert(std::span<const NodeId> clique) {
 
 bool CliqueSet::insert(const Clique& clique) {
   return insert(std::span<const NodeId>(clique));
-}
-
-bool CliqueSet::erase(std::span<const NodeId> clique) {
-  if (clique.empty() || clique.size() > kPackedMax) {
-    Clique c(clique.begin(), clique.end());
-    std::sort(c.begin(), c.end());
-    const bool present = overflow_.erase(c) > 0;
-    if (present) fingerprint_ -= overflow_hash(c);
-    return present;
-  }
-  return erase_packed(pack(clique));
-}
-
-bool CliqueSet::erase(const Clique& clique) {
-  return erase(std::span<const NodeId>(clique));
 }
 
 bool CliqueSet::contains(std::span<const NodeId> clique) const {

@@ -82,12 +82,6 @@ class CliqueSet {
   /// Inserts every member of `other`, packed keys through the same blocked
   /// path as `insert_rows`: the union, with the fingerprint maintained.
   void insert_all(const CliqueSet& other);
-  /// Erases a clique (any vertex order); returns true if it was present.
-  /// Packed erase is backward-shift deletion (no tombstones), so lookup
-  /// probe lengths never degrade under churn — the dynamic engine erases
-  /// and re-inserts continuously.
-  bool erase(const Clique& clique);
-  bool erase(std::span<const NodeId> clique);
   bool contains(const Clique& clique) const;
   bool contains(std::span<const NodeId> clique) const;
   std::size_t size() const { return packed_count_ + overflow_.size(); }
@@ -111,10 +105,10 @@ class CliqueSet {
   std::size_t max_displacement() const;
 
   /// Order-independent content hash: the wrapping sum of one mixed hash
-  /// per member clique, maintained incrementally on insert/erase. Two sets
-  /// with equal contents have equal fingerprints regardless of insertion
-  /// history; the empty set is 0. Used as the ledger-style drift detector
-  /// for the dynamic engine's benches and tests.
+  /// per member clique, maintained incrementally on insert. Two sets with
+  /// equal contents have equal fingerprints regardless of insertion
+  /// history; the empty set is 0. `ListingOutput` exposes it, and
+  /// `bench_core` and perfbench read it as the ledger-style drift detector.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Visits every member clique as a sorted `std::span<const NodeId>`
@@ -178,7 +172,6 @@ class CliqueSet {
   /// The robin-hood insert probe for `key`, whose hash is `hash`; the
   /// table must already have room for it.
   bool insert_hashed(const PackedKey& key, std::uint64_t hash);
-  bool erase_packed(const PackedKey& key);
   bool contains_packed(const PackedKey& key) const;
   static std::uint64_t overflow_hash(const Clique& sorted);
   void rehash(std::size_t new_slots);

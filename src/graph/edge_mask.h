@@ -30,14 +30,6 @@ class EdgeMask {
 
   std::int64_t size() const { return size_; }
 
-  /// Grows (or shrinks) to n bits, preserving existing bits; new bits are
-  /// zero. Used by the dynamic graph, whose edge-id space grows over time.
-  void resize(std::int64_t n) {
-    words_.resize(word_count(n), 0);
-    size_ = n;
-    trim_tail();
-  }
-
   bool test(std::int64_t i) const {
     return (words_[static_cast<std::size_t>(i >> 6)] >> (i & 63)) & 1;
   }

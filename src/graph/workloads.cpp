@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <stdexcept>
 #include <vector>
 
 #include "common/math_util.h"
 #include "graph/generators.h"
-#include "graph/ids.h"
 
 namespace dcl {
 
@@ -78,234 +75,6 @@ Graph ring_of_cliques_workload(NodeId n, Rng& rng, int blocks,
     edges.push_back(make_edge(lo, next_lo));
   }
   return Graph::from_edges(n, std::move(edges));
-}
-
-// ---------------------------------------------------------------------------
-// Update streams.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Stream-generation bookkeeping: the live edge set with O(log) membership
-/// and O(1) uniform random picks (position-tracked swap-remove).
-class LivePool {
- public:
-  bool contains(const Edge& e) const { return pos_.count(e) != 0; }
-  std::size_t size() const { return list_.size(); }
-
-  void add(const Edge& e) {
-    if (!pos_.emplace(e, list_.size()).second) return;
-    list_.push_back(e);
-  }
-
-  void remove(const Edge& e) {
-    const auto it = pos_.find(e);
-    const std::size_t i = it->second;
-    pos_.erase(it);
-    const Edge last = list_.back();
-    list_.pop_back();
-    if (i < list_.size()) {
-      list_[i] = last;
-      pos_[last] = i;
-    }
-  }
-
-  Edge pick(Rng& rng) const {
-    return list_[static_cast<std::size_t>(rng.next_below(list_.size()))];
-  }
-
- private:
-  std::map<Edge, std::size_t> pos_;
-  std::vector<Edge> list_;
-};
-
-Edge random_pair(NodeId n, Rng& rng) {
-  const auto u = to_node(rng.next_below(static_cast<std::uint64_t>(n)));
-  auto v = to_node(rng.next_below(static_cast<std::uint64_t>(n - 1)));
-  if (v >= u) ++v;
-  return make_edge(u, v);
-}
-
-/// A uniformly random edge not currently live.
-Edge fresh_edge(NodeId n, const LivePool& pool, Rng& rng) {
-  while (true) {
-    const Edge e = random_pair(n, rng);
-    if (!pool.contains(e)) return e;
-  }
-}
-
-void require(bool ok, const char* what) {
-  if (!ok) throw std::invalid_argument(what);
-}
-
-}  // namespace
-
-UpdateStream sliding_window_stream(NodeId n, int batches, int batch_size,
-                                   int window, Rng& rng) {
-  require(n >= 2 && batches >= 0 && batch_size >= 0 && window >= 1,
-          "sliding_window_stream: bad parameters");
-  // Keep the rejection sampler in fresh_edge fast (and total): the live
-  // set peaks at (window+1)·batch_size edges during a batch; cap it at
-  // half of all pairs.
-  require(static_cast<EdgeId>(window + 1) * batch_size <=
-              static_cast<EdgeId>(n) * (n - 1) / 4,
-          "sliding_window_stream: window x batch_size above half density");
-  UpdateStream stream;
-  stream.n = n;
-  LivePool pool;
-  std::vector<std::vector<Edge>> inserted_at(static_cast<std::size_t>(batches));
-  for (int b = 0; b < batches; ++b) {
-    UpdateBatch batch;
-    if (b >= window) {
-      batch.erase = inserted_at[static_cast<std::size_t>(b - window)];
-      for (const Edge& e : batch.erase) pool.remove(e);
-    }
-    for (int i = 0; i < batch_size; ++i) {
-      const Edge e = fresh_edge(n, pool, rng);
-      pool.add(e);
-      batch.insert.push_back(e);
-    }
-    inserted_at[static_cast<std::size_t>(b)] = batch.insert;
-    stream.batches.push_back(std::move(batch));
-  }
-  return stream;
-}
-
-UpdateStream churn_stream(NodeId n, EdgeId base_edges, int batches, int churn,
-                          Rng& rng) {
-  require(n >= 2 && base_edges >= 0 && batches >= 0 && churn >= 0,
-          "churn_stream: bad parameters");
-  // Same totality guard as the other families: the live set stays near
-  // base_edges (plus the in-flight churn); cap it at half of all pairs.
-  require(base_edges + churn <= static_cast<EdgeId>(n) * (n - 1) / 4,
-          "churn_stream: base_edges above half density");
-  UpdateStream stream;
-  stream.n = n;
-  const Graph base = erdos_renyi_gnm(n, base_edges, rng);
-  stream.initial.assign(base.edges().begin(), base.edges().end());
-  LivePool pool;
-  for (const Edge& e : stream.initial) pool.add(e);
-  for (int b = 0; b < batches; ++b) {
-    UpdateBatch batch;
-    for (int i = 0; i < churn && pool.size() > 0; ++i) {
-      const Edge e = pool.pick(rng);
-      pool.remove(e);
-      // dcl-lint: allow(reserve-hint): one-shot stream generator, batches
-      batch.erase.push_back(e);  // are churn-sized and tiny; not a hot path
-    }
-    for (int i = 0; i < churn; ++i) {
-      const Edge e = fresh_edge(n, pool, rng);
-      pool.add(e);
-      batch.insert.push_back(e);
-    }
-    stream.batches.push_back(std::move(batch));
-  }
-  return stream;
-}
-
-UpdateStream densifying_community_stream(NodeId n, int blocks, int batches,
-                                         int per_batch, Rng& rng) {
-  require(n >= 2 && blocks >= 1 && n >= 2 * blocks && batches >= 0 &&
-              per_batch >= 0,
-          "densifying_community_stream: bad parameters");
-  UpdateStream stream;
-  stream.n = n;
-  const NodeId block = n / static_cast<NodeId>(blocks);
-  LivePool pool;
-  // Sparse random background so cross-community edges exist to delete.
-  for (NodeId i = 0; i < n / 2; ++i) {
-    const Edge e = fresh_edge(n, pool, rng);
-    pool.add(e);
-    // dcl-lint: allow(reserve-hint): one-shot stream generator setup;
-    stream.initial.push_back(e);  // not a hot path
-  }
-  for (int b = 0; b < batches; ++b) {
-    UpdateBatch batch;
-    const int hot = b % blocks;
-    const NodeId lo = static_cast<NodeId>(hot) * block;
-    const NodeId hi = (hot + 1 == blocks) ? n : static_cast<NodeId>(lo + block);
-    if (b % 3 == 2) {
-      // Trim a few cross-community edges (rejection-pick from the pool).
-      // Trims are drawn before this batch's insertions: the engine applies
-      // deletions against the pre-batch graph, so they must name pre-batch
-      // edges.
-      int removed = 0;
-      for (int attempt = 0; attempt < 50 && removed < 3 && pool.size() > 0;
-           ++attempt) {
-        const Edge e = pool.pick(rng);
-        if (e.u / block != e.v / block) {
-          pool.remove(e);
-          batch.erase.push_back(e);
-          ++removed;
-        }
-      }
-    }
-    for (int i = 0; i < per_batch; ++i) {
-      Edge e{};
-      bool found = false;
-      // Mostly intra-hot-block edges; a dense block may near-fill, so
-      // bounded retries fall back to a background edge.
-      if (!rng.next_bool(0.2)) {
-        for (int attempt = 0; attempt < 20 && !found; ++attempt) {
-          const NodeId u =
-              to_node(static_cast<std::uint64_t>(lo) +
-                      rng.next_below(static_cast<std::uint64_t>(hi - lo)));
-          NodeId v =
-              to_node(static_cast<std::uint64_t>(lo) +
-                      rng.next_below(static_cast<std::uint64_t>(hi - lo - 1)));
-          if (v >= u) ++v;
-          e = make_edge(u, v);
-          found = !pool.contains(e);
-        }
-      }
-      if (!found) e = fresh_edge(n, pool, rng);
-      pool.add(e);
-      batch.insert.push_back(e);
-    }
-    stream.batches.push_back(std::move(batch));
-  }
-  return stream;
-}
-
-UpdateStream build_teardown_stream(NodeId n, EdgeId peak_edges, int batches,
-                                   Rng& rng) {
-  require(n >= 2 && peak_edges >= 0 && batches >= 2,
-          "build_teardown_stream: bad parameters");
-  // Keep the rejection sampler in fresh_edge fast (and total): cap the
-  // peak at half of all pairs.
-  require(peak_edges <= static_cast<EdgeId>(n) * (n - 1) / 4,
-          "build_teardown_stream: peak_edges above half density");
-  UpdateStream stream;
-  stream.n = n;
-  LivePool pool;
-  const int build = batches / 2;
-  const int teardown = batches - build;
-  for (int b = 0; b < build; ++b) {
-    UpdateBatch batch;
-    const auto target = static_cast<std::size_t>(
-        peak_edges * (b + 1) / build);
-    while (pool.size() < target) {
-      const Edge e = fresh_edge(n, pool, rng);
-      pool.add(e);
-      batch.insert.push_back(e);
-    }
-    stream.batches.push_back(std::move(batch));
-  }
-  for (int b = 0; b < teardown; ++b) {
-    UpdateBatch batch;
-    const int remaining_batches = teardown - b;
-    const std::size_t to_delete =
-        (pool.size() + static_cast<std::size_t>(remaining_batches) - 1) /
-        static_cast<std::size_t>(remaining_batches);
-    for (std::size_t i = 0; i < to_delete && pool.size() > 0; ++i) {
-      const Edge e = pool.pick(rng);
-      pool.remove(e);
-      // dcl-lint: allow(reserve-hint): one-shot teardown-stream generator;
-      batch.erase.push_back(e);  // not a hot path
-    }
-    stream.batches.push_back(std::move(batch));
-  }
-  return stream;
 }
 
 }  // namespace dcl

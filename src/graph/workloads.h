@@ -35,54 +35,4 @@ Graph periphery_workload(NodeId n, Rng& rng, double core_density = 0.4);
 Graph ring_of_cliques_workload(NodeId n, Rng& rng, int blocks = 6,
                                double density = 0.5);
 
-// ---------------------------------------------------------------------------
-// Update streams for the batch-dynamic engine (src/dynamic/).
-// ---------------------------------------------------------------------------
-
-/// One batch of edge updates, applied atomically by the dynamic engine:
-/// deletions first (against the pre-batch graph), then insertions. Either
-/// list may be empty; inserting a live edge or erasing an absent one is a
-/// recorded no-op.
-struct UpdateBatch {
-  std::vector<Edge> insert;
-  std::vector<Edge> erase;
-};
-
-/// A reproducible update stream: the initial edge set plus the batches to
-/// replay. Every generator below is a pure function of (parameters, rng),
-/// so a (seed, parameters) pair pins the whole stream.
-struct UpdateStream {
-  NodeId n = 0;
-  std::vector<Edge> initial;
-  std::vector<UpdateBatch> batches;
-};
-
-/// Sliding-window stream: each batch inserts `batch_size` fresh random
-/// edges and deletes the batch inserted `window` batches earlier — the
-/// "recent-interactions graph" workload. Starts empty; after the warm-up
-/// the live size is ~window·batch_size.
-UpdateStream sliding_window_stream(NodeId n, int batches, int batch_size,
-                                   int window, Rng& rng);
-
-/// Churn stream: a G(n, m) base graph, then per batch `churn` live edges
-/// deleted and `churn` fresh edges inserted — steady-state size, constant
-/// turnover. The small-batch amortization workload of the benches.
-UpdateStream churn_stream(NodeId n, EdgeId base_edges, int batches, int churn,
-                          Rng& rng);
-
-/// Densifying-community stream: `blocks` communities over a sparse random
-/// background; each batch pours `per_batch` edges into a rotating hot
-/// block (plus a trickle elsewhere) and every third batch deletes a few
-/// cross-community edges. Clique counts grow superlinearly — the stress
-/// case for per-batch delta sizes.
-UpdateStream densifying_community_stream(NodeId n, int blocks, int batches,
-                                         int per_batch, Rng& rng);
-
-/// Build-teardown stream: grows to ~`peak_edges` over the first half of
-/// the batches, then deletes everything over the second half (the final
-/// batch empties the graph). Covers monotone growth, monotone shrinkage,
-/// and the delete-everything edge case.
-UpdateStream build_teardown_stream(NodeId n, EdgeId peak_edges, int batches,
-                                   Rng& rng);
-
 }  // namespace dcl

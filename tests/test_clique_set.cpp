@@ -1,4 +1,4 @@
-// Packed CliqueSet vs an unordered_set<vector> oracle under duplicate and
+// Packed CliqueSet vs a std::set<vector> oracle under duplicate and
 // permuted-order inserts, across widths that cross the packed/overflow
 // boundary (kPackedMax = 8) and table growth.
 #include "enumeration/clique_enumeration.h"
@@ -6,12 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <set>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -75,39 +72,7 @@ TEST(CliqueSetPacked, GrowthKeepsAllElements) {
   EXPECT_FALSE(set.contains({kCount, kCount + 100000, kCount + 200000}));
 }
 
-TEST(CliqueSetPacked, EraseRandomizedAgainstSetOracle) {
-  // Mixed insert/erase workload (permuted vertex orders, widths crossing
-  // the packed/overflow boundary): size, membership, and fingerprint must
-  // track the oracle through arbitrary churn — the backward-shift erase
-  // must never strand or lose a key.
-  Rng rng(3);
-  CliqueSet set;
-  std::set<Clique> oracle;
-  for (int op = 0; op < 8000; ++op) {
-    const std::size_t size = 1 + rng.next_below(10);
-    Clique c = random_clique(rng, size, 20);
-    const Clique permuted = shuffled(c, rng);
-    if (rng.next_bool(0.45)) {
-      EXPECT_EQ(set.erase(permuted), oracle.erase(c) > 0) << "op " << op;
-    } else {
-      EXPECT_EQ(set.insert(permuted), oracle.insert(c).second) << "op " << op;
-    }
-    ASSERT_EQ(set.size(), oracle.size());
-    if (op % 500 == 499) {
-      // Full membership audit plus fingerprint equality with a rebuilt
-      // set: the incremental fingerprint is order-independent and must
-      // land exactly where a fresh build lands.
-      CliqueSet rebuilt;
-      for (const Clique& x : oracle) rebuilt.insert(x);
-      EXPECT_EQ(set.fingerprint(), rebuilt.fingerprint());
-      for (const Clique& x : oracle) {
-        EXPECT_TRUE(set.contains(x));
-      }
-    }
-  }
-}
-
-TEST(CliqueSetPacked, FingerprintIsOrderIndependentAndCancels) {
+TEST(CliqueSetPacked, FingerprintIsOrderIndependent) {
   Rng rng(4);
   std::vector<Clique> cliques;
   for (int i = 0; i < 300; ++i) {
@@ -120,16 +85,12 @@ TEST(CliqueSetPacked, FingerprintIsOrderIndependentAndCancels) {
   }
   EXPECT_EQ(forward.fingerprint(), backward.fingerprint());
 
-  // Inserting then erasing extra cliques returns to the exact value;
-  // erasing everything returns to zero (the empty-set fingerprint).
+  // The empty set's fingerprint is 0 (the value ListingOutput and the
+  // fingerprint_fold32 pins start from), and one extra clique moves it.
+  EXPECT_EQ(CliqueSet{}.fingerprint(), 0u);
   const std::uint64_t fp = forward.fingerprint();
   forward.insert({901, 902, 903});
   EXPECT_NE(forward.fingerprint(), fp);
-  forward.erase({903, 901, 902});
-  EXPECT_EQ(forward.fingerprint(), fp);
-  for (const auto& c : cliques) forward.erase(c);
-  EXPECT_EQ(forward.fingerprint(), 0u);
-  EXPECT_TRUE(forward.empty());
 }
 
 TEST(CliqueSetPacked, ReservePreservesContentsAndAbsorbsInserts) {
@@ -170,149 +131,6 @@ TEST(CliqueSetPacked, DifferenceAndEqualityAcrossRepresentations) {
   ASSERT_EQ(extra.size(), 1u);
   EXPECT_EQ(extra[0].size(), 9u);
   EXPECT_TRUE(forward.difference(backward).empty());
-}
-
-// ---- Backward-shift erase across the table boundary -----------------------
-//
-// The backward-shift displacement rule compares *cyclic* probe distances
-// (`((j - ideal) & mask) >= ((j - hole) & mask)`); a sign slip there only
-// shows on probe clusters that wrap from the last slot back to slot 0 —
-// randomized churn rarely parks a full cluster exactly on the boundary, so
-// this pins it deterministically. The test replicates the packed key hash
-// (pack → 4 splitmix-mixed 64-bit lanes) to *construct* cliques whose
-// ideal slot is at the table end; the replica is asserted against the
-// public fingerprint of a singleton set, so if the production hash ever
-// changes this test fails loudly at the assert rather than silently
-// testing nothing.
-
-std::uint64_t test_splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t test_hash_clique(Clique c) {
-  std::sort(c.begin(), c.end());
-  std::array<NodeId, 8> key;
-  key.fill(-1);
-  std::copy(c.begin(), c.end(), key.begin());
-  const auto lanes = std::bit_cast<std::array<std::uint64_t, 4>>(key);
-  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (const std::uint64_t lane : lanes) h = test_splitmix64(h ^ lane);
-  return h;
-}
-
-TEST(CliqueSetPacked, BackwardShiftEraseAcrossWrappingProbeCluster) {
-  // The replica must agree with production: a singleton set's fingerprint
-  // is exactly the member's key hash.
-  {
-    CliqueSet probe;
-    probe.insert({1, 2, 3});
-    ASSERT_EQ(probe.fingerprint(), test_hash_clique({1, 2, 3}))
-        << "hash replica out of sync with CliqueSet::hash_key — "
-           "update test_hash_clique";
-  }
-
-  // Mine cliques by ideal slot in the fresh table's 32 slots: three whose
-  // probe starts at slot 31 and one at slot 30 (fewer than 22 keys keeps
-  // the table at 32 slots, so ideal slots are stable for the whole test).
-  constexpr std::size_t kSlots = 32;
-  std::vector<Clique> at31, at30;
-  for (NodeId x = 0; at31.size() < 3 || at30.size() < 1; ++x) {
-    ASSERT_LT(x, 100000) << "slot mining failed";
-    const Clique c{x, x + 100000, x + 200000};
-    const std::size_t slot =
-        static_cast<std::size_t>(test_hash_clique(c)) & (kSlots - 1);
-    if (slot == 31 && at31.size() < 3) at31.push_back(c);
-    if (slot == 30 && at30.empty()) at30.push_back(c);
-  }
-
-  // Layout after these inserts: d at 30; a at 31; b, c displaced past the
-  // boundary into 0 and 1 — one probe cluster spanning 30,31,0,1.
-  CliqueSet set;
-  const Clique& d = at30[0];
-  const Clique& a = at31[0];
-  const Clique& b = at31[1];
-  const Clique& c = at31[2];
-  EXPECT_TRUE(set.insert(d));
-  EXPECT_TRUE(set.insert(a));
-  EXPECT_TRUE(set.insert(b));
-  EXPECT_TRUE(set.insert(c));
-  ASSERT_EQ(set.size(), 4u);
-
-  // Erasing the key AT the boundary slot must pull both wrapped followers
-  // back across it (b: 0 → 31, c: 1 → 0); membership of everything else
-  // must survive.
-  EXPECT_TRUE(set.erase(a));
-  EXPECT_FALSE(set.contains(a));
-  EXPECT_TRUE(set.contains(b));
-  EXPECT_TRUE(set.contains(c));
-  EXPECT_TRUE(set.contains(d));
-
-  // Re-insert and instead erase from the middle of the wrapped segment.
-  EXPECT_TRUE(set.insert(a));
-  EXPECT_TRUE(set.erase(b));
-  EXPECT_TRUE(set.contains(a));
-  EXPECT_FALSE(set.contains(b));
-  EXPECT_TRUE(set.contains(c));
-  EXPECT_TRUE(set.contains(d));
-
-  // Erase d (slot 30, the head of the cluster) with the wrap still live.
-  EXPECT_TRUE(set.erase(d));
-  EXPECT_TRUE(set.contains(a));
-  EXPECT_TRUE(set.contains(c));
-
-  // Drain completely: the incremental fingerprint must round-trip to the
-  // empty-set value 0.
-  EXPECT_TRUE(set.erase(a));
-  EXPECT_TRUE(set.erase(c));
-  EXPECT_TRUE(set.empty());
-  EXPECT_EQ(set.fingerprint(), 0u);
-}
-
-TEST(CliqueSetPacked, ChurnDifferentialAgainstUnorderedSetOracle) {
-  // Randomized insert/erase churn against an unordered_set oracle (hash
-  // iteration order ≠ tree order — a genuinely independent second
-  // opinion), with periodic audits and a full drain at the end: emptying
-  // the set through erase alone must round-trip fingerprint() to 0.
-  struct OracleHash {
-    std::size_t operator()(const Clique& c) const {
-      std::uint64_t h = 0x2545f4914f6cdd1dULL;
-      for (const NodeId v : c) {
-        h = test_splitmix64(h ^ static_cast<std::uint64_t>(
-                                    static_cast<std::uint32_t>(v)));
-      }
-      return static_cast<std::size_t>(h);
-    }
-  };
-  Rng rng(17);
-  CliqueSet set;
-  std::unordered_set<Clique, OracleHash> oracle;
-  for (int op = 0; op < 6000; ++op) {
-    const std::size_t size = 1 + rng.next_below(9);
-    Clique c = random_clique(rng, size, 18);  // tiny universe: heavy churn
-    const Clique permuted = shuffled(c, rng);
-    if (rng.next_bool(0.5)) {
-      EXPECT_EQ(set.erase(permuted), oracle.erase(c) > 0) << "op " << op;
-    } else {
-      EXPECT_EQ(set.insert(permuted), oracle.insert(c).second) << "op " << op;
-    }
-    ASSERT_EQ(set.size(), oracle.size());
-    if (op % 1000 == 999) {
-      for (const Clique& x : oracle) {
-        EXPECT_TRUE(set.contains(shuffled(x, rng)));
-      }
-    }
-  }
-  // Drain in the oracle's (arbitrary) iteration order.
-  for (const Clique& x : oracle) {
-    EXPECT_TRUE(set.erase(shuffled(x, rng)));
-  }
-  EXPECT_TRUE(set.empty());
-  EXPECT_EQ(set.size(), 0u);
-  EXPECT_EQ(set.fingerprint(), 0u);
-  EXPECT_TRUE(set.to_vector().empty());
 }
 
 TEST(CliqueSetPacked, RobinHoodBoundsDisplacementUnderBulkInserts) {

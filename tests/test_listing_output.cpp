@@ -75,30 +75,6 @@ TEST(ListingOutput, MaxReportsTracksRunningMaximum) {
   EXPECT_EQ(out.total_reports(), 6u);
 }
 
-TEST(ListingOutput, RetractRemovesFromUniqueButKeepsTrafficTotals) {
-  // Delta support for dynamic consumers: retract() unwinds membership
-  // (any vertex order) but deliberately NOT the per-node report totals —
-  // those are cumulative traffic statistics.
-  ListingOutput out(4);
-  const NodeId a[] = {0, 1, 2};
-  const NodeId b[] = {1, 2, 3};
-  out.report(0, a);
-  out.report(3, b);
-  EXPECT_EQ(out.unique_count(), 2u);
-  const NodeId a_permuted[] = {2, 0, 1};
-  EXPECT_TRUE(out.retract(a_permuted));
-  EXPECT_FALSE(out.retract(a_permuted));  // already gone
-  EXPECT_EQ(out.unique_count(), 1u);
-  EXPECT_FALSE(out.cliques().contains(Clique{0, 1, 2}));
-  EXPECT_TRUE(out.cliques().contains(Clique{1, 2, 3}));
-  EXPECT_EQ(out.total_reports(), 2u);
-  EXPECT_EQ(out.reports_of(0), 1u);
-  // A retracted clique can be re-reported and counts as new traffic.
-  out.report(1, a);
-  EXPECT_EQ(out.unique_count(), 2u);
-  EXPECT_EQ(out.total_reports(), 3u);
-}
-
 TEST(ListingOutput, MergeFromReproducesSequentialCounters) {
   // The cluster-parallel ARB-LIST contract: splitting a report stream
   // across shard buffers and merging them in shard order must land on the

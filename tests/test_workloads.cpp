@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
 #include <vector>
 
 #include "common/math_util.h"
@@ -130,94 +129,6 @@ TEST(Workloads, DeterministicUnderSeed) {
   ASSERT_EQ(ga.edge_count(), gb.edge_count());
   for (EdgeId e = 0; e < ga.edge_count(); ++e) {
     ASSERT_EQ(ga.edge(e), gb.edge(e));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Update streams: every generated stream must be *replayable* — deletions
-// only ever name live edges, insertions only absent ones — and each family
-// must exhibit its defining shape.
-// ---------------------------------------------------------------------------
-
-/// Replays a stream against a set model; asserts update validity and
-/// returns the per-batch live sizes.
-std::vector<std::size_t> replay(const UpdateStream& stream) {
-  std::set<Edge> live(stream.initial.begin(), stream.initial.end());
-  EXPECT_EQ(live.size(), stream.initial.size()) << "duplicate initial edges";
-  std::vector<std::size_t> sizes;
-  for (const UpdateBatch& batch : stream.batches) {
-    for (const Edge& e : batch.erase) {
-      EXPECT_LT(e.u, e.v);
-      EXPECT_LT(e.v, stream.n);
-      EXPECT_EQ(live.erase(e), 1u) << "deleting a non-live edge";
-    }
-    for (const Edge& e : batch.insert) {
-      EXPECT_LT(e.u, e.v);
-      EXPECT_LT(e.v, stream.n);
-      EXPECT_TRUE(live.insert(e).second) << "inserting a live edge";
-    }
-    sizes.push_back(live.size());
-  }
-  return sizes;
-}
-
-TEST(UpdateStreams, SlidingWindowExpiresExactlyTheOldBatch) {
-  Rng rng(21);
-  const UpdateStream stream = sliding_window_stream(60, 12, 25, 3, rng);
-  ASSERT_EQ(stream.batches.size(), 12u);
-  EXPECT_TRUE(stream.initial.empty());
-  const auto sizes = replay(stream);
-  for (std::size_t b = 0; b < stream.batches.size(); ++b) {
-    EXPECT_EQ(stream.batches[b].insert.size(), 25u);
-    if (b >= 3) {
-      // The expiring batch is exactly what entered `window` batches ago.
-      EXPECT_EQ(stream.batches[b].erase, stream.batches[b - 3].insert);
-      EXPECT_EQ(sizes[b], 3u * 25u);  // steady state
-    } else {
-      EXPECT_TRUE(stream.batches[b].erase.empty());
-    }
-  }
-}
-
-TEST(UpdateStreams, ChurnHoldsSteadyState) {
-  Rng rng(22);
-  const UpdateStream stream = churn_stream(50, 200, 10, 15, rng);
-  EXPECT_EQ(stream.initial.size(), 200u);
-  const auto sizes = replay(stream);
-  for (std::size_t b = 0; b < sizes.size(); ++b) {
-    EXPECT_EQ(stream.batches[b].erase.size(), 15u);
-    EXPECT_EQ(stream.batches[b].insert.size(), 15u);
-    EXPECT_EQ(sizes[b], 200u);
-  }
-}
-
-TEST(UpdateStreams, DensifyingCommunityGrows) {
-  Rng rng(23);
-  const UpdateStream stream = densifying_community_stream(60, 4, 12, 20, rng);
-  const auto sizes = replay(stream);
-  // Net growth: insertions dominate the occasional cross-edge trims.
-  EXPECT_GT(sizes.back(), stream.initial.size() + 12 * 15);
-}
-
-TEST(UpdateStreams, BuildTeardownEndsEmpty) {
-  Rng rng(24);
-  const UpdateStream stream = build_teardown_stream(40, 150, 9, rng);
-  EXPECT_TRUE(stream.initial.empty());
-  const auto sizes = replay(stream);
-  // Peak at the end of the build half, empty at the very end.
-  EXPECT_EQ(sizes[static_cast<std::size_t>(9 / 2) - 1], 150u);
-  EXPECT_EQ(sizes.back(), 0u);
-}
-
-TEST(UpdateStreams, DeterministicUnderSeed) {
-  Rng a(25), b(25);
-  const UpdateStream sa = churn_stream(40, 120, 8, 10, a);
-  const UpdateStream sb = churn_stream(40, 120, 8, 10, b);
-  ASSERT_EQ(sa.batches.size(), sb.batches.size());
-  EXPECT_EQ(sa.initial, sb.initial);
-  for (std::size_t i = 0; i < sa.batches.size(); ++i) {
-    EXPECT_EQ(sa.batches[i].insert, sb.batches[i].insert);
-    EXPECT_EQ(sa.batches[i].erase, sb.batches[i].erase);
   }
 }
 

@@ -16,18 +16,11 @@
 //                                       k4fast; default 1.0)
 //   count <file> <p>                    sequential exact count (oracle)
 //   decompose <file> <delta>            expander decomposition statistics
-//   dynamic <family> <n> <p> [batches] [seed]
-//       families: window | churn | densify | teardown
-//       replay an update stream through the batch-dynamic maintenance
-//       engine (src/dynamic/); per batch: edge/clique deltas and the
-//       arboricity witness, then an oracle check against a from-scratch
-//       recompute of the final snapshot
 //
 // Examples:
 //   dcl generate clustered 256 7 > g.txt
 //   dcl list g.txt 4 k4fast
 //   dcl decompose g.txt 0.55
-//   dcl dynamic churn 120 4 16 7
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -46,7 +39,6 @@
 #include "common/math_util.h"
 #include "common/telemetry.h"
 #include "core/kp_lister.h"
-#include "dynamic/dynamic_lister.h"
 #include "core/sparse_cc.h"
 #include "enumeration/clique_enumeration.h"
 #include "expander/decomposition.h"
@@ -73,9 +65,7 @@ int usage() {
                "           (SPEC e.g. drop=0.1,dup=0.05,delay=0.02:3,"
                "retries=4,seed=7,crash=5@2)\n"
                "  dcl count <file> <p>\n"
-               "  dcl decompose <file> <delta>\n"
-               "  dcl dynamic <family> <n> <p> [batches] [seed]   (family: "
-               "window | churn | densify | teardown)\n");
+               "  dcl decompose <file> <delta>\n");
   return 2;
 }
 
@@ -398,58 +388,6 @@ int cmd_decompose(int argc, char** argv) {
   return errors.empty() ? 0 : 1;
 }
 
-int cmd_dynamic(int argc, char** argv) {
-  if (argc < 3) return usage();
-  const std::string family = argv[0];
-  const auto n = static_cast<NodeId>(std::atoi(argv[1]));
-  const int p = std::atoi(argv[2]);
-  const int batches = (argc > 3) ? std::atoi(argv[3]) : 12;
-  const std::uint64_t seed = (argc > 4) ? std::strtoull(argv[4], nullptr, 10)
-                                        : 1;
-  Rng rng(seed);
-  UpdateStream stream;
-  if (family == "window") {
-    stream = sliding_window_stream(n, batches, std::max(1, n / 3), 4, rng);
-  } else if (family == "churn") {
-    const auto m = std::min<EdgeId>(4 * static_cast<EdgeId>(n),
-                                    static_cast<EdgeId>(n) * (n - 1) / 6);
-    stream = churn_stream(n, m, batches, std::max(1, n / 8), rng);
-  } else if (family == "densify") {
-    stream = densifying_community_stream(n, 4, batches, std::max(1, n / 4),
-                                         rng);
-  } else if (family == "teardown") {
-    const auto peak = std::min<EdgeId>(3 * static_cast<EdgeId>(n),
-                                       static_cast<EdgeId>(n) * (n - 1) / 4);
-    stream = build_teardown_stream(n, peak, std::max(2, batches), rng);
-  } else {
-    std::fprintf(stderr, "unknown stream family '%s'\n", family.c_str());
-    return usage();
-  }
-
-  DynamicLister lister(Graph::from_edges(stream.n, stream.initial), p);
-  std::printf("initial:  m=%lld  K%d=%llu\n",
-              static_cast<long long>(lister.graph().edge_count()), p,
-              static_cast<unsigned long long>(lister.clique_count()));
-  std::printf("%6s %8s %8s %10s %10s %10s %8s\n", "batch", "+edges", "-edges",
-              "+cliques", "-cliques", "total", "witness");
-  for (std::size_t b = 0; b < stream.batches.size(); ++b) {
-    lister.apply(stream.batches[b]);
-    const DynamicBatchStats& s = lister.last_stats();
-    std::printf("%6zu %8lld %8lld %10llu %10llu %10llu %8d\n", b,
-                static_cast<long long>(s.inserted_edges),
-                static_cast<long long>(s.erased_edges),
-                static_cast<unsigned long long>(s.cliques_added),
-                static_cast<unsigned long long>(s.cliques_removed),
-                static_cast<unsigned long long>(s.clique_count),
-                s.arboricity_witness);
-  }
-  const auto truth = count_k_cliques(lister.graph().snapshot(), p);
-  std::printf("oracle check:   %llu — %s\n",
-              static_cast<unsigned long long>(truth),
-              truth == lister.clique_count() ? "match" : "MISMATCH");
-  return truth == lister.clique_count() ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -461,7 +399,6 @@ int main(int argc, char** argv) {
     if (cmd == "list") return cmd_list(argc - 2, argv + 2);
     if (cmd == "count") return cmd_count(argc - 2, argv + 2);
     if (cmd == "decompose") return cmd_decompose(argc - 2, argv + 2);
-    if (cmd == "dynamic") return cmd_dynamic(argc - 2, argv + 2);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dcl %s: %s\n", cmd.c_str(), e.what());
     return 1;

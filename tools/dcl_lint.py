@@ -41,6 +41,14 @@ named, testable rules over `src/` and `tools/dcl_cli.cpp`:
                        A comment states its reason inline. Runs over the
                        tests, benches and examples too (comment rules only
                        there; the lint self-test corpora are skipped).
+  path-ref             A repo path named in a code comment (src/..., docs/...,
+                       tools/..., tests/..., bench/..., examples/...,
+                       perfbench/..., or a bare NAME.md) must exist,
+                       resolved against the repo root, src/, docs/ or the
+                       commenting file's own directory: a pointer at a
+                       deleted file or tree goes stale silently. Globs and
+                       brace patterns (test_*.cpp, x.{h,cpp}) are skipped.
+                       Same scope as roadmap-ref.
 
 Allowlist: a violating line (or the line directly above it) may carry
 
@@ -73,6 +81,7 @@ RULES = {
     "raw-thread": "raw std::thread/std::async outside the audited pool",
     "reserve-hint": "push_back loop over n/m-sized range without reserve()",
     "roadmap-ref": "code comment cites a ROADMAP item, lever or section",
+    "path-ref": "code comment names a repo path that does not exist",
     "bad-allow": "malformed dcl-lint allow() annotation",
 }
 WARNING_RULES = {"reserve-hint"}
@@ -484,6 +493,33 @@ def rule_roadmap_ref(sf):
     return findings
 
 
+# A repo path in a comment: one of the top-level trees followed by a path,
+# or a bare upper-case document name. The lookbehind keeps the tail of a
+# longer path (../x/docs/y, a URL) from matching on its own.
+PATH_REF_RE = re.compile(
+    r"(?<![\w./-])((?:src|docs|tools|tests|bench|examples|perfbench)/[\w./-]*"
+    r"|[A-Z][A-Z0-9_]*\.md\b)")
+
+
+def rule_path_ref(sf, root):
+    bases = ("", "src", "docs", os.path.dirname(sf.relpath))
+    findings = []
+    for ln, comment in sorted(sf.comments.items()):
+        for m in PATH_REF_RE.finditer(comment):
+            if comment[m.end():m.end() + 1] in ("*", "{"):
+                continue  # a glob or brace pattern, not one path
+            path = m.group(1).rstrip(".-")
+            if any(os.path.exists(os.path.join(root, base, path))
+                   for base in bases):
+                continue
+            findings.append(Finding(
+                sf.relpath, ln + comment.count("\n", 0, m.start()),
+                "path-ref",
+                f"comment names '{path}', which does not exist under the "
+                f"repo root, src/, docs/ or this file's directory"))
+    return findings
+
+
 # ---------------------------------------------------------------------------
 # Taint pass: which files belong to a TU that charges the RoundLedger or
 # reports into ListingOutput?
@@ -558,7 +594,7 @@ def run_lint(root, paths, comment_only_paths=()):
     tainted = compute_tainted(files, root)
     findings = []
     for sf in files + comment_files:
-        raw = rule_roadmap_ref(sf)
+        raw = rule_roadmap_ref(sf) + rule_path_ref(sf, root)
         if sf in files:
             raw += rule_wallclock(sf)
             raw += rule_unordered_iteration(sf, tainted)

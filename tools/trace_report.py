@@ -58,7 +58,7 @@ def expect(cond, path, msg):
 
 
 def validate_ledger(led, path):
-    if led is None:  # legal: runs with no round accounting (dynamic engine)
+    if led is None:  # legal: the schema allows a report with no ledger
         return
     expect(isinstance(led, dict), path, "ledger must be an object")
     for key in ("total_rounds", "total_messages", "entries"):
