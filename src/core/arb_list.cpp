@@ -1008,15 +1008,13 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     metrics.counter_add("arb.tail.items",
                         static_cast<std::uint64_t>(trace.tail_work_items));
     metrics.counter_add("arb.tail.est_work", est_total);
-    // NB: host execution details — the tail shard count (it tracks
-    // DCL_THREADS) and the CliqueSet's probe displacement (it depends on
-    // the table's capacity history, hence on the shard buffers) —
-    // deliberately stay OUT of the metrics: the run report must be
-    // bit-identical at any thread count.
+    // NB: the tail shard count is a host execution detail (it tracks
+    // DCL_THREADS) and deliberately stays OUT of the metrics: the run
+    // report must be bit-identical at any thread count.
     metrics.gauge_max("arb.max_learned_edges", trace.max_learned_edges);
     // The global collector's unique-clique count after this iteration.
     metrics.gauge_set("cliqueset.size",
-                      static_cast<std::int64_t>(ctx.out->cliques().size()));
+                      static_cast<std::int64_t>(ctx.out->unique_count()));
   }
   return trace;
 }

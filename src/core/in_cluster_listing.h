@@ -24,7 +24,7 @@
 //     simulated by listing the oriented cluster graph once and handing
 //     each clique to every representative whose multiset covers it: the
 //     report counts move once per covering representative, and the
-//     clique is inserted into the output's clique set once.
+//     clique is appended to the output once.
 //
 // Cost model: the returned loads feed a ParallelRoutingCharge in the
 // caller; `InClusterChargeMode::worst_case` replaces the measured loads by
@@ -54,7 +54,7 @@
 // representative's local graph, so the reports — reporter and clique —
 // are exactly those of one listing per representative local graph. The
 // whole run reaches the output as one `ListingOutput::report_rows` batch,
-// which counts every (representative, clique) report and dedups each
+// which counts every (representative, clique) report and appends each
 // clique once.
 //
 // `in_cluster_plan` is safe to call concurrently for DISTINCT clusters (its
@@ -166,7 +166,7 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng);
 /// per covering representative (reporter = the global id of the
 /// representative's cluster node; the order of reports is unspecified):
 /// `out`'s per-node and total counts move per representative, and the
-/// clique is inserted into its clique set once (`report_rows`).
+/// clique is appended once (`report_rows`).
 /// Root ranges partition the reports: any split of [0, n) yields the same
 /// multiset of (reporter, clique) reports. The enumerator owns a copy of
 /// the plan's DAG (the kernel trims rows in place), its kernel scratch and

@@ -2,6 +2,7 @@
 // distributed Kp-listing algorithms.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -18,20 +19,25 @@ namespace dcl {
 /// Collects the listing output of every node. The distributed guarantee
 /// (Section 1) is that the *union* of all node outputs equals the set of Kp
 /// instances; several nodes may legitimately report the same clique, so the
-/// collector deduplicates and tracks the duplication factor.
+/// collector counts unique cliques and tracks the duplication factor.
+///
+/// Reports are append-only: each reported clique is copied, in the order
+/// reported, into a flat arena of rows, duplicates included. ARB-LIST, the
+/// CONGESTED-CLIQUE lister and the broadcast lister hand every clique over
+/// once, so nothing on their report path hashes. `unique_count()` runs one
+/// distinct pass over the arena when it is read, and `cliques()` builds
+/// the `CliqueSet` view when it is read; both stay exact when rows repeat
+/// (the baselines, k4fast's light-node probe, fault plans). The two reads
+/// cache their result until the next report, so concurrent readers of one
+/// collector are not safe.
 class ListingOutput {
  public:
   explicit ListingOutput(NodeId n) : per_node_reports_(static_cast<std::size_t>(n), 0) {}
 
-  /// Records that `reporter` output `clique` (any vertex order). For p ≤ 8
-  /// this is allocation-free: the clique is packed straight into the flat
-  /// dedup table.
+  /// Records that `reporter` output `clique` (any vertex order).
   void report(NodeId reporter, std::span<const NodeId> clique) {
-    const std::uint64_t reports =
-        ++per_node_reports_[static_cast<std::size_t>(reporter)];
-    max_reports_ = std::max(max_reports_, reports);
-    ++total_reports_;
-    unique_.insert(clique);
+    count_report(reporter);
+    append(clique);
   }
 
   /// Records one listing run's reports: row r of `rows` (the `width` ids
@@ -39,52 +45,41 @@ class ListingOutput {
   /// reporters[reporter_ends[r-1], reporter_ends[r]) (from 0 for r = 0).
   /// The per-node totals, `total_reports` and the running maximum move
   /// exactly as one `report()` per (reporter, row) would move them, but
-  /// each row is inserted into the clique set once, through CliqueSet's
-  /// blocked insert. Rows without a reporter are not reported.
+  /// each row is appended once. Rows without a reporter are not reported.
   void report_rows(std::span<const NodeId> rows, std::size_t width,
                    std::span<const std::size_t> reporter_ends,
                    std::span<const NodeId> reporters) {
-    for (const NodeId reporter : reporters) {
-      const std::uint64_t reports =
-          ++per_node_reports_[static_cast<std::size_t>(reporter)];
-      max_reports_ = std::max(max_reports_, reports);
+    for (const NodeId reporter : reporters) count_report(reporter);
+    for (std::size_t r = 0; r < reporter_ends.size(); ++r) {
+      if (reporter_ends[r] == (r == 0 ? 0 : reporter_ends[r - 1])) continue;
+      append(rows.subspan(r * width, width));
     }
-    total_reports_ += reporters.size();
-    unique_.insert_rows(rows, width, [&](std::size_t r) {
-      return reporter_ends[r] != (r == 0 ? 0 : reporter_ends[r - 1]);
-    });
   }
 
-  /// Folds a per-shard buffer into this collector: traffic statistics add,
-  /// per-node totals add (the running maximum is recomputed from the
-  /// merged totals, which is exactly where the sequential running max
-  /// lands), and the clique sets union through CliqueSet's blocked
-  /// `insert_all`. Merging shard buffers in shard order therefore
-  /// reproduces the sequential execution's counters and clique set
-  /// bit-identically — the contract the cluster-parallel ARB-LIST tail
-  /// relies on. `shard` must have been constructed for the same node
-  /// count.
-  void merge_from(const ListingOutput& shard) {
-    total_reports_ += shard.total_reports_;
-    for (std::size_t v = 0; v < per_node_reports_.size(); ++v) {
-      if (shard.per_node_reports_[v] == 0) continue;
-      per_node_reports_[v] += shard.per_node_reports_[v];
-      max_reports_ = std::max(max_reports_, per_node_reports_[v]);
-    }
-    // No pre-merge reserve: robin-hood placement keeps the slot-order
-    // (≈ hash-order) keys of `shard` cheap to insert into a growing table,
-    // and an A/B of ring8-p4's 4-thread calls measured the union-bound
-    // reserve slower (docs/PERFORMANCE.md, "Per-shard buffers").
-    unique_.insert_all(shard.unique_);
-  }
+  /// Folds a per-shard buffer into this collector: per-node totals add
+  /// (the running maximum is recomputed from the merged totals, which is
+  /// exactly where the sequential running max lands) and the shard's rows
+  /// are appended after this collector's. Merging shard buffers in shard
+  /// order therefore reproduces the sequential execution's counters and
+  /// clique set bit-identically — the contract the cluster-parallel
+  /// ARB-LIST tail relies on. `shard` must have been constructed for the
+  /// same node count.
+  void merge_from(const ListingOutput& shard);
 
-  const CliqueSet& cliques() const { return unique_; }
+  /// The unique cliques reported, as a set built on first read after a
+  /// report (cached; see the class comment).
+  const CliqueSet& cliques() const;
   std::uint64_t total_reports() const { return total_reports_; }
-  std::uint64_t unique_count() const { return unique_.size(); }
+  /// Rows appended, duplicates included: one per `report()` and one per
+  /// reported row of `report_rows`. Equals `unique_count()` exactly when
+  /// no clique reached the collector twice.
+  std::uint64_t row_count() const { return row_count_; }
+  std::uint64_t unique_count() const;
   double duplication_factor() const {
-    return unique_.empty() ? 0.0
-                           : static_cast<double>(total_reports_) /
-                                 static_cast<double>(unique_.size());
+    const std::uint64_t unique = unique_count();
+    return unique == 0 ? 0.0
+                       : static_cast<double>(total_reports_) /
+                             static_cast<double>(unique);
   }
   std::uint64_t reports_of(NodeId v) const {
     return per_node_reports_[static_cast<std::size_t>(v)];
@@ -93,10 +88,35 @@ class ListingOutput {
   std::uint64_t max_reports_per_node() const { return max_reports_; }
 
  private:
-  CliqueSet unique_;
+  void count_report(NodeId reporter) {
+    const std::uint64_t reports =
+        ++per_node_reports_[static_cast<std::size_t>(reporter)];
+    max_reports_ = std::max(max_reports_, reports);
+    ++total_reports_;
+  }
+  void append(std::span<const NodeId> clique) {
+    ++row_count_;
+    arena_.push_back(static_cast<NodeId>(clique.size()));
+    arena_.insert(arena_.end(), clique.begin(), clique.end());
+  }
+  /// The arena row starting at `at`; advances `at` past it.
+  std::span<const NodeId> next_row(std::size_t& at) const {
+    const auto width = static_cast<std::size_t>(arena_[at]);
+    const std::span<const NodeId> row(arena_.data() + at + 1, width);
+    at += 1 + width;
+    return row;
+  }
+
+  std::vector<NodeId> arena_;  ///< per row: its width, then its ids
+  std::uint64_t row_count_ = 0;
   std::uint64_t total_reports_ = 0;
   std::uint64_t max_reports_ = 0;
   std::vector<std::uint64_t> per_node_reports_;
+  // Read caches, valid while their row count equals row_count_.
+  mutable CliqueSet view_;
+  mutable std::uint64_t view_rows_ = 0;
+  mutable std::uint64_t unique_ = 0;
+  mutable std::uint64_t unique_rows_ = 0;
 };
 
 /// How the in-cluster lister charges the edge-distribution step.

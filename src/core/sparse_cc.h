@@ -25,7 +25,7 @@
 // covers it. That is exactly the (reporter, clique) reports of one listing
 // per representative; loads and round charges are still per node. The
 // reports reach the output as one `ListingOutput::report_rows` batch:
-// counts move per representative, and each clique is inserted once.
+// counts move per representative, and each clique is appended once.
 //
 // Fake-edge padding (Section 4): when m/n^{1/p} < pad_factor·n·log n the
 // paper pads with marked fake edges so Lemma 2.7's conditions hold; padding

@@ -23,8 +23,7 @@ std::uint64_t splitmix64(std::uint64_t x) {
 }
 
 /// Hints a cache-line load of `p`. The label-scan loops prefetch the next
-/// candidate's CSR segment behind the current scan; the blocked clique
-/// inserts prefetch every ideal slot of a block before probing any.
+/// candidate's CSR segment behind the current scan.
 inline void prefetch(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p);
@@ -78,25 +77,18 @@ void CliqueSet::place_robin_hood(std::vector<PackedKey>& slots,
 
 bool CliqueSet::insert_packed(const PackedKey& key) {
   if (slots_.empty()) {
-    PackedKey empty;
-    empty.fill(kUnused);
-    slots_.assign(32, empty);
+    reserve(0);
   } else if ((packed_count_ + 1) * 10 > slots_.size() * 7) {
-    grow();
+    rehash(slots_.size() * 2);
   }
-  return insert_hashed(key, hash_key(key));
-}
-
-bool CliqueSet::insert_hashed(const PackedKey& key, std::uint64_t hash) {
   // Robin-hood probe: along a probe chain residents appear in
   // non-decreasing ideal-slot order, so an equal key — same ideal slot —
   // must occur before the first resident strictly closer to its own ideal
   // than we are to ours; the duplicate scan is complete the moment a steal
   // happens, and from there the displaced residents just carry forward.
-  // Displacement stays bounded regardless of insert order — the
-  // hash-ordered-insert trap (slot-order bulk merges into a growing
-  // table, measured 60x over pre-reserved) is killed at the root instead
-  // of per call site.
+  // Displacement stays bounded regardless of insert order, hash-ordered
+  // inserts into a growing table included.
+  const std::uint64_t hash = hash_key(key);
   const std::size_t mask = slots_.size() - 1;
   PackedKey cur = key;
   std::size_t i = static_cast<std::size_t>(hash) & mask;
@@ -118,33 +110,6 @@ bool CliqueSet::insert_hashed(const PackedKey& key, std::uint64_t hash) {
   ++packed_count_;
   fingerprint_ += hash;
   return true;
-}
-
-void CliqueSet::insert_block(Block& block) {
-  if (block.size == 0) return;
-  // Grow once for the whole block, as if every key were new: the table
-  // may grow up to one block earlier than per-key inserts would grow it.
-  if (slots_.empty()) reserve(block.size);
-  while ((packed_count_ + block.size) * 10 > slots_.size() * 7) grow();
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t b = 0; b < block.size; ++b) {
-    prefetch(&slots_[static_cast<std::size_t>(block.hashes[b]) & mask]);
-  }
-  for (std::size_t b = 0; b < block.size; ++b) {
-    insert_hashed(block.keys[b], block.hashes[b]);
-  }
-  block.size = 0;
-}
-
-void CliqueSet::insert_all(const CliqueSet& other) {
-  Block block;
-  for (const PackedKey& key : other.slots_) {
-    if (key[0] == kUnused) continue;
-    block.push(key);
-    if (block.size == kBlock) insert_block(block);
-  }
-  insert_block(block);
-  for (const Clique& c : other.overflow_) insert(c);
 }
 
 bool CliqueSet::contains_packed(const PackedKey& key) const {
@@ -183,16 +148,6 @@ std::size_t CliqueSet::max_displacement() const {
     worst = std::max(worst, (i - ideal) & mask);
   }
   return worst;
-}
-
-void CliqueSet::grow() {
-  // Quadruple small tables so the climb to a large set pays half the
-  // rehash passes (each pass rewrites every key — the ~14% grow() churn
-  // of the PR 3 profile); double once a step is big enough that the 4x
-  // memory overshoot would dominate.
-  constexpr std::size_t kQuadrupleBelow = std::size_t{1} << 16;
-  rehash(slots_.size() < kQuadrupleBelow ? slots_.size() * 4
-                                         : slots_.size() * 2);
 }
 
 void CliqueSet::reserve(std::size_t expected) {

@@ -36,9 +36,11 @@ using Clique = std::vector<NodeId>;
 ///
 /// Cliques of up to `kPackedMax` vertices — every Kp the paper's algorithms
 /// list (p ≤ 8) — are deduplicated in an open-addressing flat table over
-/// fixed-width packed keys (sorted ids, -1-padded, splitmix-mixed), so the
-/// simulators' per-report hot path does no heap allocation. Larger cliques
-/// (e.g. maximal cliques of dense graphs) spill to a node-based set.
+/// fixed-width packed keys (sorted ids, -1-padded, splitmix-mixed), so an
+/// insert does no heap allocation once the table is sized. Larger cliques
+/// (e.g. maximal cliques of dense graphs) spill to a node-based set. The
+/// listers do not insert here as they report: `ListingOutput` appends rows
+/// and builds this set only when `cliques()` is read.
 class CliqueSet {
  public:
   /// Widest clique stored inline; chosen for the paper's p ≤ 8 regime
@@ -55,53 +57,24 @@ class CliqueSet {
   /// Allocation-free insert for cliques of ≤ kPackedMax vertices (any
   /// order); falls back to the spill set above that width.
   bool insert(std::span<const NodeId> clique);
-  /// Inserts every row of `flat` that `keep(row index)` accepts, where row
-  /// r is the `width` ids at flat[r·width, (r+1)·width), in any order: the
-  /// same set and fingerprint as one `insert` per kept row, in row order.
-  /// Packed rows go through in blocks of kBlock — pack and hash the
-  /// block, grow once for all of it, prefetch every ideal slot, then place
-  /// each row — so the block's cache misses overlap instead of queuing
-  /// behind one another. Rows wider than kPackedMax take the spill path.
-  /// `width` must be at least 1.
-  template <typename Keep>
-  void insert_rows(std::span<const NodeId> flat, std::size_t width,
-                   Keep&& keep) {
-    Block block;
-    for (std::size_t r = 0; r < flat.size() / width; ++r) {
-      if (!keep(r)) continue;
-      const auto row = flat.subspan(r * width, width);
-      if (width > kPackedMax) {
-        insert(row);
-        continue;
-      }
-      block.push(pack(row));
-      if (block.size == kBlock) insert_block(block);
-    }
-    insert_block(block);
-  }
-  /// Inserts every member of `other`, packed keys through the same blocked
-  /// path as `insert_rows`: the union, with the fingerprint maintained.
-  void insert_all(const CliqueSet& other);
   bool contains(const Clique& clique) const;
   bool contains(std::span<const NodeId> clique) const;
   std::size_t size() const { return packed_count_ + overflow_.size(); }
   bool empty() const { return size() == 0; }
 
-  /// Pre-sizes the packed table for `expected` cliques so the insert path
-  /// performs no growth rehashes up to that size. Callers with a clique
-  /// estimate (local enumerations report their count before the report
-  /// loop) use this to kill the grow() churn on the hot path.
+  /// Pre-sizes the packed table for `expected` cliques so inserts perform
+  /// no growth rehashes up to that size (`ListingOutput` sizes its view
+  /// this way).
   void reserve(std::size_t expected);
 
   /// Longest probe distance of any packed key from its ideal slot — the
   /// robin-hood balance diagnostic. Insert placement is displacement-
   /// bounded (robin hood: a probing key steals the slot of any resident
   /// closer to its own ideal), so this stays O(log n)-ish at the 0.7 load
-  /// ceiling no matter the insert order; in particular hash-ordered bulk
-  /// inserts (shard-buffer merges walk tables in slot order) can no longer
-  /// degenerate into the long probe chains plain linear probing builds
-  /// (measured 60x on a growing table). O(slots) scan; tests assert the
-  /// bound after adversarial insert orders.
+  /// ceiling no matter the insert order; in particular hash-ordered
+  /// inserts (a slot-order walk of another table) cannot degenerate into
+  /// the long probe chains plain linear probing builds. O(slots) scan;
+  /// tests assert the bound after adversarial insert orders.
   std::size_t max_displacement() const;
 
   /// Order-independent content hash: the wrapping sum of one mixed hash
@@ -112,7 +85,7 @@ class CliqueSet {
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Visits every member clique as a sorted `std::span<const NodeId>`
-  /// without materializing vectors (`insert_all` is the bulk-merge path).
+  /// without materializing vectors.
   /// Packed cliques are visited in slot order, overflow cliques after in
   /// lexicographic order (the spill set is ordered precisely so this
   /// visitation order is deterministic — dcl_lint's unordered-iteration
@@ -147,35 +120,15 @@ class CliqueSet {
   static PackedKey pack(std::span<const NodeId> clique);  // sorts inline
   static std::uint64_t hash_key(const PackedKey& key);
 
-  /// Keys per blocked insert: enough misses in flight to cover one probe's
-  /// latency, few enough that the block's keys stay in L1.
-  static constexpr std::size_t kBlock = 16;
-  /// Up to kBlock packed keys with their hashes, filled by the bulk paths.
-  struct Block {
-    std::array<PackedKey, kBlock> keys;
-    std::array<std::uint64_t, kBlock> hashes;
-    std::size_t size = 0;
-    void push(const PackedKey& key) {
-      keys[size] = key;
-      hashes[size] = hash_key(key);
-      ++size;
-    }
-  };
-  /// Inserts the block's keys in order and empties it.
-  void insert_block(Block& block);
   /// Robin-hood placement of a key known to be absent (rehash + the tail
-  /// of insert_hashed): probes from the ideal slot, swapping with any
+  /// of insert_packed): probes from the ideal slot, swapping with any
   /// resident that sits closer to its own ideal than the carried key does.
   static void place_robin_hood(std::vector<PackedKey>& slots, PackedKey key);
 
   bool insert_packed(const PackedKey& key);
-  /// The robin-hood insert probe for `key`, whose hash is `hash`; the
-  /// table must already have room for it.
-  bool insert_hashed(const PackedKey& key, std::uint64_t hash);
   bool contains_packed(const PackedKey& key) const;
   static std::uint64_t overflow_hash(const Clique& sorted);
   void rehash(std::size_t new_slots);
-  void grow();
   template <typename F>
   void for_each(F&& fn) const;  // fn(const Clique&)
 

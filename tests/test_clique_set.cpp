@@ -12,18 +12,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "test_util.h"
 
 namespace dcl {
 namespace {
-
-Clique random_clique(Rng& rng, std::size_t size, NodeId universe) {
-  std::set<NodeId> s;
-  while (s.size() < size) {
-    s.insert(static_cast<NodeId>(
-        rng.next_below(static_cast<std::uint64_t>(universe))));
-  }
-  return {s.begin(), s.end()};
-}
 
 Clique shuffled(Clique c, Rng& rng) {
   for (std::size_t i = c.size(); i > 1; --i) {
@@ -171,66 +163,6 @@ TEST(CliqueSetPacked, RobinHoodBoundsDisplacementUnderBulkInserts) {
   for (const Clique& c : slot_order) growing.insert(c);
   EXPECT_EQ(growing.fingerprint(), random_order.fingerprint());
   EXPECT_LE(growing.max_displacement(), 24u);
-}
-
-TEST(CliqueSetPacked, BlockedInsertMatchesPerCliqueInsert) {
-  // insert_rows packs, hashes and places rows in blocks and grows once per
-  // block; insert_all feeds another table's keys through the same path.
-  // Both must build exactly the set a per-clique insert loop builds.
-  // Widths 1-8 are packed and 9 spills; a small universe repeats cliques
-  // across blocks, and every fifth row repeats the row three back — inside
-  // the same block, permuted. Starting empty, the blocks cross several
-  // growth thresholds of the per-clique path mid-block. The row count
-  // moves with the width, so the last block ranges from full (width 8)
-  // to a single row (width 7).
-  Rng rng(29);
-  for (std::size_t width = 1; width <= 9; ++width) {
-    const std::size_t rows = 3000 + 17 * width;
-    std::vector<NodeId> flat;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const Clique c = r % 5 == 4
-                           ? shuffled(Clique(flat.end() - 3 * width,
-                                             flat.end() - 2 * width),
-                                      rng)
-                           : shuffled(random_clique(rng, width, 40), rng);
-      flat.insert(flat.end(), c.begin(), c.end());
-    }
-    const auto keep = [](std::size_t r) { return r % 7 != 3; };
-    CliqueSet blocked;
-    blocked.insert_rows(flat, width, keep);
-    CliqueSet per_clique;
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (!keep(r)) continue;
-      per_clique.insert(
-          std::span<const NodeId>(flat.data() + r * width, width));
-    }
-    EXPECT_EQ(blocked.size(), per_clique.size()) << "width " << width;
-    EXPECT_EQ(blocked.fingerprint(), per_clique.fingerprint());
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::span<const NodeId> row(flat.data() + r * width, width);
-      EXPECT_EQ(blocked.contains(row), per_clique.contains(row));
-    }
-    auto listed = blocked.to_vector();
-    auto expected = per_clique.to_vector();
-    std::sort(listed.begin(), listed.end());
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(listed, expected);
-    EXPECT_LE(blocked.max_displacement(), 24u);
-
-    // The union path, into a table that already holds part of the set.
-    CliqueSet unioned;
-    for (std::size_t r = 0; r < rows; r += 2) {
-      unioned.insert(std::span<const NodeId>(flat.data() + r * width, width));
-    }
-    CliqueSet union_per_clique = unioned;
-    unioned.insert_all(blocked);
-    blocked.for_each_span(
-        [&](std::span<const NodeId> c) { union_per_clique.insert(c); });
-    EXPECT_EQ(unioned.size(), union_per_clique.size());
-    EXPECT_EQ(unioned.fingerprint(), union_per_clique.fingerprint());
-    EXPECT_TRUE(unioned == union_per_clique);
-    EXPECT_LE(unioned.max_displacement(), 24u);
-  }
 }
 
 }  // namespace

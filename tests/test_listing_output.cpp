@@ -5,8 +5,24 @@
 #include <span>
 #include <vector>
 
+#include "baselines/baselines.h"
+#include "common/rng.h"
+#include "core/kp_lister.h"
+#include "core/sparse_cc.h"
+#include "graph/generators.h"
+#include "graph/workloads.h"
+#include "test_util.h"
+
 namespace dcl {
 namespace {
+
+/// The collector's unique count, view and fingerprint against a set built
+/// by one CliqueSet insert per reported clique.
+void expect_matches(const ListingOutput& out, const CliqueSet& expected) {
+  EXPECT_EQ(out.unique_count(), expected.size());
+  EXPECT_TRUE(out.cliques() == expected);
+  EXPECT_EQ(out.cliques().fingerprint(), expected.fingerprint());
+}
 
 TEST(ListingOutput, CountsAndDeduplicates) {
   ListingOutput out(5);
@@ -171,6 +187,158 @@ TEST(ListingOutput, BatchReportMatchesPerReporterReports) {
   merged.merge_from(shard_a);
   merged.merge_from(shard_b);
   expect_same(merged, per_reporter);
+}
+
+TEST(ListingOutput, ArenaMatchesPerCliqueInserts) {
+  // The arena, its distinct pass and its view must build exactly the set a
+  // per-clique CliqueSet insert loop builds. Widths 1-8 fit a packed key
+  // and 9 does not; a small universe repeats cliques across batches, and
+  // every fifth row repeats the row three back, permuted, inside the same
+  // batch. Every seventh row has no reporter and must be skipped.
+  Rng rng(29);
+  const NodeId n = 40;
+  for (std::size_t width = 1; width <= 9; ++width) {
+    const std::size_t rows = 3000 + 17 * width;
+    std::vector<NodeId> flat;
+    for (std::size_t r = 0; r < rows; ++r) {
+      Clique c = r % 5 == 4 ? Clique(flat.end() - 3 * width,
+                                     flat.end() - 2 * width)
+                            : random_clique(rng, width, n);
+      rng.shuffle(c);
+      flat.insert(flat.end(), c.begin(), c.end());
+    }
+    const auto row = [&](std::size_t r) {
+      return std::span<const NodeId>(flat).subspan(r * width, width);
+    };
+    const auto kept = [](std::size_t r) { return r % 7 != 3; };
+    // Reports rows [lo, hi) as one report_rows batch; a kept row is
+    // reported by node r mod n and, every other row, by one more node.
+    const auto report_batch = [&](ListingOutput& out, std::size_t lo,
+                                  std::size_t hi) {
+      std::vector<std::size_t> ends;
+      std::vector<NodeId> reporters;
+      for (std::size_t r = lo; r < hi; ++r) {
+        if (kept(r)) {
+          reporters.push_back(static_cast<NodeId>(r % n));
+          if (r % 2 == 0) reporters.push_back(static_cast<NodeId>(r * 7 % n));
+        }
+        ends.push_back(reporters.size());
+      }
+      out.report_rows(std::span<const NodeId>(flat).subspan(
+                          lo * width, (hi - lo) * width),
+                      width, ends, reporters);
+    };
+    const auto per_clique = [&](std::size_t lo, std::size_t hi,
+                                CliqueSet& set) {
+      for (std::size_t r = lo; r < hi; ++r) {
+        if (kept(r)) set.insert(row(r));
+      }
+    };
+
+    ListingOutput batched(n);
+    for (std::size_t lo = 0; lo < rows; lo += 500) {
+      report_batch(batched, lo, std::min(rows, lo + 500));
+    }
+    CliqueSet expected;
+    per_clique(0, rows, expected);
+    SCOPED_TRACE(testing::Message() << "width " << width);
+    expect_matches(batched, expected);
+    EXPECT_GT(batched.row_count(), batched.unique_count());
+
+    // Shards whose row ranges overlap, merged into a collector that
+    // already holds every third row.
+    ListingOutput merged(n);
+    CliqueSet union_expected;
+    for (std::size_t r = 0; r < rows; r += 3) {
+      merged.report(static_cast<NodeId>(r % n), row(r));
+      union_expected.insert(row(r));
+    }
+    ListingOutput shard_a(n), shard_b(n);
+    report_batch(shard_a, 0, 2 * rows / 3);
+    report_batch(shard_b, rows / 3, rows);
+    merged.merge_from(shard_a);
+    merged.merge_from(shard_b);
+    per_clique(0, rows, union_expected);
+    expect_matches(merged, union_expected);
+    EXPECT_EQ(merged.row_count(),
+              (rows + 2) / 3 + shard_a.row_count() + shard_b.row_count());
+    EXPECT_EQ(merged.total_reports(), (rows + 2) / 3 +
+                                          shard_a.total_reports() +
+                                          shard_b.total_reports());
+  }
+}
+
+TEST(ListingOutput, MixedWidthsStayExact) {
+  // Rows of several widths share one arena and stay exact, in a collector
+  // and across a merge.
+  ListingOutput out(6);
+  const NodeId tri[] = {2, 0, 1};
+  const NodeId k4[] = {3, 1, 0, 2};
+  const NodeId tri_again[] = {1, 2, 0};
+  out.report(0, tri);
+  out.report(1, k4);
+  out.report(2, tri_again);
+  out.report(3, k4);
+  ListingOutput shard(6);
+  const NodeId k4_other[] = {5, 4, 3, 2};
+  shard.report(4, k4_other);
+  shard.report(5, k4);
+  out.merge_from(shard);
+  CliqueSet expected;
+  expected.insert(tri);
+  expected.insert(k4);
+  expected.insert(k4_other);
+  expect_matches(out, expected);
+  EXPECT_EQ(out.row_count(), 6u);
+  EXPECT_DOUBLE_EQ(out.duplication_factor(), 2.0);
+}
+
+TEST(ListingOutput, ListersHandEachCliqueOverOnce) {
+  // General-mode ARB-LIST (clusters are vertex-disjoint, each covered
+  // clique goes to the output once per cluster, goal edges leave after
+  // their iteration) and the CONGESTED-CLIQUE lister never append one
+  // clique twice, so their outputs take the distinct pass's fast path.
+  Rng gen(3);
+  std::vector<Graph> inputs;
+  inputs.push_back(erdos_renyi_gnm(120, 2400, gen));
+  inputs.push_back(ring_of_cliques_workload(96, gen, 4));
+  inputs.push_back(planted_clique(100, 12, 0.12, gen).graph);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Graph& g = inputs[i];
+    for (const int p : {3, 4, 5, 6}) {
+      for (const double stop_scale : {1.0, 0.1}) {
+        KpConfig cfg;
+        cfg.p = p;
+        cfg.stop_scale = stop_scale;
+        ListingOutput out(g.node_count());
+        const KpListResult result = list_kp_collect(g, cfg, out);
+        SCOPED_TRACE(testing::Message() << "input " << i << " p=" << p
+                                        << " stop_scale " << stop_scale);
+        EXPECT_EQ(out.row_count(), out.unique_count());
+        EXPECT_EQ(result.unique_cliques, count_k_cliques(g, p));
+      }
+    }
+    for (const int p : {3, 4}) {
+      SparseCcConfig cfg;
+      cfg.p = p;
+      ListingOutput out(g.node_count());
+      sparse_cc_list(g, cfg, out);
+      EXPECT_EQ(out.row_count(), out.unique_count()) << "sparse_cc p=" << p;
+      EXPECT_EQ(out.unique_count(), count_k_cliques(g, p));
+    }
+  }
+}
+
+TEST(ListingOutput, DuplicatingBaselineTakesTheExactPath) {
+  // In the oblivious CONGESTED-CLIQUE baseline every node owning a part
+  // tuple that covers a clique lists it, so rows repeat and the unique
+  // count comes from the exact view.
+  Rng gen(5);
+  const Graph g = erdos_renyi_gnm(60, 500, gen);
+  ListingOutput out(g.node_count());
+  oblivious_cc_list(g, 4, out);
+  EXPECT_GT(out.row_count(), out.unique_count());
+  expect_matches(out, CliqueSet(list_k_cliques(g, 4)));
 }
 
 TEST(KpConfigDefaults, MatchPaperStructure) {

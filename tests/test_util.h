@@ -12,6 +12,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "common/rng.h"
 #include "congest/round_ledger.h"
 #include "core/listing_types.h"
 
@@ -53,6 +56,16 @@ inline void expect_result_valid(const KpListResult& result) {
     EXPECT_LE(trace.er_after, trace.er_before);
     EXPECT_GE(trace.er_before, 0);
   }
+}
+
+/// A uniformly random `size`-subset of [0, universe), sorted.
+inline Clique random_clique(Rng& rng, std::size_t size, NodeId universe) {
+  std::set<NodeId> s;
+  while (s.size() < size) {
+    s.insert(static_cast<NodeId>(
+        rng.next_below(static_cast<std::uint64_t>(universe))));
+  }
+  return {s.begin(), s.end()};
 }
 
 }  // namespace dcl

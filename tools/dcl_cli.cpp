@@ -331,9 +331,10 @@ int cmd_list(int argc, char** argv) {
   const Graph alive =
       Graph::from_edges(g.node_count(), std::move(alive_edges));
   const auto alive_cliques = list_k_cliques(alive, p);
+  const CliqueSet& listed = out.cliques();
   std::uint64_t missing = 0;
   for (const auto& c : alive_cliques) {
-    if (!out.cliques().contains(c)) ++missing;
+    if (!listed.contains(c)) ++missing;
   }
   const bool sound = out.unique_count() <= truth;
   std::printf("oracle check:   survivor contract — %llu/%zu alive K%d "
