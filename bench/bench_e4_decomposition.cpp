@@ -56,8 +56,7 @@ int main() {
         double max_mixing = 0.0;
         for (const auto& c : d.clusters) {
           min_deg = std::min(min_deg, c.min_internal_degree);
-          max_mixing = std::max(
-              max_mixing, cluster_mixing_time(g, d, c, cfg.power_iterations));
+          max_mixing = std::max(max_mixing, cluster_mixing_time(g, d, c));
         }
         const double predicted =
             std::pow(static_cast<double>(n), 1.0 - delta) *

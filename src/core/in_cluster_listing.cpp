@@ -296,6 +296,7 @@ std::uint64_t InClusterEnumerator::run(NodeId root_begin, NodeId root_end,
   reporter_ends_.clear();
   reporters_.clear();
   const std::size_t width = parts_.size();
+  reporter_ends_.reserve(flat_.size() / width);
   for (std::size_t at = 0; at < flat_.size(); at += width) {
     for (std::size_t i = 0; i < width; ++i) {
       const auto c = static_cast<std::size_t>(flat_[at + i]);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/math_util.h"
@@ -23,6 +24,13 @@ double polylog_mixing_bound(std::int64_t edge_count) {
 }
 
 namespace {
+
+/// Lazy-walk steps of the spectral embedding. The sweep cut reads only the
+/// embedding's node order, and 30 steps still split every weak-gap guard
+/// input (`Decomposition.FindsEveryBridgeOnWeakGapChains`).
+constexpr int kEmbeddingWalkSteps = 30;
+/// Fixed, so the diagnostic mixing estimate stays comparable over time.
+constexpr int kMixingEstimateSteps = 120;
 
 /// Mutable working view of the not-yet-assigned part of the graph.
 struct WorkState {
@@ -231,14 +239,9 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
   ExpanderDecomposition result;
   result.cluster_of.assign(static_cast<std::size_t>(g.node_count()), -1);
 
-  std::deque<std::vector<NodeId>> pending;
-  {
-    std::vector<NodeId> all(static_cast<std::size_t>(g.node_count()));
-    for (NodeId v = 0; v < g.node_count(); ++v) {
-      all[static_cast<std::size_t>(v)] = v;
-    }
-    pending.push_back(std::move(all));
-  }
+  std::deque<std::vector<NodeId>> pending(1);
+  pending.front().resize(static_cast<std::size_t>(g.node_count()));
+  std::iota(pending.front().begin(), pending.front().end(), NodeId{0});
 
   while (!pending.empty()) {
     std::vector<NodeId> piece = std::move(pending.front());
@@ -250,7 +253,7 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
       const SortedSubgraph sub = live_subgraph(state, component);
       if (sub.graph.edge_count() == 0) continue;
       const auto embedding =
-          second_eigenvector(sub.graph, rng, config.power_iterations);
+          second_eigenvector(sub.graph, rng, kEmbeddingWalkSteps);
       const Cut cut = sweep_cut(sub.graph, embedding);
       const bool splittable = cut.conductance < phi && !cut.side.empty() &&
                               cut.side.size() < component.size();
@@ -325,7 +328,7 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
 }
 
 double cluster_mixing_time(const Graph& g, const ExpanderDecomposition& d,
-                           const Cluster& c, int iterations) {
+                           const Cluster& c) {
   // The cluster's Em subgraph over its sorted members — exactly the live
   // subgraph the decomposition accepted (every live edge inside an
   // accepted component became Em, and no later step touches it).
@@ -339,7 +342,7 @@ double cluster_mixing_time(const Graph& g, const ExpanderDecomposition& d,
   // A private stream per cluster: the estimate is a diagnostic and must
   // never draw from (and so perturb) the decomposition's own RNG.
   Rng rng(0x6d6978696e67ULL ^ static_cast<std::uint64_t>(c.id));
-  return mixing_time_estimate(sub, rng, iterations);
+  return mixing_time_estimate(sub, rng, kMixingEstimateSteps);
 }
 
 std::vector<std::string> verify_decomposition(
@@ -378,12 +381,9 @@ std::vector<std::string> verify_decomposition(
     }
   }
   // Clusters: consistency of cluster_of with Em components, min degree.
-  const std::int64_t degree_target = (config.absolute_degree > 0)
-                                         ? config.absolute_degree
-                                         : ceil_pow(ambient_n, config.delta);
   const std::int64_t threshold = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(config.degree_scale *
-                                   static_cast<double>(degree_target)));
+                                   static_cast<double>(ndelta)));
   std::vector<std::int64_t> em_degree(static_cast<std::size_t>(g.node_count()),
                                       0);
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
@@ -411,8 +411,7 @@ std::vector<std::string> verify_decomposition(
             " < peel threshold " + std::to_string(threshold));
       }
     }
-    const double mixing =
-        cluster_mixing_time(g, d, c, config.power_iterations);
+    const double mixing = cluster_mixing_time(g, d, c);
     if (mixing > max_mixing_time) {
       errors.push_back("cluster " + std::to_string(c.id) +
                        " mixing-time estimate " + std::to_string(mixing) +

@@ -11,8 +11,8 @@
 // Construction (centralized — the distributed algorithm is charged
 // analytically, see below): we alternate low-degree peeling (removed
 // nodes contribute their remaining edges to Es, oriented away — this is
-// the arboricity witness) with spectral sweep-cut refinement (cut edges go
-// to Er; both sides recurse).
+// the arboricity witness) with sweep cuts over a 30-step lazy-walk
+// embedding (cut edges go to Er; both sides recurse).
 // The conductance threshold φ is chosen as 1/Θ(log m) so the recursion
 // charges at most |E|/6 edges to Er, while accepted clusters still mix in
 // O(polylog) time; see `default_conductance_threshold`.
@@ -73,8 +73,6 @@ struct DecompositionConfig {
   double degree_scale = 0.5;
   /// Sparse-cut threshold φ; ≤ 0 means "use default_conductance_threshold".
   double conductance_threshold = -1.0;
-  /// Power-iteration steps for the spectral embedding.
-  int power_iterations = 120;
 };
 
 /// φ = 1 / (12·log2(2m) + 1): any recursion of sweep cuts with this
@@ -96,16 +94,16 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
                                          const DecompositionConfig& config,
                                          Rng& rng);
 
-/// Spectral mixing-time estimate (lazy walk, `iterations` power steps) of
-/// cluster `c`'s Em subgraph in decomposition `d` of `g`. Diagnostic only:
-/// `expander_decompose` never computes it, and it draws from a private
-/// per-cluster stream, so asking for it cannot change a decomposition.
+/// Spectral mixing-time estimate (lazy walk, a fixed 120 power steps, apart
+/// from the embedding's) of cluster `c`'s Em subgraph in decomposition `d`
+/// of `g`. Diagnostic only: `expander_decompose` never computes it, and it
+/// draws from a private per-cluster stream, so it cannot change a result.
 double cluster_mixing_time(const Graph& g, const ExpanderDecomposition& d,
-                           const Cluster& c, int iterations);
+                           const Cluster& c);
 
 /// Structural check of Definition 2.2; returns a human-readable error list
 /// (empty == valid). `max_mixing_time` bounds every cluster's
-/// `cluster_mixing_time` (computed here, with `config.power_iterations`).
+/// `cluster_mixing_time` (computed here).
 std::vector<std::string> verify_decomposition(
     const Graph& g, NodeId ambient_n, const DecompositionConfig& config,
     const ExpanderDecomposition& d, double max_mixing_time);

@@ -152,9 +152,7 @@ TEST(Decomposition, VerifyRejectsSlowMixingCluster) {
 
   const Graph cycle = cycle_graph(64);
   const auto slow = whole_graph_cluster(cycle);
-  EXPECT_GT(cluster_mixing_time(cycle, slow, slow.clusters[0],
-                                cfg.power_iterations),
-            kBound);
+  EXPECT_GT(cluster_mixing_time(cycle, slow, slow.clusters[0]), kBound);
   const auto errors = verify_decomposition(cycle, 64, cfg, slow, kBound);
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_NE(errors[0].find("mixing-time estimate"), std::string::npos)
@@ -162,9 +160,7 @@ TEST(Decomposition, VerifyRejectsSlowMixingCluster) {
 
   const Graph clique = complete_graph(16);
   const auto fast = whole_graph_cluster(clique);
-  EXPECT_LT(cluster_mixing_time(clique, fast, fast.clusters[0],
-                                cfg.power_iterations),
-            kBound);
+  EXPECT_LT(cluster_mixing_time(clique, fast, fast.clusters[0]), kBound);
   const auto ok = verify_decomposition(clique, 16, cfg, fast, kBound);
   EXPECT_TRUE(ok.empty()) << ok.front();
 }
@@ -206,8 +202,7 @@ std::uint64_t decomposition_bits_hash(const Graph& g, std::int64_t degree,
     for (const NodeId v : c.nodes) mix(static_cast<std::uint64_t>(v));
     mix(static_cast<std::uint64_t>(c.min_internal_degree));
     mix(static_cast<std::uint64_t>(c.internal_edges));
-    mix(std::bit_cast<std::uint64_t>(
-        cluster_mixing_time(g, d, c, cfg.power_iterations)));
+    mix(std::bit_cast<std::uint64_t>(cluster_mixing_time(g, d, c)));
   }
   mix(rng.next_u64());
   return h;
@@ -217,12 +212,17 @@ TEST(Decomposition, MatchesParentPartitionBits) {
   // Golden hashes captured from the decomposition that rebuilt every live
   // subgraph through a permutation sort and Graph::from_edges and sorted
   // each component. Building from the already-sorted scan must not move a
-  // bit. Four families: a skewed Chung–Lu graph (six small components
-  // beside a giant one; degree-1 nodes are peeled at cluster degree 4,
-  // and at 1 and 2 the giant cluster's 2 330 rows exceed the 2048-row walk
-  // grain, so 4 threads shard the walk), a ring of cliques (recursive
-  // splits, many pieces), an SBM with a sparse planted cut (one split) and
-  // the clustered workload — each at cluster degree 1, 2 and 4.
+  // bit. The Chung–Lu pins at cluster degree 1 and 2 were recaptured when
+  // the embedding walk went from 120 to 30 steps: the partition and the
+  // (120-step) mixing estimates are unchanged, but the six single-edge
+  // components' walks collapse and redraw their start vector every step,
+  // so the RNG's next draw moved. Four families: a skewed Chung–Lu graph
+  // (six small components beside a giant one; degree-1 nodes are peeled
+  // at cluster degree 4, and at 1 and 2 the giant cluster's 2 330 rows
+  // exceed the 2048-row walk grain, so 4 threads shard the walk), a ring
+  // of cliques (recursive splits, many pieces), an SBM with a sparse
+  // planted cut (one split) and the clustered workload — each at cluster
+  // degree 1, 2 and 4.
   Rng chung_lu_rng(41), ring_rng(42), sbm_rng(43), clustered_rng(44);
   const std::array<Graph, 4> graphs = {
       power_law_chung_lu(2600, 2.2, 6.0, chung_lu_rng),
@@ -232,7 +232,7 @@ TEST(Decomposition, MatchesParentPartitionBits) {
   };
   constexpr std::array<std::int64_t, 3> kDegrees = {1, 2, 4};
   constexpr std::array<std::uint64_t, 12> kGolden = {
-      0xeeb6b4ab0c5a7dc0ULL, 0x0b490913891610ccULL, 0x94504e3a3c2c05bcULL,
+      0x6185730fe2ec7c3dULL, 0x1c7959fbe8492b3cULL, 0x94504e3a3c2c05bcULL,
       0xfa658464267bb408ULL, 0x748df744f3040cf3ULL, 0xc3eef35f0000f8bcULL,
       0x783be8187a41db42ULL, 0xf3e57dfae7e38e97ULL, 0x6d97d026788ca2f4ULL,
       0xe83e78a3ce2b79f2ULL, 0xa273351e64dbca00ULL, 0x2c08bc23fdbb6769ULL,
@@ -245,6 +245,58 @@ TEST(Decomposition, MatchesParentPartitionBits) {
             decomposition_bits_hash(graphs[f], kDegrees[k], seed);
         EXPECT_EQ(got, kGolden[f * kDegrees.size() + k])
             << "family " << f << ", degree " << kDegrees[k];
+      }
+    }
+  };
+  check_all();
+  ScopedShardThreads threads(4);
+  check_all();
+}
+
+/// `k` random 8-regular blocks of 100 nodes, block i joined to block i+1
+/// by one edge.
+Graph path_of_expanders(int k, Rng& rng) {
+  constexpr NodeId kBlock = 100;
+  std::vector<Edge> edges;
+  for (int i = 0; i < k; ++i) {
+    const auto lo = static_cast<NodeId>(i * kBlock);
+    const Graph block = random_regular(kBlock, 8, rng);
+    for (const Edge& e : block.edges()) {
+      edges.push_back({lo + e.u, lo + e.v});
+    }
+    if (i > 0) edges.push_back({lo - 1, lo});
+  }
+  return Graph::from_edges(static_cast<NodeId>(k * kBlock), std::move(edges));
+}
+
+TEST(Decomposition, FindsEveryBridgeOnWeakGapChains) {
+  // Dense blocks chained by single bridges have a sparse cut and a small
+  // λ2−λ3 gap: many near-equal slow eigenvalues mix in the walk, so a
+  // short embedding walk is where a missed split would show. Every bridge
+  // must still be cut, and nothing else: one cluster per block.
+  DecompositionConfig cfg;
+  cfg.absolute_degree = 2;
+  const auto check = [&cfg](const Graph& g, int blocks, int bridges,
+                            std::uint64_t seed) {
+    Rng rng(seed);
+    const auto d = expander_decompose(g, g.node_count(), cfg, rng);
+    EXPECT_EQ(d.clusters.size(), static_cast<std::size_t>(blocks))
+        << blocks << " blocks, seed " << seed;
+    EXPECT_EQ(d.er_count, bridges) << blocks << " blocks, seed " << seed;
+    const auto errors = verify_decomposition(
+        g, g.node_count(), cfg, d, polylog_mixing_bound(g.edge_count()));
+    EXPECT_TRUE(errors.empty()) << errors.front();
+  };
+  const auto check_all = [&check] {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      for (const int b : {16, 24, 32}) {
+        Rng gen(seed);
+        check(ring_of_cliques_workload(static_cast<NodeId>(30 * b), gen, b),
+              b, b, seed);
+      }
+      for (const int k : {8, 16}) {
+        Rng gen(seed);
+        check(path_of_expanders(k, gen), k, k - 1, seed);
       }
     }
   };

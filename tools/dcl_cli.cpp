@@ -379,7 +379,7 @@ int cmd_decompose(int argc, char** argv) {
                 "edges, mixing ≈ %.1f\n",
                 c.id, c.nodes.size(), c.min_internal_degree,
                 static_cast<long long>(c.internal_edges),
-                cluster_mixing_time(g, d, c, cfg.power_iterations));
+                cluster_mixing_time(g, d, c));
   }
   const auto errors = verify_decomposition(
       g, g.node_count(), cfg, d, polylog_mixing_bound(g.edge_count()));
