@@ -235,8 +235,8 @@ void list_kp_benchmark(BenchReport& report, const char* input_name,
   };
   // One fixed-seed reference run: the ledger totals are the cost-model
   // fingerprint that perf refactors must keep bit-identical. It runs under
-  // a collector (collection is non-perturbing — the teleoff A/B entries
-  // prove it) so the entry can attach a run report.
+  // a collector (collection is non-perturbing — the list_kp_hooks A/B
+  // entries prove it) so the entry can attach a run report.
   TraceCollector ref_trace;
   ListingOutput ref_out(g.node_count());
   const KpListResult ref = [&] {
@@ -328,104 +328,37 @@ void sparse_cc_benchmarks(BenchReport& report) {
                       pad_cfg);
 }
 
-/// Telemetry A/B: the same fixed-seed list_kp run with the observability
-/// plane disabled (A: no collector installed — every probe is one relaxed
-/// atomic load) and enabled (B: a TraceCollector installed around each
-/// run). Mirrors fault_plane_ab_benchmark: the committed counters — ledger
-/// totals, folded clique fingerprints, and the explicit ab_*_equal flags —
-/// prove the instrumented pipeline's cost model and output are
-/// bit-identical with telemetry on and off, and the ns_per_op gap measures
-/// what collection (B) and the disabled probes (A) actually cost.
-void telemetry_ab_benchmark(BenchReport& report) {
-  Rng rng(17);
-  const Graph g = erdos_renyi_gnm(140, 3200, rng);
-  KpConfig cfg;
-  cfg.p = 4;
-  cfg.seed = 7;
-  cfg.stop_scale = 0.1;
-
-  ListingOutput out_a(g.node_count());
-  const KpListResult ref_a = list_kp_collect(g, cfg, out_a);
-
-  TraceCollector collector;
-  ListingOutput out_b(g.node_count());
-  const KpListResult ref_b = [&] {
-    TelemetryScope scope(collector);
-    return list_kp_collect(g, cfg, out_b);
-  }();
-  const bool ledgers_equal = [&] {
-    const auto& ea = ref_a.ledger.entries();
-    const auto& eb = ref_b.ledger.entries();
-    if (ea.size() != eb.size()) return false;
-    for (std::size_t i = 0; i < ea.size(); ++i) {
-      if (ea[i].label != eb[i].label || ea[i].rounds != eb[i].rounds ||
-          ea[i].messages != eb[i].messages) {
-        return false;
-      }
-    }
-    return true;
-  }();
-  const bool fingerprints_equal =
-      out_a.cliques().fingerprint() == out_b.cliques().fingerprint();
-  maybe_attach_report("list_kp_teleoff_b/p=4/er_n140_m3200", collector,
-                      &ref_b.ledger);
-
-  {
-    auto& t = report.add(time_kernel(
-        "list_kp_teleoff_a/p=4/er_n140_m3200",
-        [&] { return list_kp(g, cfg).total_reports; },
-        static_cast<double>(ref_a.unique_cliques)));
-    t.counters.emplace_back("ledger_total_rounds", ref_a.total_rounds());
-    t.counters.emplace_back("unique_cliques",
-                            static_cast<double>(ref_a.unique_cliques));
-    t.counters.emplace_back("fingerprint_fold32",
-                            fold_fingerprint(out_a.cliques().fingerprint()));
-  }
-  {
-    auto& t = report.add(time_kernel(
-        "list_kp_teleoff_b/p=4/er_n140_m3200",
-        [&] {
-          TraceCollector per_run;
-          TelemetryScope scope(per_run);
-          return list_kp(g, cfg).total_reports;
-        },
-        static_cast<double>(ref_b.unique_cliques)));
-    t.counters.emplace_back("ledger_total_rounds", ref_b.total_rounds());
-    t.counters.emplace_back("unique_cliques",
-                            static_cast<double>(ref_b.unique_cliques));
-    t.counters.emplace_back("fingerprint_fold32",
-                            fold_fingerprint(out_b.cliques().fingerprint()));
-    t.counters.emplace_back("span_count",
-                            static_cast<double>(collector.spans().size()));
-    t.counters.emplace_back("ab_ledgers_equal", ledgers_equal ? 1.0 : 0.0);
-    t.counters.emplace_back("ab_fingerprints_equal",
-                            fingerprints_equal ? 1.0 : 0.0);
-  }
-}
-
-/// Fault-plane A/B: the same fixed-seed list_kp run with cfg.faults left
-/// null (A) and with an *inert* FaultPlan attached (B). The two entries are
-/// measured back to back on the identical input (re-run either alone via
-/// DCL_BENCH_FILTER=list_kp_faultoff for a tighter interleave); their
-/// counters — ledger totals, clique counts, folded clique fingerprints, and
-/// the explicit ab_*_equal flags — are committed to BENCH_core.json, so CI
-/// enforces bit-identical cost models and the ns_per_op gap measures what
-/// the disabled hooks cost (expected: nothing).
-void fault_plane_ab_benchmark(BenchReport& report) {
+/// Disabled-hooks A/B: the same fixed-seed list_kp run with every optional
+/// plane off (A: cfg.faults left null, no collector installed — every
+/// telemetry probe is one relaxed atomic load) and with the hooks of both
+/// planes attached (B: an *inert* FaultPlan attached and a TraceCollector
+/// installed around each run). The two entries are measured back to back
+/// on the identical input (re-run them alone via
+/// DCL_BENCH_FILTER=list_kp_hooks for a tighter interleave); their
+/// counters — ledger totals, clique counts, folded clique fingerprints,
+/// B's retry rounds and span count, and the explicit ab_*_equal flags —
+/// are committed to BENCH_core.json, so CI enforces that neither plane
+/// changes the cost model or the output, and the ns_per_op gap measures
+/// what the attached hooks cost.
+void hooks_ab_benchmark(BenchReport& report) {
   Rng rng(16);
   const Graph g = erdos_renyi_gnm(140, 3200, rng);
   KpConfig cfg_a;
   cfg_a.p = 4;
   cfg_a.seed = 7;
   cfg_a.stop_scale = 0.1;
-  FaultPlan inert;  // default spec: enabled() == false, every hook dormant
+  FaultPlan inert;  // default spec: active() == false, every hook dormant
   KpConfig cfg_b = cfg_a;
   cfg_b.faults = &inert;
 
   ListingOutput out_a(g.node_count());
   const KpListResult ref_a = list_kp_collect(g, cfg_a, out_a);
+  TraceCollector collector;
   ListingOutput out_b(g.node_count());
-  const KpListResult ref_b = list_kp_collect(g, cfg_b, out_b);
+  const KpListResult ref_b = [&] {
+    TelemetryScope scope(collector);
+    return list_kp_collect(g, cfg_b, out_b);
+  }();
   const bool ledgers_equal = [&] {
     const auto& ea = ref_a.ledger.entries();
     const auto& eb = ref_b.ledger.entries();
@@ -440,10 +373,12 @@ void fault_plane_ab_benchmark(BenchReport& report) {
   }();
   const bool fingerprints_equal =
       out_a.cliques().fingerprint() == out_b.cliques().fingerprint();
+  maybe_attach_report("list_kp_hooks_b/p=4/er_n140_m3200", collector,
+                      &ref_b.ledger);
 
   {
     auto& t = report.add(time_kernel(
-        "list_kp_faultoff_a/p=4/er_n140_m3200",
+        "list_kp_hooks_a/p=4/er_n140_m3200",
         [&] { return list_kp(g, cfg_a).total_reports; },
         static_cast<double>(ref_a.unique_cliques)));
     t.counters.emplace_back("ledger_total_rounds", ref_a.total_rounds());
@@ -454,8 +389,12 @@ void fault_plane_ab_benchmark(BenchReport& report) {
   }
   {
     auto& t = report.add(time_kernel(
-        "list_kp_faultoff_b/p=4/er_n140_m3200",
-        [&] { return list_kp(g, cfg_b).total_reports; },
+        "list_kp_hooks_b/p=4/er_n140_m3200",
+        [&] {
+          TraceCollector per_run;
+          TelemetryScope scope(per_run);
+          return list_kp(g, cfg_b).total_reports;
+        },
         static_cast<double>(ref_b.unique_cliques)));
     t.counters.emplace_back("ledger_total_rounds", ref_b.total_rounds());
     t.counters.emplace_back("unique_cliques",
@@ -463,6 +402,8 @@ void fault_plane_ab_benchmark(BenchReport& report) {
     t.counters.emplace_back("fingerprint_fold32",
                             fold_fingerprint(out_b.cliques().fingerprint()));
     t.counters.emplace_back("retry_rounds", ref_b.ledger.retry_rounds());
+    t.counters.emplace_back("span_count",
+                            static_cast<double>(collector.spans().size()));
     t.counters.emplace_back("ab_ledgers_equal", ledgers_equal ? 1.0 : 0.0);
     t.counters.emplace_back("ab_fingerprints_equal",
                             fingerprints_equal ? 1.0 : 0.0);
@@ -508,8 +449,7 @@ int run(const char* out_path) {
   expander_decompose_benchmark(report, "ring8_n480", ring_input);
   sparse_cc_benchmarks(report);
 
-  fault_plane_ab_benchmark(report);
-  telemetry_ab_benchmark(report);
+  hooks_ab_benchmark(report);
   simulator_benchmarks(report);
 
   return finish_report(report, out_path);

@@ -14,7 +14,7 @@
 // is recorded unless a `TelemetryScope` has installed a `TraceCollector`;
 // with no collector installed, every instrumentation site reduces to one
 // relaxed atomic load and a null check — the disabled plane costs nothing
-// (proven by the committed `list_kp_teleoff_a/_b` bench counters).
+// (proven by the committed `list_kp_hooks_a/_b` bench counters).
 //
 // Threading contract (mirrors parallel_for.h): spans begin and end only in
 // sequential orchestration code, between parallel regions — the span tree

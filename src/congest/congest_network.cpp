@@ -61,7 +61,7 @@ std::int64_t CongestNetwork::end_phase() {
   // either way, so this entry stays bit-identical to a fault-free run.
   ledger_.charge_exchange(phase_label_, static_cast<double>(rounds),
                           queue_.size());
-  if (faults_ != nullptr && (faults_->enabled() || faults_->replaying())) {
+  if (faults_ != nullptr && faults_->active()) {
     // Run the ack/retransmit protocol per queued message. Recoverable
     // outcomes keep the message in the inbox (dups are filtered by the
     // receiver's sequence numbers, delays are waited out inside the phase

@@ -79,8 +79,7 @@ std::int64_t CongestEngine::run(std::int64_t max_rounds) {
   // late delivery — the engine literally executes the recovery rounds, so
   // their cost is charged through the run length itself).
   std::map<std::int64_t, std::vector<QueuedMessage>> delayed;
-  const bool faulting =
-      faults_ != nullptr && (faults_->enabled() || faults_->replaying());
+  const bool faulting = faults_ != nullptr && faults_->active();
   std::vector<char> dead(static_cast<std::size_t>(n), 0);
   std::uint64_t retransmitted = 0;
   std::uint64_t lost = 0;

@@ -200,7 +200,7 @@ FaultPlan::MessageOutcome FaultPlan::recover(std::int64_t clock,
                                              std::uint64_t key,
                                              std::uint64_t index) {
   MessageOutcome out;
-  if (!enabled() && !replay_) return out;
+  if (!active()) return out;
   for (int attempt = 0;; ++attempt) {
     const FaultDecision d = decide(clock, key, index, attempt);
     if (d.action != FaultAction::drop) {
@@ -227,7 +227,7 @@ FaultPlan::PhaseFaults FaultPlan::recover_phase(std::int64_t clock,
                                                 std::uint64_t key,
                                                 std::uint64_t messages) {
   PhaseFaults pf;
-  if (!enabled() && !replay_) return pf;
+  if (!active()) return pf;
   for (std::uint64_t i = 0; i < messages; ++i) {
     const MessageOutcome o = recover(clock, key, i);
     pf.retry_rounds = std::max(pf.retry_rounds, o.extra_rounds);
@@ -344,6 +344,18 @@ void FaultSession::charge_crash_timeout(RoundLedger& ledger,
   }
 }
 
+void FaultSession::drop_dead_edges(const Graph& g, EdgeMask& mask) const {
+  if (dead_count() == 0) return;
+  // Collect first: mutation during for_each_set is not part of the mask's
+  // contract.
+  std::vector<EdgeId> doomed;
+  mask.for_each_set([&](EdgeId e) {
+    const Edge& ed = g.edge(e);
+    if (is_dead(ed.u) || is_dead(ed.v)) doomed.push_back(e);
+  });
+  for (const EdgeId e : doomed) mask.set(e, false);
+}
+
 std::uint64_t FaultSession::inject(RoundLedger& ledger,
                                    const std::string& label,
                                    std::uint64_t messages) {
@@ -378,9 +390,12 @@ std::uint64_t FaultSession::inject(RoundLedger& ledger,
 std::uint64_t FaultSession::charge_exchange(RoundLedger& ledger,
                                             std::string label, double rounds,
                                             std::uint64_t messages) {
-  const std::string retry_label = label;  // ledger takes ownership below
-  ledger.charge_exchange(std::move(label), rounds, messages);
-  return inject(ledger, retry_label, messages);
+  if (!active()) {
+    ledger.charge_exchange(std::move(label), rounds, messages);
+    return 0;
+  }
+  ledger.charge_exchange(label, rounds, messages);
+  return inject(ledger, label, messages);
 }
 
 }  // namespace dcl

@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "congest/round_ledger.h"
+#include "graph/edge_mask.h"
 #include "graph/graph.h"
 
 namespace dcl {
@@ -108,6 +109,9 @@ class FaultPlan {
   /// True when decisions come from a deserialized schedule instead of the
   /// seeded hash.
   bool replaying() const { return replay_; }
+  /// The one "fault plane on" rule: a plan with faults to inject or a
+  /// schedule to replay. Every consumer gates its hooks on this.
+  bool active() const { return enabled() || replaying(); }
 
   /// Key for a directed communication edge (message-level consumers).
   static std::uint64_t edge_key(NodeId from, NodeId to) {
@@ -173,19 +177,20 @@ class FaultPlan {
 
 /// Mutable per-run fault state threaded through a listing pipeline: the
 /// logical phase clock, the set of crashes detected so far, and the loss
-/// tally. One session per algorithm run; `plan == nullptr` (or a disabled
-/// plan) makes every hook a no-op so the fault plane costs nothing when
-/// off.
+/// tally. Every pipeline run holds one session and calls its hooks
+/// unconditionally; `plan == nullptr` (or an inactive plan) makes every
+/// hook a no-op so the fault plane costs nothing when off.
 struct FaultSession {
   FaultPlan* plan = nullptr;
   std::int64_t clock = 0;
   std::vector<char> dead;  ///< detected crashed nodes (sized on first use)
   std::uint64_t lost_messages = 0;
   std::uint64_t crash_timeouts = 0;  ///< missed-phase timeout rounds charged
+  /// Set when a cluster lost too many members and fell back to broadcast
+  /// listing (the crash-degraded path).
+  bool crash_degraded = false;
 
-  bool active() const {
-    return plan != nullptr && (plan->enabled() || plan->replaying());
-  }
+  bool active() const { return plan != nullptr && plan->active(); }
   bool is_dead(NodeId v) const {
     return static_cast<std::size_t>(v) < dead.size() &&
            dead[static_cast<std::size_t>(v)] != 0;
@@ -201,10 +206,14 @@ struct FaultSession {
   /// Charges the one-round missed-phase timeout that detected `newly_dead`.
   void charge_crash_timeout(RoundLedger& ledger, std::size_t newly_dead);
 
+  /// Clears every set edge of `mask` (over `g`'s edge ids) with a detected
+  /// dead endpoint; a no-op while no node is dead.
+  void drop_dead_edges(const Graph& g, EdgeMask& mask) const;
+
   /// Charges `label` exactly as `ledger.charge_exchange` would, then — with
   /// an active plan — injects faults into the phase's messages and charges
   /// the recovery as a separate "<label> [retry]" entry feeding the retry
-  /// counters. Advances the phase clock. Returns the permanently lost
+  /// counters, advancing the phase clock. Returns the permanently lost
   /// message count (0 when recovery succeeded or faults are off).
   std::uint64_t charge_exchange(RoundLedger& ledger, std::string label,
                                 double rounds, std::uint64_t messages);

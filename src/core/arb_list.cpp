@@ -131,18 +131,6 @@ constexpr std::int64_t kNodeScanGrain = 256;
 /// Step 4 does nested adjacency×adjacency work per node — a coarser unit.
 constexpr std::int64_t kLightListGrain = 64;
 
-/// Clears every set edge of `mask` with a crashed endpoint (collect first —
-/// mutation during for_each_set is not part of the mask's contract).
-void drop_dead_edges(const Graph& base, const FaultSession& faults,
-                     EdgeMask& mask) {
-  std::vector<EdgeId> doomed;
-  mask.for_each_set([&](EdgeId e) {
-    const Edge& ed = base.edge(e);
-    if (faults.is_dead(ed.u) || faults.is_dead(ed.v)) doomed.push_back(e);
-  });
-  for (const EdgeId e : doomed) mask.set(e, false);
-}
-
 ClusterNeighborTable build_cluster_neighbors(NodeId n, const CurrentView& view,
                                              const std::vector<int>& cluster_of) {
   ClusterNeighborTable table;
@@ -197,29 +185,22 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   // Fault plane: detection and every fault decision happen ONLY at the
   // sequential phase boundaries of this function — decisions mutate the
   // recorded replay schedule, so they must never run inside a parallel
-  // region.
-  FaultSession* const faults =
-      (ctx.faults != nullptr && ctx.faults->active()) ? ctx.faults : nullptr;
+  // region. Without a driver session the hooks run on an inert one.
+  FaultSession inert;
+  FaultSession& faults = ctx.faults != nullptr ? *ctx.faults : inert;
+  // Each crash sweep charges the missed-phase timeout that detected it.
+  auto sweep_crashes = [&] {
+    auto newly = faults.detect_crashes(n);
+    faults.charge_crash_timeout(*ctx.ledger, newly.size());
+    return newly;
+  };
   // Crash sweep at call entry: nodes whose crash clock has already passed
   // leave the logical graph before the decomposition sees them — their
   // edges can neither be goal edges (the survivor contract covers only
   // alive-alive edges) nor carry into later iterations.
-  if (faults != nullptr) {
-    const auto newly = faults->detect_crashes(n);
-    faults->charge_crash_timeout(*ctx.ledger, newly.size());
-    if (faults->dead_count() > 0) {
-      drop_dead_edges(base, *faults, er);
-      drop_dead_edges(base, *faults, es);
-    }
-  }
-  auto charge_phase = [&](const char* label, double rounds,
-                          std::uint64_t messages) {
-    if (faults != nullptr) {
-      faults->charge_exchange(*ctx.ledger, label, rounds, messages);
-    } else {
-      ctx.ledger->charge_exchange(label, rounds, messages);
-    }
-  };
+  sweep_crashes();
+  faults.drop_dead_edges(base, er);
+  faults.drop_dead_edges(base, es);
 
   // Telemetry: one span per ARB-LIST step, coordinatized by the cumulative
   // ledger totals (virtual time). Spans begin/end only in this sequential
@@ -316,7 +297,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   for (const auto& [c, count] : cluster_neighbors.entries) {
     announce_msgs += static_cast<std::uint64_t>(count);
   }
-  charge_phase("cluster-announce", 1.0, announce_msgs);
+  faults.charge_exchange(*ctx.ledger, "cluster-announce", 1.0, announce_msgs);
   end_step(announce_span);
 
   // Heavy threshold: n^{1/4} in the general algorithm (Section 2.4.1),
@@ -371,8 +352,8 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
                    static_cast<std::int64_t>(receivers.size())));
     }
   }
-  charge_phase("heavy-edge-shipping", static_cast<double>(heavy_phase_load),
-               heavy_msgs);
+  faults.charge_exchange(*ctx.ledger, "heavy-edge-shipping",
+                         static_cast<double>(heavy_phase_load), heavy_msgs);
   end_step(heavy_span);
 
   // ---- Step 3: light-status exchange, bad nodes, bad edges. ---------------
@@ -399,7 +380,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   }, kNodeScanGrain);
   std::uint64_t status_msgs = 0;
   for (const std::uint64_t msgs : shard_status_msgs) status_msgs += msgs;
-  charge_phase("light-status", 1.0, status_msgs);
+  faults.charge_exchange(*ctx.ledger, "light-status", 1.0, status_msgs);
   end_step(status_span);
 
   const std::int64_t bad_threshold = std::max<std::int64_t>(
@@ -504,12 +485,12 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       total.broadcast_msgs += stats.broadcast_msgs;
       total.response_msgs += stats.response_msgs;
     }
-    charge_phase("light-list-broadcast",
-                 static_cast<double>(total.broadcast_load),
-                 total.broadcast_msgs);
-    charge_phase("light-list-response",
-                 static_cast<double>(total.response_load),
-                 total.response_msgs);
+    faults.charge_exchange(*ctx.ledger, "light-list-broadcast",
+                           static_cast<double>(total.broadcast_load),
+                           total.broadcast_msgs);
+    faults.charge_exchange(*ctx.ledger, "light-list-response",
+                           static_cast<double>(total.response_load),
+                           total.response_msgs);
     end_step(light_span);
   }
 
@@ -528,8 +509,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   std::vector<char> cluster_touched(deco.clusters.size(), 0);
   std::vector<char> cluster_fallback(deco.clusters.size(), 0);
   EdgeMask fallback_goal(base.edge_count());
-  const bool crash_mode =
-      faults != nullptr && !faults->plan->crashes().empty();
+  const bool crash_mode = faults.active() && !faults.plan->crashes().empty();
   auto apply_crashes = [&](const std::vector<NodeId>& newly) {
     std::vector<std::size_t> newly_touched;
     if (newly.empty()) return newly_touched;
@@ -546,14 +526,14 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       std::vector<NodeId> survivors;
       for (const NodeId w :
            deco.clusters[static_cast<std::size_t>(c)].nodes) {
-        if (!faults->is_dead(w)) survivors.push_back(w);
+        if (!faults.is_dead(w)) survivors.push_back(w);
       }
       if (!survivors.empty() && !learned_u.empty()) {
         std::uint64_t relearned = 0;
         std::size_t slot = 0;
         for (const EdgeId e : learned_u) {
           const Edge& ed = base.edge(e);
-          if (faults->is_dead(ed.u) || faults->is_dead(ed.v)) continue;
+          if (faults.is_dead(ed.u) || faults.is_dead(ed.v)) continue;
           learned[static_cast<std::size_t>(
                       survivors[slot++ % survivors.size()])]
               .push_back(e);
@@ -570,15 +550,15 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       }
       learned_u.clear();
     }
-    drop_dead_edges(base, *faults, goal);
-    drop_dead_edges(base, *faults, er);
-    drop_dead_edges(base, *faults, es);
+    faults.drop_dead_edges(base, goal);
+    faults.drop_dead_edges(base, er);
+    faults.drop_dead_edges(base, es);
     // Decimation check for every touched, not-yet-fallback cluster.
     for (std::size_t ci = 0; ci < deco.clusters.size(); ++ci) {
       if (!cluster_touched[ci] || cluster_fallback[ci]) continue;
       const Cluster& cluster = deco.clusters[ci];
       std::size_t alive = 0;
-      for (const NodeId w : cluster.nodes) alive += !faults->is_dead(w);
+      for (const NodeId w : cluster.nodes) alive += !faults.is_dead(w);
       if (alive >= 2 && 2 * alive >= cluster.nodes.size()) continue;
       cluster_fallback[ci] = 1;
       std::vector<EdgeId> moved;
@@ -596,11 +576,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     }
     return newly_touched;
   };
-  if (faults != nullptr) {
-    const auto newly = faults->detect_crashes(n);
-    faults->charge_crash_timeout(*ctx.ledger, newly.size());
-    apply_crashes(newly);
-  }
+  apply_crashes(sweep_crashes());
 
   // ---- Step 5: reshuffle to responsibility holders (Theorem 2.4). --------
   // The paper runs every cluster's reshuffle + in-cluster listing
@@ -646,7 +622,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     const Cluster& oc = deco.clusters[ci];
     pc.nodes.clear();
     for (const NodeId w : oc.nodes) {
-      if (!faults->is_dead(w)) pc.nodes.push_back(w);
+      if (!faults.is_dead(w)) pc.nodes.push_back(w);
     }
     const auto members_lost =
         static_cast<std::int64_t>(oc.nodes.size() - pc.nodes.size());
@@ -792,32 +768,28 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   // then the post-plan crash sweep: crashes landing between the plan and
   // the enumeration re-plan only the touched clusters, reusing the
   // plan/enumerate split — everyone else's plan is already final.
-  if (faults != nullptr) {
-    faults->inject(*ctx.ledger, "reshuffle (T2.4)",
-                   tail.reshuffle.total_messages());
-    faults->inject(*ctx.ledger, "partition-broadcast (T2.4)",
-                   tail.partition.total_messages());
-    faults->inject(*ctx.ledger, "edge-distribution (T2.4)",
-                   tail.distribution.total_messages());
-    const auto newly = faults->detect_crashes(n);
-    faults->charge_crash_timeout(*ctx.ledger, newly.size());
-    const auto newly_touched = apply_crashes(newly);
-    if (!newly_touched.empty()) {
-      ClusterTailState replan;
-      for (const std::size_t ci : newly_touched) {
-        plans[ci] = InClusterPlan{};
-        if (cluster_fallback[ci]) continue;
-        patch_cluster(ci);
-        prepare_cluster(ci, replan);
-      }
-      // The survivors redo the routing from scratch; the first attempt's
-      // rounds above were genuinely spent, so both charges stand.
-      replan.reshuffle.commit(*ctx.ledger, "crash-replan (T2.4)", n);
-      replan.partition.commit(*ctx.ledger, "crash-replan (T2.4)", n);
-      replan.distribution.commit(*ctx.ledger, "crash-replan (T2.4)", n);
-      trace.max_learned_edges =
-          std::max(trace.max_learned_edges, replan.max_learned_edges);
+  faults.inject(*ctx.ledger, "reshuffle (T2.4)",
+                tail.reshuffle.total_messages());
+  faults.inject(*ctx.ledger, "partition-broadcast (T2.4)",
+                tail.partition.total_messages());
+  faults.inject(*ctx.ledger, "edge-distribution (T2.4)",
+                tail.distribution.total_messages());
+  const auto newly_touched = apply_crashes(sweep_crashes());
+  if (!newly_touched.empty()) {
+    ClusterTailState replan;
+    for (const std::size_t ci : newly_touched) {
+      plans[ci] = InClusterPlan{};
+      if (cluster_fallback[ci]) continue;
+      patch_cluster(ci);
+      prepare_cluster(ci, replan);
     }
+    // The survivors redo the routing from scratch; the first attempt's
+    // rounds above were genuinely spent, so both charges stand.
+    replan.reshuffle.commit(*ctx.ledger, "crash-replan (T2.4)", n);
+    replan.partition.commit(*ctx.ledger, "crash-replan (T2.4)", n);
+    replan.distribution.commit(*ctx.ledger, "crash-replan (T2.4)", n);
+    trace.max_learned_edges =
+        std::max(trace.max_learned_edges, replan.max_learned_edges);
   }
   end_step(plan_span);
 
@@ -922,7 +894,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
   // honestly charged O(A) degraded cost.
   if (crash_mode && fallback_goal.any()) {
     EdgeMask cur_alive = cur;
-    drop_dead_edges(base, *faults, cur_alive);
+    faults.drop_dead_edges(base, cur_alive);
     BroadcastListingArgs fargs;
     fargs.base = &base;
     fargs.current = &cur_alive;
@@ -932,7 +904,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
     fargs.require_edge = &fallback_goal;
     fargs.label = "crash-fallback-broadcast";
     broadcast_listing(fargs, *ctx.ledger, *ctx.out);
-    if (ctx.crash_degraded != nullptr) *ctx.crash_degraded = true;
+    faults.crash_degraded = true;
     if (telemetry != nullptr) {
       sync_telemetry();
       telemetry->instant("crash-fallback-broadcast", "arb");
@@ -986,8 +958,8 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       }
       probe_rounds += cluster_max;  // clusters handled sequentially (§3)
     }
-    charge_phase("k4-light-probe", static_cast<double>(probe_rounds),
-                 probe_msgs);
+    faults.charge_exchange(*ctx.ledger, "k4-light-probe",
+                           static_cast<double>(probe_rounds), probe_msgs);
     end_step(probe_span);
   }
 

@@ -50,15 +50,12 @@ struct ArbListContext {
   std::int64_t cluster_degree = 1;
   /// A — the current max-out-degree bound n^d.
   std::int64_t arboricity_bound = 1;
-  /// Fault state threaded by the driver (nullptr / inactive = fault-free
-  /// fast path, zero overhead). Crash detection runs at the sequential
-  /// phase boundaries only (entry, pre-step-5, post-plan) — fault decisions
-  /// mutate the recorded schedule and must never run inside a parallel
-  /// region.
+  /// Fault state threaded by the driver, which also carries the
+  /// crash-degraded flag. nullptr runs on an inert session: every hook is a
+  /// no-op. Crash detection runs at the sequential phase boundaries only
+  /// (entry, pre-step-5, post-plan) — fault decisions mutate the recorded
+  /// schedule and must never run inside a parallel region.
   FaultSession* faults = nullptr;
-  /// Set true when a cluster lost too many members and fell back to
-  /// broadcast listing (the crash-degraded path).
-  bool* crash_degraded = nullptr;
 };
 
 /// Executes one ARB-LIST call; returns the iteration trace (er/es/goal/bad

@@ -60,13 +60,9 @@ BroadcastListingStats broadcast_listing(const BroadcastListingArgs& args,
   // Equivalent local listing: every Kp of the current graph is known to all
   // its members; report once with the minimum-id member as reporter.
   std::vector<Edge> edges;
-  std::vector<EdgeId> kept_ids;
   edges.reserve(static_cast<std::size_t>(current_edges));
-  kept_ids.reserve(static_cast<std::size_t>(current_edges));
   for (EdgeId e = 0; e < base.edge_count(); ++e) {
-    if (!is_current(e)) continue;
-    edges.push_back(base.edge(e));
-    kept_ids.push_back(e);
+    if (is_current(e)) edges.push_back(base.edge(e));
   }
   const Graph current_graph =
       Graph::from_edges(base.node_count(), std::move(edges));

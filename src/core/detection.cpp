@@ -43,8 +43,6 @@ CountingResult count_kp_distributed(const Graph& g, const KpConfig& cfg) {
   // Aggregation: convergecast of per-node partial counts up a BFS tree
   // rooted at node 0 — one value per tree edge, depth ≤ n rounds; we charge
   // the tree depth (the standard O(D) bound).
-  const auto [comp, count] = g.connected_components();
-  (void)comp;
   std::int64_t depth = 0;
   if (g.node_count() > 0 && g.edge_count() > 0) {
     // BFS from the minimum-id node of each component; the convergecasts of

@@ -34,22 +34,35 @@ std::int64_t measured_out_degree_bound(const Graph& base,
 /// `current` until Er is empty. On return `current` holds the surviving
 /// low-arboricity edge set Ẽs (with `away` updated), and every Kp with an
 /// edge in the removed set has been listed.
-struct ListOutcome {
-  int arb_iterations = 0;
-  bool used_fallback = false;
-};
-
-ListOutcome run_list_procedure(const Graph& base, const KpConfig& cfg,
-                               Rng& rng, RoundLedger& ledger,
-                               ListingOutput& out, EdgeMask& current,
-                               EdgeMask& away,
-                               std::int64_t arboricity_bound,
-                               std::int64_t cluster_degree, int list_iteration,
-                               std::vector<ArbIterationTrace>& arb_traces,
-                               FaultSession* faults, bool* crash_degraded) {
-  ListOutcome outcome;
+void run_list_procedure(const Graph& base, const KpConfig& cfg, Rng& rng,
+                        RoundLedger& ledger, ListingOutput& out,
+                        EdgeMask& current, EdgeMask& away,
+                        std::int64_t arboricity_bound,
+                        std::int64_t cluster_degree, int list_iteration,
+                        std::vector<ArbIterationTrace>& arb_traces,
+                        FaultSession& faults) {
   EdgeMask es(base.edge_count());
   EdgeMask er = current;  // Er starts as the whole edge set (§2.3)
+  // Broadcast listing of everything still touching Er — correct, with an
+  // honestly charged O(A) cost.
+  const auto fallback_broadcast = [&] {
+    const EdgeMask cur_all = es | er;
+    BroadcastListingArgs args;
+    args.base = &base;
+    args.current = &cur_all;
+    args.away = &away;
+    args.p = cfg.p;
+    args.mode = BroadcastMode::out_edges;
+    args.require_edge = &er;
+    args.label = "list-fallback-broadcast";
+    const auto stats = broadcast_listing(args, ledger, out);
+    faults.inject(ledger, "list-fallback-broadcast", stats.messages);
+    if (TraceCollector* telemetry = active_telemetry()) {
+      telemetry->sync_to(ledger.total_rounds(), ledger.total_messages());
+      telemetry->instant("list-fallback-broadcast", "core");
+      telemetry->metrics().counter_add("list.fallbacks", 1);
+    }
+  };
 
   for (int iter = 0; iter < cfg.max_arb_iterations; ++iter) {
     if (er.none()) break;
@@ -67,8 +80,7 @@ ListOutcome run_list_procedure(const Graph& base, const KpConfig& cfg,
     ctx.away = &away;
     ctx.cluster_degree = cluster_degree;
     ctx.arboricity_bound = arboricity_bound;
-    ctx.faults = faults;
-    ctx.crash_degraded = crash_degraded;
+    ctx.faults = &faults;
     const double rounds_before = ledger.total_rounds();
     ArbIterationTrace trace = arb_list(ctx);
     trace.list_iteration = list_iteration;
@@ -76,33 +88,13 @@ ListOutcome run_list_procedure(const Graph& base, const KpConfig& cfg,
     trace.rounds = ledger.total_rounds() - rounds_before;
     arb_span.sync_to(ledger.total_rounds(), ledger.total_messages());
     arb_traces.push_back(trace);
-    ++outcome.arb_iterations;
 
     if (trace.er_after >= trace.er_before) {
       // No progress (e.g. the decomposition produced only clusters of bad
-      // edges on a pathological instance). Fall back to broadcast listing
-      // of everything still touching Er — correct, with an honestly charged
-      // O(A) cost — and finish this LIST call.
-      const EdgeMask cur_all = es | er;
-      BroadcastListingArgs args;
-      args.base = &base;
-      args.current = &cur_all;
-      args.away = &away;
-      args.p = cfg.p;
-      args.mode = BroadcastMode::out_edges;
-      args.require_edge = &er;
-      args.label = "list-fallback-broadcast";
-      const auto stats = broadcast_listing(args, ledger, out);
-      if (faults != nullptr) {
-        faults->inject(ledger, "list-fallback-broadcast", stats.messages);
-      }
-      arb_span.sync_to(ledger.total_rounds(), ledger.total_messages());
-      if (TraceCollector* telemetry = arb_span.collector()) {
-        telemetry->instant("list-fallback-broadcast", "core");
-        telemetry->metrics().counter_add("list.fallbacks", 1);
-      }
+      // edges on a pathological instance): fall back and finish this LIST
+      // call.
+      fallback_broadcast();
       er.fill(false);
-      outcome.used_fallback = true;
       log_warn() << "LIST fallback broadcast used at list iteration "
                  << list_iteration;
       break;
@@ -110,29 +102,8 @@ ListOutcome run_list_procedure(const Graph& base, const KpConfig& cfg,
   }
   // Anything still in Er after the iteration cap is handled by the same
   // fallback (should not happen with the 1/4 decay; the cap is a backstop).
-  if (er.any()) {
-    const EdgeMask cur_all = es | er;
-    BroadcastListingArgs args;
-    args.base = &base;
-    args.current = &cur_all;
-    args.away = &away;
-    args.p = cfg.p;
-    args.mode = BroadcastMode::out_edges;
-    args.require_edge = &er;
-    args.label = "list-fallback-broadcast";
-    const auto stats = broadcast_listing(args, ledger, out);
-    if (faults != nullptr) {
-      faults->inject(ledger, "list-fallback-broadcast", stats.messages);
-    }
-    if (TraceCollector* telemetry = active_telemetry()) {
-      telemetry->sync_to(ledger.total_rounds(), ledger.total_messages());
-      telemetry->instant("list-fallback-broadcast", "core");
-      telemetry->metrics().counter_add("list.fallbacks", 1);
-    }
-    outcome.used_fallback = true;
-  }
+  if (er.any()) fallback_broadcast();
   current = std::move(es);
-  return outcome;
 }
 
 }  // namespace
@@ -152,10 +123,8 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
 
   // Fault plane: one session per run threads the logical phase clock, the
   // detected-crash set, and the loss tally through the whole pipeline.
-  FaultSession session;
-  session.plan = cfg.faults;
-  FaultSession* const faults = session.active() ? &session : nullptr;
-  bool crash_degraded = false;
+  FaultSession faults;
+  faults.plan = cfg.faults;
 
   Rng rng(cfg.seed);
   // Initial arboricity witness: the degeneracy orientation.
@@ -169,12 +138,9 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
       std::max<std::int64_t>(1, orient.max_out_degree());
 
   const double stop_exp =
-      (cfg.stop_exponent_override > 0)
-          ? cfg.stop_exponent_override
-          : (cfg.k4_fast
-                 ? 2.0 / 3.0
-                 : std::max(0.75, static_cast<double>(cfg.p) /
-                                      static_cast<double>(cfg.p + 2)));
+      cfg.k4_fast ? 2.0 / 3.0
+                  : std::max(0.75, static_cast<double>(cfg.p) /
+                                       static_cast<double>(cfg.p + 2));
   const std::int64_t log_n =
       std::max<std::int64_t>(1, ceil_log2(static_cast<std::uint64_t>(n)));
   const std::int64_t stop_bound = std::max<std::int64_t>(
@@ -199,7 +165,7 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
 
     run_list_procedure(g, cfg, rng, result.ledger, out, current, away,
                        arboricity_bound, cluster_degree, list_iteration,
-                       result.arb_traces, faults, &crash_degraded);
+                       result.arb_traces, faults);
 
     const std::int64_t new_bound =
         std::max<std::int64_t>(1, measured_out_degree_bound(g, current, away));
@@ -221,20 +187,8 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
   // Crash sweep first: a node that died since the last ARB-LIST boundary
   // cannot take part in the broadcast, and its edges left the survivor
   // contract.
-  if (faults != nullptr) {
-    const auto newly = faults->detect_crashes(n);
-    faults->charge_crash_timeout(result.ledger, newly.size());
-    if (faults->dead_count() > 0) {
-      std::vector<EdgeId> doomed;
-      current.for_each_set([&](EdgeId e) {
-        const Edge& ed = g.edge(e);
-        if (faults->is_dead(ed.u) || faults->is_dead(ed.v)) {
-          doomed.push_back(e);
-        }
-      });
-      for (const EdgeId e : doomed) current.set(e, false);
-    }
-  }
+  faults.charge_crash_timeout(result.ledger, faults.detect_crashes(n).size());
+  faults.drop_dead_edges(g, current);
   {
     SpanGuard final_span(telemetry, "final-broadcast", "core");
     BroadcastListingArgs args;
@@ -245,9 +199,7 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
     args.mode = BroadcastMode::out_edges;
     args.label = "final-broadcast";
     const auto final_stats = broadcast_listing(args, result.ledger, out);
-    if (faults != nullptr) {
-      faults->inject(result.ledger, "final-broadcast", final_stats.messages);
-    }
+    faults.inject(result.ledger, "final-broadcast", final_stats.messages);
     final_span.sync_to(result.ledger.total_rounds(),
                        result.ledger.total_messages());
   }
@@ -256,11 +208,9 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
   result.total_reports = out.total_reports();
   result.duplication_factor = out.duplication_factor();
   result.lost_messages = result.ledger.lost_messages();
-  result.crash_degraded = crash_degraded;
-  if (faults != nullptr) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (faults->is_dead(v)) result.crashed_nodes.push_back(v);
-    }
+  result.crash_degraded = faults.crash_degraded;
+  for (NodeId v = 0; v < n; ++v) {
+    if (faults.is_dead(v)) result.crashed_nodes.push_back(v);
   }
   if (telemetry != nullptr) {
     run_span.sync_to(result.ledger.total_rounds(),

@@ -156,12 +156,9 @@ struct KpConfig {
   /// Ablation switch (E7b): sparsity-aware vs oblivious in-cluster charge.
   InClusterChargeMode in_cluster_charge = InClusterChargeMode::measured;
 
-  /// Stop the outer arboricity-halving loop once the out-degree bound A
-  /// satisfies A ≤ stop_scale·n^{stop}, stop = max(3/4, p/(p+2)) (general)
-  /// or 2/3 (k4_fast). Negative = derive from p; override for experiments.
-  double stop_exponent_override = -1.0;
-
-  /// Multiplier on the stopping threshold n^{stop}. The paper's value is
+  /// The outer arboricity-halving loop stops once the out-degree bound A
+  /// satisfies A ≤ stop_scale·n^{stop}, stop = max(3/4, p/(p+2)) (general,
+  /// Theorem 1.1) or 2/3 (k4_fast, Theorem 1.2). The paper's stop_scale is
   /// 2·log2(n) (it stops when the coupled cluster degree n^δ = A/(2 log n)
   /// would drop below n^{stop}); at laptop scale that exceeds n itself, so
   /// the default 1.0 keeps the same asymptotic schedule with the polylog
@@ -174,7 +171,7 @@ struct KpConfig {
   /// measurement (the driver re-measures A and stops on non-progress).
   double coupling_scale = 1.0;
 
-  /// Spectral/conductance knobs forwarded to the expander decomposition.
+  /// Cluster-degree knobs forwarded to the expander decomposition.
   DecompositionConfig decomposition;
 
   /// Safety cap on ARB-LIST iterations inside one LIST call.

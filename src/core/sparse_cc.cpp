@@ -8,6 +8,7 @@
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
+#include "congest/clique_network.h"
 #include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
 #include "graph/orientation.h"
@@ -83,11 +84,10 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
   // Fault plane: the clique phases are accounting-level, so the session
   // wraps the two charge sites below (retry entries + resend escalation;
   // the listed cliques are unchanged — see docs/ROBUSTNESS.md).
-  FaultSession session;
-  session.plan = cfg.faults;
-  FaultSession* const faults = session.active() ? &session : nullptr;
+  FaultSession faults;
+  faults.plan = cfg.faults;
 
-  CliqueNetwork net(n, cfg.routing);
+  CliqueNetwork net(n);
   net.begin_phase("part-announce");
   // One representative message per ordered pair would be n(n-1) objects;
   // the cost is exactly 1 round in either accounting mode, so charge it
@@ -95,13 +95,8 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
   net.end_phase();
   const std::uint64_t announce_msgs = static_cast<std::uint64_t>(n) *
                                       static_cast<std::uint64_t>(n - 1);
-  if (faults != nullptr) {
-    faults->charge_exchange(net.ledger(), "part-announce(broadcast)", 1.0,
-                            announce_msgs);
-  } else {
-    net.ledger().charge_exchange("part-announce(broadcast)", 1.0,
-                                 announce_msgs);
-  }
+  faults.charge_exchange(net.ledger(), "part-announce(broadcast)", 1.0,
+                         announce_msgs);
 
   // Edge distribution: each tail sends its edge to every covering node.
   // Loads are computed exactly; the Lenzen-mode round charge is
@@ -140,15 +135,8 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
       (max_load == 0)
           ? 0
           : ceil_div(max_load, static_cast<std::int64_t>(n) - 1) + 2;
-  if (faults != nullptr) {
-    faults->charge_exchange(net.ledger(), "edge-distribution(lenzen)",
-                            static_cast<double>(distribution_rounds),
-                            total_msgs);
-  } else {
-    net.ledger().charge_exchange("edge-distribution(lenzen)",
-                                 static_cast<double>(distribution_rounds),
-                                 total_msgs);
-  }
+  faults.charge_exchange(net.ledger(), "edge-distribution(lenzen)",
+                         static_cast<double>(distribution_rounds), total_msgs);
 
   if (!cfg.perform_listing) {
     result.ledger = net.ledger();

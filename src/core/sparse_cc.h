@@ -36,7 +36,6 @@
 
 #include <cstdint>
 
-#include "congest/clique_network.h"
 #include "core/listing_types.h"
 #include "graph/graph.h"
 
@@ -47,7 +46,6 @@ struct SparseCcConfig {
   std::uint64_t seed = 1;
   /// Fake-edge padding factor (paper: 20); <= 0 disables padding.
   double pad_factor = 0.0;
-  CliqueRoutingMode routing = CliqueRoutingMode::lenzen;
   /// When false, skip the per-node local enumeration and only compute the
   /// communication loads / round costs. Used by density sweeps whose dense
   /// end would materialize millions of cliques; correctness is covered by

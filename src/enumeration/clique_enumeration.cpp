@@ -81,32 +81,22 @@ bool CliqueSet::insert_packed(const PackedKey& key) {
   } else if ((packed_count_ + 1) * 10 > slots_.size() * 7) {
     rehash(slots_.size() * 2);
   }
-  // Robin-hood probe: along a probe chain residents appear in
+  // Duplicate scan: along a robin-hood probe chain residents appear in
   // non-decreasing ideal-slot order, so an equal key — same ideal slot —
-  // must occur before the first resident strictly closer to its own ideal
-  // than we are to ours; the duplicate scan is complete the moment a steal
-  // happens, and from there the displaced residents just carry forward.
+  // must occur before the first empty slot or the first resident strictly
+  // closer to its own ideal than we are to ours, where placement steals.
   // Displacement stays bounded regardless of insert order, hash-ordered
   // inserts into a growing table included.
   const std::uint64_t hash = hash_key(key);
   const std::size_t mask = slots_.size() - 1;
-  PackedKey cur = key;
-  std::size_t i = static_cast<std::size_t>(hash) & mask;
-  std::size_t dist = 0;
-  bool scanning = true;  // `cur` is still the probe key, not a displacee
-  while (slots_[i][0] != kUnused) {
-    if (scanning && slots_[i] == cur) return false;
+  for (std::size_t i = static_cast<std::size_t>(hash) & mask, dist = 0;
+       slots_[i][0] != kUnused; i = (i + 1) & mask, ++dist) {
+    if (slots_[i] == key) return false;
     const std::size_t their =
         (i - (static_cast<std::size_t>(hash_key(slots_[i])) & mask)) & mask;
-    if (their < dist) {
-      std::swap(slots_[i], cur);
-      dist = their;
-      scanning = false;
-    }
-    i = (i + 1) & mask;
-    ++dist;
+    if (their < dist) break;
   }
-  slots_[i] = cur;
+  place_robin_hood(slots_, key);
   ++packed_count_;
   fingerprint_ += hash;
   return true;

@@ -120,8 +120,8 @@ class CliqueSet {
   static PackedKey pack(std::span<const NodeId> clique);  // sorts inline
   static std::uint64_t hash_key(const PackedKey& key);
 
-  /// Robin-hood placement of a key known to be absent (rehash + the tail
-  /// of insert_packed): probes from the ideal slot, swapping with any
+  /// Robin-hood placement of a key known to be absent (rehash and
+  /// insert_packed): probes from the ideal slot, swapping with any
   /// resident that sits closer to its own ideal than the carried key does.
   static void place_robin_hood(std::vector<PackedKey>& slots, PackedKey key);
 

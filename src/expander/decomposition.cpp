@@ -31,6 +31,22 @@ namespace {
 constexpr int kEmbeddingWalkSteps = 30;
 /// Fixed, so the diagnostic mixing estimate stays comparable over time.
 constexpr int kMixingEstimateSteps = 120;
+/// Fraction of n^δ below which a node is peeled into Es.
+constexpr double kPeelFraction = 0.5;
+
+/// n^δ for an `ambient_n`-node graph, or the absolute override.
+std::int64_t cluster_degree(NodeId ambient_n,
+                            const DecompositionConfig& config) {
+  return config.absolute_degree > 0 ? config.absolute_degree
+                                    : ceil_pow(ambient_n, config.delta);
+}
+
+/// The peel threshold max(1, kPeelFraction · n^δ).
+std::int64_t peel_threshold(std::int64_t ndelta) {
+  return std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(kPeelFraction *
+                                   static_cast<double>(ndelta)));
+}
 
 /// Mutable working view of the not-yet-assigned part of the graph.
 struct WorkState {
@@ -226,15 +242,9 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
     throw std::invalid_argument("expander_decompose: ambient_n too small");
   }
   WorkState state(g);
-  const std::int64_t degree_target = (config.absolute_degree > 0)
-                                         ? config.absolute_degree
-                                         : ceil_pow(ambient_n, config.delta);
-  const std::int64_t threshold = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(config.degree_scale *
-                                   static_cast<double>(degree_target)));
-  const double phi = (config.conductance_threshold > 0)
-                         ? config.conductance_threshold
-                         : default_conductance_threshold(g.edge_count());
+  const std::int64_t degree_target = cluster_degree(ambient_n, config);
+  const std::int64_t threshold = peel_threshold(degree_target);
+  const double phi = default_conductance_threshold(g.edge_count());
 
   ExpanderDecomposition result;
   result.cluster_of.assign(static_cast<std::size_t>(g.node_count()), -1);
@@ -360,9 +370,7 @@ std::vector<std::string> verify_decomposition(
                      std::to_string(g.edge_count()));
   }
   // Es out-degree witness <= n^delta (or the absolute override).
-  const std::int64_t ndelta = (config.absolute_degree > 0)
-                                  ? config.absolute_degree
-                                  : ceil_pow(ambient_n, config.delta);
+  const std::int64_t ndelta = cluster_degree(ambient_n, config);
   std::vector<std::int64_t> out_deg(static_cast<std::size_t>(g.node_count()),
                                     0);
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
@@ -381,9 +389,7 @@ std::vector<std::string> verify_decomposition(
     }
   }
   // Clusters: consistency of cluster_of with Em components, min degree.
-  const std::int64_t threshold = std::max<std::int64_t>(
-      1, static_cast<std::int64_t>(config.degree_scale *
-                                   static_cast<double>(ndelta)));
+  const std::int64_t threshold = peel_threshold(ndelta);
   std::vector<std::int64_t> em_degree(static_cast<std::size_t>(g.node_count()),
                                       0);
   for (EdgeId e = 0; e < g.edge_count(); ++e) {

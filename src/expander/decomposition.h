@@ -60,19 +60,17 @@ struct ExpanderDecomposition {
   double charged_rounds = 0.0;
 };
 
+/// Sets the cluster degree n^δ. A node with fewer than max(1, ⌊n^δ/2⌋)
+/// remaining edges is peeled into Es: the paper peels at Θ(n^δ), and
+/// n^δ/2 matches its "at least k·n^δ/2 edges inside" accounting. Sweep
+/// cuts use φ = `default_conductance_threshold`.
 struct DecompositionConfig {
-  /// Cluster degree exponent δ: the peel threshold is
-  /// max(1, ceil(degree_scale · n^δ)).
+  /// Cluster degree exponent δ.
   double delta = 0.75;
   /// When positive, overrides n^δ with this absolute value. The listing
   /// algorithm couples the cluster degree to the current arboricity bound
   /// (n^δ = A / (2 log n), Section 2.2), which is an absolute quantity.
   std::int64_t absolute_degree = -1;
-  /// Fraction of n^δ below which a node is peeled into Es. The paper peels
-  /// at Θ(n^δ); 0.5 matches its "at least k·n^δ/2 edges inside" accounting.
-  double degree_scale = 0.5;
-  /// Sparse-cut threshold φ; ≤ 0 means "use default_conductance_threshold".
-  double conductance_threshold = -1.0;
 };
 
 /// φ = 1 / (12·log2(2m) + 1): any recursion of sweep cuts with this

@@ -29,14 +29,14 @@ struct Cut {
 /// P = (I + D^{-1}A)/2 on a connected graph by power iteration with
 /// deflation of the stationary component. Returns one value per node.
 std::vector<double> second_eigenvector(const Graph& g, Rng& rng,
-                                       int iterations = 200);
+                                       int iterations);
 
 /// Estimated second eigenvalue λ₂ of the lazy walk (in [1/2, 1] for a
 /// connected non-trivial graph); spectral gap is 1 − λ₂.
-double lazy_walk_lambda2(const Graph& g, Rng& rng, int iterations = 200);
+double lazy_walk_lambda2(const Graph& g, Rng& rng, int iterations);
 
 /// Standard mixing-time estimate t_mix ≈ log(volume) / gap, from λ₂.
-double mixing_time_estimate(const Graph& g, Rng& rng, int iterations = 200);
+double mixing_time_estimate(const Graph& g, Rng& rng, int iterations);
 
 /// Sweep cut: sorts nodes by the given embedding and returns the
 /// best-conductance prefix cut. `g` must have at least one edge.

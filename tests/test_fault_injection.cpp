@@ -321,33 +321,56 @@ TEST(PipelineChaos, FingerprintsAreThreadCountInvariantUnderFaults) {
   EXPECT_EQ(retx1, retx4) << "the fault history must not depend on threads";
 }
 
+/// Asserts two ledgers hold the same entries, in order.
+void expect_same_ledger(const RoundLedger& a, const RoundLedger& b) {
+  ASSERT_EQ(a.entries().size(), b.entries().size());
+  for (std::size_t i = 0; i < b.entries().size(); ++i) {
+    EXPECT_EQ(a.entries()[i].label, b.entries()[i].label);
+    EXPECT_DOUBLE_EQ(a.entries()[i].rounds, b.entries()[i].rounds);
+    EXPECT_EQ(a.entries()[i].messages, b.entries()[i].messages);
+  }
+}
+
 TEST(PipelineChaos, DisabledPlanAttachedCostsExactlyNothing) {
   // cfg.faults pointing at an inert plan must be indistinguishable from
-  // cfg.faults == nullptr: same fingerprint, same ledger entry-for-entry.
+  // cfg.faults == nullptr: same fingerprint, same ledger entry-for-entry,
+  // in both pipelines that hold a fault session.
   Rng rng(6);
   const Graph g = clustered_workload(48, rng);
+  FaultPlan inert;
   KpConfig cfg;
   cfg.p = 4;
   cfg.seed = 9;
   ListingOutput base_out(g.node_count());
   const auto base = list_kp_collect(g, cfg, base_out);
 
-  FaultPlan inert;
   KpConfig with_plan = cfg;
   with_plan.faults = &inert;
   ListingOutput out(g.node_count());
   const auto result = list_kp_collect(g, with_plan, out);
 
   EXPECT_EQ(out.cliques().fingerprint(), base_out.cliques().fingerprint());
-  ASSERT_EQ(result.ledger.entries().size(), base.ledger.entries().size());
-  for (std::size_t i = 0; i < base.ledger.entries().size(); ++i) {
-    EXPECT_EQ(result.ledger.entries()[i].label, base.ledger.entries()[i].label);
-    EXPECT_DOUBLE_EQ(result.ledger.entries()[i].rounds,
-                     base.ledger.entries()[i].rounds);
-    EXPECT_EQ(result.ledger.entries()[i].messages,
-              base.ledger.entries()[i].messages);
-  }
+  expect_same_ledger(result.ledger, base.ledger);
   EXPECT_DOUBLE_EQ(result.ledger.retry_rounds(), 0.0);
+  EXPECT_EQ(result.lost_messages, 0u);
+  EXPECT_FALSE(result.crash_degraded);
+  EXPECT_TRUE(result.crashed_nodes.empty());
+
+  SparseCcConfig cc_cfg;
+  cc_cfg.p = 4;
+  cc_cfg.seed = 9;
+  ListingOutput cc_base_out(g.node_count());
+  const auto cc_base = sparse_cc_list(g, cc_cfg, cc_base_out);
+  SparseCcConfig cc_with_plan = cc_cfg;
+  cc_with_plan.faults = &inert;
+  ListingOutput cc_out(g.node_count());
+  const auto cc_result = sparse_cc_list(g, cc_with_plan, cc_out);
+
+  EXPECT_EQ(cc_out.cliques().fingerprint(),
+            cc_base_out.cliques().fingerprint());
+  expect_same_ledger(cc_result.ledger, cc_base.ledger);
+  EXPECT_DOUBLE_EQ(cc_result.ledger.retry_rounds(), 0.0);
+  EXPECT_EQ(cc_result.lost_messages, 0u);
 }
 
 TEST(PipelineChaos, ReplaySchedulesReproduceChaosRunsExactly) {

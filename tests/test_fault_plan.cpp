@@ -8,6 +8,8 @@
 #include <sstream>
 
 #include "congest/round_ledger.h"
+#include "graph/edge_mask.h"
+#include "graph/graph.h"
 
 namespace dcl {
 namespace {
@@ -224,6 +226,29 @@ TEST(FaultSession, InactiveSessionIsFree) {
   FaultPlan disabled;
   session.plan = &disabled;
   EXPECT_FALSE(session.active()) << "a no-fault plan must keep hooks free";
+}
+
+TEST(FaultSession, DropDeadEdgesClearsOnlyCrashedEndpoints) {
+  // Path 0-1-2-3-4 plus the chord 0-4; node 2 crashes at clock 0.
+  const Graph g =
+      Graph::from_edges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}});
+  FaultPlan plan(FaultSpec::parse("crash=2@0"));
+  FaultSession session;
+  session.plan = &plan;
+  EdgeMask mask(g.edge_count(), true);
+  const EdgeId unset = *g.edge_id(3, 4);
+  mask.set(unset, false);
+
+  session.drop_dead_edges(g, mask);  // nothing detected yet: a no-op
+  EXPECT_EQ(mask.count(), g.edge_count() - 1);
+
+  ASSERT_EQ(session.detect_crashes(g.node_count()).size(), 1u);
+  session.drop_dead_edges(g, mask);
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Edge& ed = g.edge(e);
+    const bool touches_dead = ed.u == 2 || ed.v == 2;
+    EXPECT_EQ(mask[e], !touches_dead && e != unset) << ed.u << "-" << ed.v;
+  }
 }
 
 TEST(FaultSession, DetectCrashesGatesOnClockAndDedups) {

@@ -347,7 +347,6 @@ TEST(KpConfigDefaults, MatchPaperStructure) {
   EXPECT_FALSE(cfg.k4_fast);
   EXPECT_TRUE(cfg.enable_bad_edges);
   EXPECT_EQ(cfg.in_cluster_charge, InClusterChargeMode::measured);
-  EXPECT_LT(cfg.stop_exponent_override, 0.0);  // derive from p by default
 }
 
 }  // namespace

@@ -195,12 +195,11 @@ TEST(SparseCc, DeterministicUnderSeed) {
   EXPECT_TRUE(o1.cliques() == o2.cliques());
 }
 
-TEST(SparseCc, DirectModeAlsoCorrect) {
+TEST(SparseCc, ExactOnDenseGnm) {
   Rng rng(8);
   const Graph g = erdos_renyi_gnm(60, 900, rng);
   SparseCcConfig cfg;
   cfg.p = 4;
-  cfg.routing = CliqueRoutingMode::direct;
   expect_exact(g, cfg);
 }
 

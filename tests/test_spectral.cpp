@@ -39,7 +39,7 @@ TEST(Lambda2, CompleteGraphHasLargeGap) {
   Rng rng(1);
   const Graph g = complete_graph(20);
   // Lazy walk on K_n: λ₂ = 1/2 - 1/(2(n-1)) ≈ 0.47.
-  const double l2 = lazy_walk_lambda2(g, rng);
+  const double l2 = lazy_walk_lambda2(g, rng, 200);
   EXPECT_LT(l2, 0.6);
 }
 
