@@ -18,7 +18,6 @@
 #include "common/telemetry.h"
 #include "congest/clique_network.h"
 #include "congest/congest_network.h"
-#include "congest/engine.h"
 #include "congest/fault_plan.h"
 #include "core/kp_lister.h"
 #include "core/sparse_cc.h"
@@ -29,37 +28,10 @@
 namespace dcl::bench {
 namespace {
 
-/// BFS flood for the engine benchmark: every node re-floods once on first
-/// contact — the canonical round-driven traffic pattern.
-class FloodProgram : public NodeProgram {
- public:
-  explicit FloodProgram(NodeId self) : self_(self) {}
-  void on_start(RoundApi& api) override {
-    if (self_ == 0) {
-      heard_ = true;
-      for (const NodeId w : api.graph().neighbors(self_)) {
-        api.send(w, Message{.tag = 1});
-      }
-    }
-  }
-  bool on_round(RoundApi& api, std::span<const Delivery> received) override {
-    if (heard_ || received.empty()) return false;
-    heard_ = true;
-    for (const NodeId w : api.graph().neighbors(self_)) {
-      api.send(w, Message{.tag = 1});
-    }
-    return true;
-  }
-
- private:
-  NodeId self_;
-  bool heard_ = false;
-};
-
 /// Message-plane benchmarks: the same fixed traffic patterns as
 /// bench_m3_simulator, recorded here so the end-to-end perf anchor tracks
-/// the simulators too. The per-phase round cost and the engine ledger
-/// totals are fixed-seed fingerprints.
+/// the simulators too. The per-phase round cost is a fixed-seed
+/// fingerprint.
 void simulator_benchmarks(BenchReport& report) {
   {
     Rng rng(1);
@@ -102,26 +74,6 @@ void simulator_benchmarks(BenchReport& report) {
         20000.0));
     t.counters.emplace_back("phase_rounds",
                             static_cast<double>(phase_rounds));
-  }
-  {
-    Rng rng(3);
-    const Graph g = erdos_renyi_gnm(512, 5120, rng);
-    double ledger_rounds = 0.0;
-    double ledger_msgs = 0.0;
-    auto& t = report.add(time_kernel(
-        "sim_engine_bfs/er_n512_m5120",
-        [&] {
-          CongestEngine engine(g, [](NodeId v) {
-            return std::make_unique<FloodProgram>(v);
-          });
-          const auto rounds = engine.run();
-          ledger_rounds = engine.ledger().total_rounds();
-          ledger_msgs = static_cast<double>(engine.ledger().total_messages());
-          return static_cast<std::uint64_t>(rounds);
-        },
-        static_cast<double>(2 * g.edge_count())));
-    t.counters.emplace_back("ledger_total_rounds", ledger_rounds);
-    t.counters.emplace_back("ledger_total_messages", ledger_msgs);
   }
 }
 

@@ -1,5 +1,4 @@
-// Flat delivery arena shared by the CONGEST / CONGESTED CLIQUE simulators
-// and the round-driven engine.
+// Flat delivery arena shared by the CONGEST / CONGESTED CLIQUE simulators.
 //
 // A communication phase queues (from, to, msg) triples in arbitrary send
 // order; the contract of `inbox(v)` is "messages for v ordered by (sender,
@@ -113,9 +112,24 @@ class DeliveryArena {
     deliver_grouped_by_sender(scratch_);
   }
 
-  /// Fast path when `queue` is already grouped by sender in increasing
-  /// sender order (the engine collects node queues in node order): one
-  /// stable counting-sort pass by recipient.
+  /// Messages delivered to `v`, ordered by (sender, send order). Empty
+  /// between invalidate() and the next deliver call, and for every
+  /// recipient the latest delivery did not touch (stale stamp). The span
+  /// is valid until the next deliver/reset.
+  std::span<const Delivery> inbox(NodeId v) const {
+    const auto r = static_cast<std::size_t>(v);
+    if (!valid_ || recv_stamp_[r] != generation_) return {};
+    return {arena_.data() + recv_begin_[r],
+            static_cast<std::size_t>(recv_count_[r])};
+  }
+
+  /// Total deliveries in the arena (0 when invalidated).
+  std::size_t delivered_count() const { return valid_ ? arena_.size() : 0; }
+
+ private:
+  /// Second pass of `deliver`: `queue` is already grouped by sender in
+  /// increasing sender order, so one stable counting-sort pass by
+  /// recipient finishes the (sender, send order) inbox order.
   // dcl-hot
   void deliver_grouped_by_sender(std::span<const QueuedMessage> queue) {
     const std::uint64_t gen = ++generation_;
@@ -161,21 +175,6 @@ class DeliveryArena {
     valid_ = true;
   }
 
-  /// Messages delivered to `v`, ordered by (sender, send order). Empty
-  /// between invalidate() and the next deliver call, and for every
-  /// recipient the latest delivery did not touch (stale stamp). The span
-  /// is valid until the next deliver/reset.
-  std::span<const Delivery> inbox(NodeId v) const {
-    const auto r = static_cast<std::size_t>(v);
-    if (!valid_ || recv_stamp_[r] != generation_) return {};
-    return {arena_.data() + recv_begin_[r],
-            static_cast<std::size_t>(recv_count_[r])};
-  }
-
-  /// Total deliveries in the arena (0 when invalidated).
-  std::size_t delivered_count() const { return valid_ ? arena_.size() : 0; }
-
- private:
   /// Above this touched fraction the full sweep is cheaper than sorting
   /// the touched list.
   bool dense(std::size_t touched) const {

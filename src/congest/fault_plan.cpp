@@ -189,13 +189,6 @@ FaultDecision FaultPlan::decide(std::int64_t clock, std::uint64_t key,
   return d;
 }
 
-bool FaultPlan::crashed_by(NodeId v, std::int64_t clock) const {
-  for (const CrashEvent& c : spec_.crashes) {
-    if (c.node == v && c.clock <= clock) return true;
-  }
-  return false;
-}
-
 FaultPlan::MessageOutcome FaultPlan::recover(std::int64_t clock,
                                              std::uint64_t key,
                                              std::uint64_t index) {

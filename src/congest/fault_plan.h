@@ -22,8 +22,8 @@
 // `RoundLedger` retry counters; none of it is hidden.
 //
 // Two consumption styles:
-//  * message-level (`CongestNetwork`, `CongestEngine`): `recover()` per
-//    queued message, keyed by the directed edge;
+//  * message-level (`CongestNetwork`): `recover()` per queued message,
+//    keyed by the directed edge;
 //  * phase-level (the accounting-style pipeline phases of arb_list /
 //    sparse_cc, which never materialize Message objects): `recover_phase()`
 //    folds the per-message outcomes of a whole phase, keyed by the phase
@@ -129,8 +129,6 @@ class FaultPlan {
   FaultDecision decide(std::int64_t clock, std::uint64_t key,
                        std::uint64_t index, int attempt);
 
-  /// True when `v` has a crash event with crash clock <= `clock`.
-  bool crashed_by(NodeId v, std::int64_t clock) const;
   const std::vector<CrashEvent>& crashes() const { return spec_.crashes; }
 
   /// Outcome of running the ack/retransmit protocol for one message.

@@ -40,9 +40,9 @@ CountingResult count_kp_distributed(const Graph& g, const KpConfig& cfg) {
   // deduplicated set, and any consistent local tie-break yields the same
   // global sum.)
   result.count = out.unique_count();
-  // Aggregation: convergecast of per-node partial counts up a BFS tree
-  // rooted at node 0 — one value per tree edge, depth ≤ n rounds; we charge
-  // the tree depth (the standard O(D) bound).
+  // Aggregation: convergecast of per-node partial counts up a BFS tree of
+  // each component, then the total back down — one value per tree edge
+  // per direction, so 2·depth rounds (the standard O(D) bound).
   std::int64_t depth = 0;
   if (g.node_count() > 0 && g.edge_count() > 0) {
     // BFS from the minimum-id node of each component; the convergecasts of

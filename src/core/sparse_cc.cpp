@@ -8,7 +8,6 @@
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "common/telemetry.h"
-#include "congest/clique_network.h"
 #include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
 #include "graph/orientation.h"
@@ -22,10 +21,11 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
   const NodeId n = g.node_count();
   if (n < 2) return result;
   // Telemetry: one span over the whole sparse CONGESTED-CLIQUE pipeline;
-  // its virtual-time extent is synced from the clique ledger at each exit.
+  // its virtual-time extent is synced from the run's ledger at each exit.
   TraceCollector* const telemetry = active_telemetry();
   SpanGuard cc_span(telemetry, "sparse-cc", "core");
-  auto record_cc_metrics = [&](const RoundLedger& ledger) {
+  RoundLedger& ledger = result.ledger;
+  auto record_cc_metrics = [&] {
     if (telemetry == nullptr) return;
     cc_span.sync_to(ledger.total_rounds(), ledger.total_messages());
     MetricsRegistry& metrics = telemetry->metrics();
@@ -87,15 +87,12 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
   FaultSession faults;
   faults.plan = cfg.faults;
 
-  CliqueNetwork net(n);
-  net.begin_phase("part-announce");
   // One representative message per ordered pair would be n(n-1) objects;
   // the cost is exactly 1 round in either accounting mode, so charge it
   // directly and skip materialization (the paper's "broadcast one value").
-  net.end_phase();
   const std::uint64_t announce_msgs = static_cast<std::uint64_t>(n) *
                                       static_cast<std::uint64_t>(n - 1);
-  faults.charge_exchange(net.ledger(), "part-announce(broadcast)", 1.0,
+  faults.charge_exchange(ledger, "part-announce(broadcast)", 1.0,
                          announce_msgs);
 
   // Edge distribution: each tail sends its edge to every covering node.
@@ -135,13 +132,12 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
       (max_load == 0)
           ? 0
           : ceil_div(max_load, static_cast<std::int64_t>(n) - 1) + 2;
-  faults.charge_exchange(net.ledger(), "edge-distribution(lenzen)",
+  faults.charge_exchange(ledger, "edge-distribution(lenzen)",
                          static_cast<double>(distribution_rounds), total_msgs);
 
   if (!cfg.perform_listing) {
-    result.ledger = net.ledger();
-    result.lost_messages = result.ledger.lost_messages();
-    record_cc_metrics(result.ledger);
+    result.lost_messages = ledger.lost_messages();
+    record_cc_metrics();
     return result;
   }
 
@@ -149,7 +145,7 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
   // of g along the orientation above and report each clique by every
   // representative whose multiset covers its part tuple, all in one batch
   // that inserts each clique once.
-  cc_span.sync_to(net.ledger().total_rounds(), net.ledger().total_messages());
+  cc_span.sync_to(ledger.total_rounds(), ledger.total_messages());
   {
     SpanGuard list_span(telemetry, "sparse-cc/list", "core");
     CliqueDag dag;
@@ -181,11 +177,10 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
     list_span.add_work(reporter_ends.size());
   }
 
-  result.ledger = net.ledger();
-  result.lost_messages = result.ledger.lost_messages();
+  result.lost_messages = ledger.lost_messages();
   result.unique_cliques = out.unique_count();
   result.total_reports = out.total_reports();
-  record_cc_metrics(result.ledger);
+  record_cc_metrics();
   return result;
 }
 

@@ -125,6 +125,22 @@ TEST(Counting, DisconnectedGraph) {
   cfg.p = 4;
   const auto result = count_kp_distributed(g, cfg);
   EXPECT_EQ(result.count, 5u + 15u);  // C(5,4) + C(6,4)
+  EXPECT_DOUBLE_EQ(result.aggregation_rounds, 2.0);  // both depths are 1
+}
+
+TEST(Counting, AggregationChargesTwiceTheBfsDepth) {
+  // Up and down a BFS tree rooted at each component's minimum id; the
+  // components run in parallel, so the deepest tree sets the charge.
+  KpConfig cfg;
+  cfg.p = 3;
+  EXPECT_DOUBLE_EQ(count_kp_distributed(path_graph(6), cfg).aggregation_rounds,
+                   10.0);
+  EXPECT_DOUBLE_EQ(count_kp_distributed(star_graph(6), cfg).aggregation_rounds,
+                   2.0);  // rooted at the hub
+  EXPECT_DOUBLE_EQ(
+      count_kp_distributed(disjoint_union(path_graph(3), path_graph(5)), cfg)
+          .aggregation_rounds,
+      8.0);
 }
 
 TEST(Counting, EmptyGraph) {

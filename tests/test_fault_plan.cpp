@@ -158,14 +158,6 @@ TEST(FaultPlan, KeysNeverCollideAcrossKinds) {
   EXPECT_NE(FaultPlan::edge_key(1, 2), FaultPlan::edge_key(2, 1));
 }
 
-TEST(FaultPlan, CrashedByHonorsClock) {
-  FaultPlan plan(FaultSpec::parse("crash=5@2"));
-  EXPECT_FALSE(plan.crashed_by(5, 1));
-  EXPECT_TRUE(plan.crashed_by(5, 2));
-  EXPECT_TRUE(plan.crashed_by(5, 99));
-  EXPECT_FALSE(plan.crashed_by(4, 99));
-}
-
 TEST(FaultPlan, SerializeReplayRoundTripIsExact) {
   FaultPlan plan(FaultSpec::parse("drop=0.3,dup=0.2,delay=0.2:3,seed=42"));
   // Generate a history across clocks, keys and attempts.
