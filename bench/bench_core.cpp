@@ -16,8 +16,6 @@
 #include "bench_util.h"
 #include "common/parallel_for.h"
 #include "common/telemetry.h"
-#include "congest/clique_network.h"
-#include "congest/congest_network.h"
 #include "congest/fault_plan.h"
 #include "core/kp_lister.h"
 #include "core/sparse_cc.h"
@@ -27,55 +25,6 @@
 
 namespace dcl::bench {
 namespace {
-
-/// Message-plane benchmarks: the same fixed traffic patterns as
-/// bench_m3_simulator, recorded here so the end-to-end perf anchor tracks
-/// the simulators too. The per-phase round cost is a fixed-seed
-/// fingerprint.
-void simulator_benchmarks(BenchReport& report) {
-  {
-    Rng rng(1);
-    const Graph g = erdos_renyi_gnm(1024, 16384, rng);
-    CongestNetwork net(g);
-    std::int64_t phase_rounds = 0;
-    auto& t = report.add(time_kernel(
-        "sim_congest_phase/n1024_m16384",
-        [&] {
-          net.begin_phase("bench");
-          for (NodeId v = 0; v < g.node_count(); ++v) {
-            for (const NodeId w : g.neighbors(v)) {
-              net.send(v, w, Message{.tag = 1, .a = v, .b = w});
-            }
-          }
-          phase_rounds = net.end_phase();
-          return static_cast<std::uint64_t>(phase_rounds);
-        },
-        static_cast<double>(2 * g.edge_count())));
-    t.counters.emplace_back("phase_rounds",
-                            static_cast<double>(phase_rounds));
-  }
-  {
-    CliqueNetwork net(256, CliqueRoutingMode::lenzen);
-    std::int64_t phase_rounds = 0;
-    auto& t = report.add(time_kernel(
-        "sim_clique_lenzen/n256_20k",
-        [&] {
-          Rng rng(2);
-          net.begin_phase("bench");
-          for (int i = 0; i < 20000; ++i) {
-            const auto a = static_cast<NodeId>(rng.next_below(256));
-            auto b = static_cast<NodeId>(rng.next_below(255));
-            if (b >= a) ++b;
-            net.send(a, b, Message{.tag = i});
-          }
-          phase_rounds = net.end_phase();
-          return static_cast<std::uint64_t>(phase_rounds);
-        },
-        20000.0));
-    t.counters.emplace_back("phase_rounds",
-                            static_cast<double>(phase_rounds));
-  }
-}
 
 void enumeration_benchmarks(BenchReport& report, const char* input_name,
                             const Graph& g) {
@@ -402,7 +351,6 @@ int run(const char* out_path) {
   sparse_cc_benchmarks(report);
 
   hooks_ab_benchmark(report);
-  simulator_benchmarks(report);
 
   return finish_report(report, out_path);
 }

@@ -1,11 +1,10 @@
-// M3 — substrate micro-benchmarks: the CONGEST / CONGESTED CLIQUE
-// simulators, spectral tools, and the expander decomposition.
+// M3 — substrate micro-benchmarks: the spectral tools and the expander
+// decomposition.
 // Self-timed (min-of-k); usage: bench_m3 [--out FILE].
 #include <cstring>
 
 #include "bench_util.h"
-#include "congest/clique_network.h"
-#include "congest/congest_network.h"
+#include "common/rng.h"
 #include "expander/decomposition.h"
 #include "expander/spectral.h"
 #include "graph/generators.h"
@@ -15,42 +14,6 @@ namespace {
 
 int run(const char* out_path) {
   BenchReport report("bench_m3_simulator");
-
-  {
-    Rng rng(1);
-    const Graph g = erdos_renyi_gnm(1024, 16384, rng);
-    CongestNetwork net(g);
-    report.add(time_kernel(
-        "congest_phase_throughput/n1024_m16384",
-        [&] {
-          net.begin_phase("bench");
-          for (NodeId v = 0; v < g.node_count(); ++v) {
-            for (const NodeId w : g.neighbors(v)) {
-              net.send(v, w, Message{.tag = 1, .a = v, .b = w});
-            }
-          }
-          return static_cast<std::uint64_t>(net.end_phase());
-        },
-        static_cast<double>(2 * g.edge_count())));
-  }
-
-  {
-    CliqueNetwork net(256, CliqueRoutingMode::lenzen);
-    Rng rng(2);
-    report.add(time_kernel(
-        "clique_phase_lenzen/n256_20k",
-        [&] {
-          net.begin_phase("bench");
-          for (int i = 0; i < 20000; ++i) {
-            const auto a = static_cast<NodeId>(rng.next_below(256));
-            auto b = static_cast<NodeId>(rng.next_below(255));
-            if (b >= a) ++b;
-            net.send(a, b, Message{.tag = i});
-          }
-          return static_cast<std::uint64_t>(net.end_phase());
-        },
-        20000.0));
-  }
 
   for (const int n : {512, 2048}) {
     Rng rng(3);

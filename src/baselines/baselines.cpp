@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/intersect.h"
@@ -10,8 +11,10 @@
 #include "core/arb_list.h"
 #include "core/broadcast_listing.h"
 #include "core/kp_lister.h"
+#include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
 #include "graph/orientation.h"
+#include "routing/cluster_router.h"
 
 namespace dcl {
 
@@ -30,16 +33,12 @@ BaselineResult trivial_broadcast_list(const Graph& g, int p,
 }
 
 double oblivious_cc_rounds(NodeId n, int p) {
+  // p >= 2 keeps the budget >= 2 slots; p = 1 would budget none at all.
+  if (p < 2) throw std::invalid_argument("oblivious_cc_rounds: p must be >= 2");
   if (n < 2) return 0.0;
   const int q = std::max<int>(
       1, static_cast<int>(floor_pow(n, 1.0 / static_cast<double>(p))));
-  const std::int64_t part_size = ceil_div(static_cast<std::int64_t>(n), q);
-  // Every node must reserve slots for all potential pairs between its p
-  // parts (it cannot know in advance which exist).
-  const std::int64_t budget =
-      static_cast<std::int64_t>(p) * p * part_size * part_size / 2;
-  return static_cast<double>(ceil_div(budget, static_cast<std::int64_t>(n) - 1) +
-                             2);
+  return static_cast<double>(lenzen_rounds(oblivious_pair_budget(n, q, p), n));
 }
 
 BaselineResult oblivious_cc_list(const Graph& g, int p, ListingOutput& out) {

@@ -40,13 +40,14 @@ BaselineResult trivial_broadcast_list(const Graph& g, int p,
 
 /// Deterministic CONGESTED CLIQUE listing with fixed consecutive parts.
 /// The schedule must budget for every potential pair between assigned
-/// parts, so the round charge is ceil(p²·ceil(n/q)²/(n-1)) with
-/// q = floor(n^{1/p}) — flat in m (the sparsity-oblivious horizontal line
-/// of experiment E3).
+/// parts, so the round charge is the Lenzen charge of a
+/// p²·ceil(n/q)²/2-message load with q = floor(n^{1/p}) — flat in m (the
+/// sparsity-oblivious horizontal line of experiment E3).
 BaselineResult oblivious_cc_list(const Graph& g, int p, ListingOutput& out);
 
 /// The closed-form round cost of `oblivious_cc_list` (independent of the
-/// input's edges — that is the point of the comparison).
+/// input's edges — that is the point of the comparison). Throws
+/// std::invalid_argument for p < 2.
 double oblivious_cc_rounds(NodeId n, int p);
 
 /// One decomposition pass at cluster degree ~ n^{delta} (default 2/3), no

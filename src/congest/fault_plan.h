@@ -1,4 +1,4 @@
-// Deterministic, replayable fault injection for the CONGEST simulators.
+// Deterministic, replayable fault injection for the listing pipelines.
 //
 // The paper analyzes a fault-free synchronous network; a serving deployment
 // does not get one. This module is the single source of truth for *which*
@@ -21,14 +21,12 @@
 // consumer must degrade explicitly. All recovery cost is charged to the
 // `RoundLedger` retry counters; none of it is hidden.
 //
-// Two consumption styles:
-//  * message-level (`CongestNetwork`): `recover()` per queued message,
-//    keyed by the directed edge;
-//  * phase-level (the accounting-style pipeline phases of arb_list /
-//    sparse_cc, which never materialize Message objects): `recover_phase()`
-//    folds the per-message outcomes of a whole phase, keyed by the phase
-//    label; `FaultSession` threads the clock and the detected-crash set
-//    through the pipeline and wraps the ledger charges.
+// One consumption style: the listing pipelines (arb_list / kp_lister /
+// sparse_cc) charge accounting-level phases and never materialize their
+// messages, so `recover_phase()` folds the per-message outcomes of a whole
+// phase (`recover()` is one message's step), keyed by the phase label;
+// `FaultSession` threads the clock and the detected-crash set through the
+// pipeline and wraps the ledger charges.
 #pragma once
 
 #include <cstdint>
@@ -113,7 +111,8 @@ class FaultPlan {
   /// schedule to replay. Every consumer gates its hooks on this.
   bool active() const { return enabled() || replaying(); }
 
-  /// Key for a directed communication edge (message-level consumers).
+  /// Key for a directed communication edge (no pipeline keys by edge; the
+  /// key space is kept disjoint from `label_key`'s).
   static std::uint64_t edge_key(NodeId from, NodeId to) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
             << 32) |

@@ -14,11 +14,11 @@
 // Hence v can list every Kp containing v; the union over nodes is every Kp.
 //
 // The exchange is *not* materialized message-by-message (it would be
-// Θ(Σ_v deg(v)·outdeg(v)) Message objects); instead the exact CONGEST cost
+// Θ(Σ_v deg(v)·outdeg(v)) messages); instead the exact CONGEST cost
 // — max over directed current edges (u→v) of the number of list entries u
 // sends — is charged, and the equivalent post-broadcast knowledge is used
-// directly for the local listing. Tests cross-check the charge against a
-// materialized exchange on small graphs.
+// directly for the local listing. A test cross-checks the charge against
+// the per-directed-edge send counts of a materialized exchange.
 #pragma once
 
 #include <optional>

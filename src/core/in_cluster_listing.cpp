@@ -252,12 +252,9 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
   }
 
   if (problem.charge_mode == InClusterChargeMode::worst_case) {
-    // Oblivious schedule: every node must budget p² slots of (n/q)²
-    // potential pairs regardless of how many edges actually exist.
-    const std::int64_t part_size =
-        ceil_div(static_cast<std::int64_t>(base.node_count()), q);
-    const std::int64_t budget = static_cast<std::int64_t>(p) * p * part_size *
-                                part_size / 2;
+    // Oblivious schedule: every node budgets for all potential pairs of
+    // its parts regardless of how many edges actually exist.
+    const std::int64_t budget = oblivious_pair_budget(base.node_count(), q, p);
     plan.cost.max_send = std::max(plan.cost.max_send, budget);
     plan.cost.max_recv = std::max(plan.cost.max_recv, budget);
   }

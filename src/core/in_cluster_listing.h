@@ -29,7 +29,8 @@
 // Cost model: the returned loads feed a ParallelRoutingCharge in the
 // caller; `InClusterChargeMode::worst_case` replaces the measured loads by
 // the oblivious O(p² (n/q)²) potential-pair budget that a non-sparsity-
-// aware algorithm must schedule for (ablation E7b).
+// aware algorithm must schedule for (`oblivious_pair_budget`, ablation
+// E7b).
 //
 // Execution note (docs/PERFORMANCE.md "Cluster-parallel listing"): the
 // routine is split into a *plan* half (steps 1-3.5: partition, buckets,

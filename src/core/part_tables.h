@@ -16,6 +16,8 @@
 //    i.e. holds each part a at least min(c_a, 2) times, where c_a counts
 //    the clique's vertices in part a (`covers_part_tuple`, memoised per
 //    packed part tuple by `PartTupleCovers`).
+// A sparsity-oblivious schedule cannot ask these questions; it budgets for
+// every potential pair instead (`oblivious_pair_budget`).
 #pragma once
 
 #include <algorithm>
@@ -48,6 +50,16 @@ inline bool multiset_covers(const std::vector<int>& s, int a, int b) {
     return lo != s.end() && *lo == a && (lo + 1) != s.end() && *(lo + 1) == a;
   }
   return sorted_contains(s, a) && sorted_contains(s, b);
+}
+
+/// The per-node message budget of an oblivious schedule over q parts of an
+/// n-vertex graph: a node holding p parts reserves a slot for every
+/// potential pair between them, p²·ceil(n/q)²/2, however few edges exist.
+/// The oblivious CONGESTED-CLIQUE baseline and the worst-case in-cluster
+/// charge both use it.
+inline std::int64_t oblivious_pair_budget(std::int64_t n, int q, int p) {
+  const std::int64_t part_size = ceil_div(n, q);
+  return static_cast<std::int64_t>(p) * p * part_size * part_size / 2;
 }
 
 /// Unordered part pair {a, b} -> dense index into a q*q table.

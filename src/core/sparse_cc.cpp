@@ -11,6 +11,7 @@
 #include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
 #include "graph/orientation.h"
+#include "routing/cluster_router.h"
 
 namespace dcl {
 
@@ -96,8 +97,8 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
                          announce_msgs);
 
   // Edge distribution: each tail sends its edge to every covering node.
-  // Loads are computed exactly; the Lenzen-mode round charge is
-  // ceil(max(max_send, max_recv)/(n-1)) + O(1) (CliqueNetwork's formula).
+  // Loads are computed exactly and charged by Lenzen routing on
+  // max(max_send, max_recv) (`lenzen_rounds`).
   // Per part pair edge counts (real and fake) give Lemma 2.7's balance
   // check and every receive load: a node receives the edges of the pairs
   // its multiset covers, so loads are computed once per distinct multiset
@@ -128,10 +129,7 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
     total_msgs += static_cast<std::uint64_t>(recv * msets.nodes[m]);
   }
   result.max_recv_load = max_load;
-  const std::int64_t distribution_rounds =
-      (max_load == 0)
-          ? 0
-          : ceil_div(max_load, static_cast<std::int64_t>(n) - 1) + 2;
+  const std::int64_t distribution_rounds = lenzen_rounds(max_load, n);
   faults.charge_exchange(ledger, "edge-distribution(lenzen)",
                          static_cast<double>(distribution_rounds), total_msgs);
 

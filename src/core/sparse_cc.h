@@ -65,6 +65,8 @@ struct SparseCcResult {
   std::int64_t parts = 0;
   std::int64_t fake_edges = 0;
   std::int64_t max_pair_bucket = 0;  ///< Lemma 2.7 quantity (real+fake)
+  /// The edge distribution's Lenzen load: the maximum over nodes of the
+  /// messages one node sends *or* receives (not receives only).
   std::int64_t max_recv_load = 0;
   /// Messages whose retry budget was exhausted (escalated to resends).
   std::uint64_t lost_messages = 0;

@@ -21,6 +21,12 @@ double cluster_routing_rounds(std::int64_t max_load, std::int64_t bandwidth,
          routing_polylog(ambient_n);
 }
 
+std::int64_t lenzen_rounds(std::int64_t max_load, NodeId n) {
+  if (max_load <= 0) return 0;
+  if (n < 2) throw std::invalid_argument("lenzen_rounds: need >= 2 nodes");
+  return ceil_div(max_load, static_cast<std::int64_t>(n) - 1) + 2;
+}
+
 void ParallelRoutingCharge::add_cluster(std::int64_t max_load,
                                         std::int64_t bandwidth,
                                         std::uint64_t messages) {

@@ -18,6 +18,15 @@
 // are combined with `ParallelRoutingCharge`, which charges the maximum —
 // clusters route simultaneously on disjoint edge sets.
 //
+// The CONGESTED-CLIQUE analogue is Lenzen's routing theorem: on the
+// complete communication graph, if every node sends and receives at most
+// `max_load` messages, the batch routes in ceil(max_load / (n-1)) + O(1)
+// rounds. `lenzen_rounds` is the one definition of that charge, used by
+// the sparsity-aware lister (core/sparse_cc) and the oblivious baseline
+// (baselines/). This is the accounting the paper's Section 2.4.3 analysis
+// relies on ("the number of messages each node receives is
+// O(p² n^{1+d}/k^{2/p})" → rounds by dividing by bandwidth).
+//
 // Lemma 2.5: new cluster-internal IDs {0..k-1} are assigned in O(polylog n)
 // rounds; `assign_cluster_ids` reproduces the assignment (sorted by
 // original id) and charges that polylog.
@@ -41,6 +50,12 @@ double routing_polylog(NodeId ambient_n);
 /// is `bandwidth`.
 double cluster_routing_rounds(std::int64_t max_load, std::int64_t bandwidth,
                               NodeId ambient_n);
+
+/// Lenzen routing on the n-node CONGESTED CLIQUE: every node sends and
+/// receives at most `max_load` messages, n-1 of them per round, plus two
+/// rounds for the routing protocol itself. An empty batch (load 0) is
+/// free. Throws std::invalid_argument for n < 2 with a non-empty batch.
+std::int64_t lenzen_rounds(std::int64_t max_load, NodeId n);
 
 /// Combines per-cluster routing batches that happen in the same logical
 /// step; the charged cost is the maximum over clusters (they run in

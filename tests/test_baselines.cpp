@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/kp_lister.h"
+#include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
 #include "graph/generators.h"
 #include "test_util.h"
@@ -45,6 +48,17 @@ TEST(ObliviousCc, RoundsAreFlatInDensity) {
   const auto r1 = oblivious_cc_list(sparse, 3, o1);
   const auto r2 = oblivious_cc_list(dense, 3, o2);
   EXPECT_DOUBLE_EQ(r1.total_rounds(), r2.total_rounds());
+}
+
+TEST(ObliviousCc, SharedBudgetIsPinned) {
+  // n = 100, p = 3: q = floor(100^{1/3}) = 4 parts of ceil(100/4) = 25, so
+  // each node budgets 3²·25²/2 = 2812 pair slots, routed by Lenzen in
+  // ceil(2812/99) + 2 = 31 rounds. The worst-case in-cluster charge reads
+  // the same budget.
+  EXPECT_EQ(oblivious_pair_budget(100, 4, 3), 2812);
+  EXPECT_DOUBLE_EQ(oblivious_cc_rounds(100, 3), 31.0);
+  // p = 1 would budget zero slots; it is rejected rather than charged.
+  EXPECT_THROW(oblivious_cc_rounds(100, 1), std::invalid_argument);
 }
 
 TEST(OneShot, ExactListing) {

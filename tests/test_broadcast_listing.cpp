@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include "congest/congest_network.h"
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <utility>
+
 #include "enumeration/clique_enumeration.h"
 #include "graph/generators.h"
 #include "graph/orientation.h"
@@ -127,8 +131,10 @@ TEST(BroadcastListing, EmptyGraphIsFree) {
 }
 
 /// Honesty cross-check: the analytically charged cost of the
-/// virtual broadcast must equal the measured congestion of a materialized
-/// message-by-message execution of the same pattern.
+/// virtual broadcast must equal the congestion of a materialized
+/// message-by-message execution of the same pattern — one message per
+/// directed edge per round, so the rounds are the busiest directed edge's
+/// send count.
 TEST(BroadcastListing, ChargeMatchesMaterializedExchange) {
   Rng rng(4);
   const Graph g = erdos_renyi_gnm(40, 220, rng);
@@ -145,18 +151,21 @@ TEST(BroadcastListing, ChargeMatchesMaterializedExchange) {
   const auto stats = broadcast_listing(args, ledger, out);
 
   // Materialize: every node sends each of its out-edges to every neighbor.
-  CongestNetwork net(g);
-  net.begin_phase("materialized");
+  std::map<std::pair<NodeId, NodeId>, std::int64_t> sends_per_edge;
   std::uint64_t sent = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
     for (const NodeId w : g.neighbors(v)) {
-      for (const NodeId head : o.out_neighbors(v)) {
-        net.send(v, w, Message{.tag = 0, .a = v, .b = head});
+      for ([[maybe_unused]] const NodeId head : o.out_neighbors(v)) {
+        ++sends_per_edge[{v, w}];
         ++sent;
       }
     }
   }
-  const auto measured = net.end_phase();
+  std::int64_t measured = 0;
+  for (const auto& [edge, count] : sends_per_edge) {
+    measured = std::max(measured, count);
+  }
+  EXPECT_GT(measured, 0);
   EXPECT_EQ(stats.rounds, measured);
   EXPECT_EQ(stats.messages, sent);
 }

@@ -1,9 +1,6 @@
 // Chaos differential suite for the fault-injection plane.
 //
-// Three layers, matching the degradation contracts of docs/ROBUSTNESS.md:
-//  * message-level (CongestNetwork): recoverable faults
-//    leave delivered contents bit-identical and only cost rounds; losses
-//    beyond the retry budget are genuinely withheld;
+// Two layers, matching the degradation contracts of docs/ROBUSTNESS.md:
 //  * accounting-level pipelines (list_kp / sparse_cc): any drop/dup/delay
 //    sweep leaves the clique fingerprint bit-identical to the fault-free
 //    run — the degradation is charged cost, never output;
@@ -13,11 +10,11 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 #include <vector>
 
 #include "common/parallel_for.h"
 #include "common/rng.h"
-#include "congest/congest_network.h"
 #include "congest/fault_plan.h"
 #include "core/kp_lister.h"
 #include "core/sparse_cc.h"
@@ -39,80 +36,6 @@ class ScopedShardThreads {
  private:
   int previous_;
 };
-
-// ---- Message level: CongestNetwork ---------------------------------------
-
-TEST(CongestNetworkFaults, RecoverableFaultsKeepInboxesIdentical) {
-  const Graph g = cycle_graph(8);
-  auto run = [&](FaultPlan* plan) {
-    CongestNetwork net(g);
-    net.attach_faults(plan);
-    std::int64_t rounds = 0;
-    for (int phase = 0; phase < 3; ++phase) {
-      net.begin_phase("chatter");
-      for (NodeId v = 0; v < 8; ++v) {
-        for (const NodeId w : g.neighbors(v)) {
-          net.send(v, w, Message{.tag = phase, .a = v, .b = w});
-        }
-      }
-      rounds += net.end_phase();
-    }
-    std::vector<std::vector<Delivery>> inboxes(8);
-    for (NodeId v = 0; v < 8; ++v) {
-      const auto box = net.inbox(v);
-      inboxes[static_cast<std::size_t>(v)].assign(box.begin(), box.end());
-    }
-    return std::tuple(rounds, inboxes, net.lost_messages(),
-                      net.ledger().retransmitted_messages());
-  };
-
-  const auto [base_rounds, base_inboxes, base_lost, base_retx] = run(nullptr);
-  EXPECT_EQ(base_lost, 0u);
-  EXPECT_EQ(base_retx, 0u);
-
-  FaultPlan plan(
-      FaultSpec::parse("drop=0.2,dup=0.1,delay=0.1:2,retries=8,seed=5"));
-  const auto [rounds, inboxes, lost, retx] = run(&plan);
-  EXPECT_EQ(lost, 0u) << "retries=8 must recover a 0.2 drop rate";
-  EXPECT_GT(retx, 0u) << "a 0.4 fault mass over 48 messages never fired";
-  EXPECT_GT(rounds, base_rounds) << "recovery rounds must be charged";
-  for (NodeId v = 0; v < 8; ++v) {
-    const auto& a = base_inboxes[static_cast<std::size_t>(v)];
-    const auto& b = inboxes[static_cast<std::size_t>(v)];
-    ASSERT_EQ(a.size(), b.size()) << "node " << v;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].from, b[i].from);
-      EXPECT_EQ(a[i].msg, b[i].msg);
-    }
-  }
-}
-
-TEST(CongestNetworkFaults, BudgetExhaustedMessagesAreWithheld) {
-  const Graph g = path_graph(2);
-  FaultPlan plan(FaultSpec::parse("drop=1,retries=2"));
-  CongestNetwork net(g);
-  net.attach_faults(&plan);
-  net.begin_phase("doomed");
-  net.send(0, 1, Message{.tag = 9});
-  net.end_phase();
-  EXPECT_TRUE(net.inbox(1).empty()) << "a lost message must not arrive";
-  EXPECT_EQ(net.lost_messages(), 1u);
-  EXPECT_EQ(net.ledger().lost_messages(), 1u);
-  EXPECT_EQ(net.ledger().retransmitted_messages(), 2u);
-}
-
-TEST(CongestNetworkFaults, FaultClockAdvancesPerPhase) {
-  const Graph g = path_graph(2);
-  FaultPlan plan(FaultSpec::parse("dup=0.5,seed=2"));
-  CongestNetwork net(g);
-  net.attach_faults(&plan);
-  for (int i = 0; i < 3; ++i) {
-    net.begin_phase("tick");
-    net.send(0, 1, Message{.tag = i});
-    net.end_phase();
-  }
-  EXPECT_EQ(net.fault_clock(), 3);
-}
 
 // ---- Accounting level: the listing pipelines -----------------------------
 

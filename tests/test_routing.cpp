@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "graph/generators.h"
 #include "test_util.h"
 
@@ -24,6 +26,46 @@ TEST(ClusterRoutingRounds, LoadBandwidthFormula) {
   EXPECT_DOUBLE_EQ(cluster_routing_rounds(0, 10, 1024), 0.0);
   // Bandwidth never below 1.
   EXPECT_DOUBLE_EQ(cluster_routing_rounds(5, 0, 2), 5.0);
+}
+
+// `lenzen_rounds` charges a batch on the n-node CONGESTED CLIQUE network:
+// at n = 11 the bandwidth is n-1 = 10 messages per node per round, plus 2
+// protocol rounds whenever anything is sent.
+
+TEST(CliqueNetwork, LenzenModeUsesAggregateLoads) {
+  // Node 0 sends 30 messages spread over all 10 peers: max load 30 ->
+  // ceil(30/10) + 2 = 5 rounds.
+  EXPECT_EQ(lenzen_rounds(30, 11), 5);
+}
+
+TEST(CliqueNetwork, LenzenModeReceiveBound) {
+  // All 10 peers send 4 messages each to node 0: receive load 40 ->
+  // ceil(40/10) + 2 = 6 rounds.
+  EXPECT_EQ(lenzen_rounds(40, 11), 6);
+}
+
+TEST(CliqueNetwork, EmptyPhaseCostsNothing) {
+  EXPECT_EQ(lenzen_rounds(0, 5), 0);
+  EXPECT_EQ(lenzen_rounds(0, 11), 0);
+}
+
+TEST(CliqueNetwork, RequiresTwoNodes) {
+  EXPECT_THROW(lenzen_rounds(1, 1), std::invalid_argument);
+  // An empty batch needs no bandwidth, so it is free at any n.
+  EXPECT_EQ(lenzen_rounds(0, 1), 0);
+}
+
+TEST(CliqueNetwork, LenzenExactBandwidthMultiple) {
+  // max load exactly 2·(n-1): ceil(20/10) = 2 full-bandwidth rounds + 2
+  // protocol rounds — the ceil must not round 2.0 up to 3.
+  EXPECT_EQ(lenzen_rounds(20, 11), 4);
+}
+
+TEST(CliqueNetwork, LenzenSingleMessagePhase) {
+  // One message: ceil(1/(n-1)) = 1 round + 2 protocol rounds. The +O(1)
+  // overhead is charged whenever anything is sent at all, but never for
+  // an empty batch (EmptyPhaseCostsNothing).
+  EXPECT_EQ(lenzen_rounds(1, 11), 3);
 }
 
 TEST(ParallelRoutingCharge, TakesMaxOverClusters) {

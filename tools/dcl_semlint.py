@@ -46,8 +46,8 @@ Rules (all blocking; the shared allow() grammar below can justify a site):
                       new, no malloc-family call, and no growing container
                       call (push_back/emplace_back/resize/insert/emplace/
                       append/assign) on a container that the same function
-                      does not reserve(). The enumeration and delivery
-                      kernels PR 2/PR 5 flattened stay machine-checked
+                      does not reserve(). The flattened enumeration and
+                      intersection kernels stay machine-checked
                       allocation-free.
   bad-allow           Malformed allow() annotation (unknown rule name or
                       empty justification) — never allowlistable.
