@@ -272,8 +272,7 @@ InClusterEnumerator::InClusterEnumerator(const InClusterPlan& plan)
             }
             return multisets;
           }(),
-          plan.q, plan.p),
-      parts_(static_cast<std::size_t>(plan.p)) {
+          plan.q, plan.p) {
   for (const InClusterPlan::Rep& rep : plan.reps) {
     rep_global_.push_back(
         plan.cluster->nodes[static_cast<std::size_t>(rep.node)]);
@@ -288,25 +287,9 @@ std::uint64_t InClusterEnumerator::run(NodeId root_begin, NodeId root_end,
   // all-goal cluster graph carries no flags and skips the filter.
   flat_.clear();
   list_dag_cliques(dag_, plan_.p, scratch_, flat_, root_begin, root_end);
-  // Each row's covering representatives, then the row itself rewritten
-  // from compact to global ids in place; the output takes the whole run.
-  reporter_ends_.clear();
-  reporters_.clear();
-  const std::size_t width = parts_.size();
-  reporter_ends_.reserve(flat_.size() / width);
-  for (std::size_t at = 0; at < flat_.size(); at += width) {
-    for (std::size_t i = 0; i < width; ++i) {
-      const auto c = static_cast<std::size_t>(flat_[at + i]);
-      parts_[i] = plan_.part[c];
-      flat_[at + i] = plan_.compact_to_global[c];
-    }
-    for (const std::uint32_t r : covers_.covering(parts_)) {
-      reporters_.push_back(rep_global_[r]);
-    }
-    reporter_ends_.push_back(reporters_.size());
-  }
-  out.report_rows(flat_, width, reporter_ends_, reporters_);
-  return reporters_.size();
+  // Rows go out in global ids, credited to their covering representatives.
+  return covers_.report_rows(flat_, plan_.part, plan_.compact_to_global,
+                             rep_global_, out);
 }
 
 InClusterCost in_cluster_list(const InClusterProblem& problem, Rng& rng,

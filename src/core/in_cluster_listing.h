@@ -21,10 +21,11 @@
 //     orients the resulting cluster graph once along its degeneracy order;
 //  4. has every node enumerate the Kp instances inside its received edge
 //     set and report those containing at least one goal edge of C —
-//     simulated by listing the oriented cluster graph once and handing
+//     simulated by listing the oriented cluster graph once and crediting
 //     each clique to every representative whose multiset covers it: the
-//     report counts move once per covering representative, and the
-//     clique is appended to the output once.
+//     clique is appended to the output once, and each covering
+//     representative's report count moves by the run's cliques of that
+//     part tuple, once per tuple.
 //
 // Cost model: the returned loads feed a ParallelRoutingCharge in the
 // caller; `InClusterChargeMode::worst_case` replaces the measured loads by
@@ -54,9 +55,10 @@
 // representative covering it. A goal edge of a covered clique is in the
 // representative's local graph, so the reports — reporter and clique —
 // are exactly those of one listing per representative local graph. The
-// whole run reaches the output as one `ListingOutput::report_rows` batch,
-// which counts every (representative, clique) report and appends each
-// clique once.
+// whole run reaches the output as one `ListingOutput::report_rows` batch
+// built by `PartTupleCovers::report_rows`: each clique is appended once,
+// and each representative is credited, once per part tuple it covers,
+// with the number of the run's cliques of that tuple.
 //
 // `in_cluster_plan` is safe to call concurrently for DISTINCT clusters (its
 // only shared state is thread_local dedup and interning scratch); the
@@ -166,8 +168,8 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng);
 /// whose DAG source lies in the range once and reports it into `out` once
 /// per covering representative (reporter = the global id of the
 /// representative's cluster node; the order of reports is unspecified):
-/// `out`'s per-node and total counts move per representative, and the
-/// clique is appended once (`report_rows`).
+/// `out`'s per-node and total counts move per representative, credited
+/// once per part tuple, and the clique is appended once (`report_rows`).
 /// Root ranges partition the reports: any split of [0, n) yields the same
 /// multiset of (reporter, clique) reports. The enumerator owns a copy of
 /// the plan's DAG (the kernel trims rows in place), its kernel scratch and
@@ -178,10 +180,10 @@ class InClusterEnumerator {
  public:
   explicit InClusterEnumerator(const InClusterPlan& plan);
 
-  /// Lists the roots [root_begin, root_end) and hands the run's cliques,
-  /// with each one's covering representatives, to `out` in one
-  /// `report_rows` batch; returns the reports made (one per covering
-  /// representative of each clique).
+  /// Lists the roots [root_begin, root_end) and hands the run's cliques
+  /// to `out` in one `report_rows` batch, each covering representative
+  /// credited once per part tuple; returns the reports made (one per
+  /// covering representative of each clique).
   std::uint64_t run(NodeId root_begin, NodeId root_end, ListingOutput& out);
 
  private:
@@ -191,9 +193,6 @@ class InClusterEnumerator {
   PartTupleCovers covers_;
   std::vector<NodeId> rep_global_;  ///< global id of each representative
   std::vector<NodeId> flat_;
-  std::vector<int> parts_;
-  std::vector<std::size_t> reporter_ends_;
-  std::vector<NodeId> reporters_;
 };
 
 /// Plan + enumerate everything: reports cliques into `out` and returns the

@@ -40,19 +40,25 @@ class ListingOutput {
     append(clique);
   }
 
-  /// Records one listing run's reports: row r of `rows` (the `width` ids
-  /// at rows[r·width, (r+1)·width), any order) was output by each of
-  /// reporters[reporter_ends[r-1], reporter_ends[r]) (from 0 for r = 0).
-  /// The per-node totals, `total_reports` and the running maximum move
-  /// exactly as one `report()` per (reporter, row) would move them, but
-  /// each row is appended once. Rows without a reporter are not reported.
+  /// `reports` reports made by `reporter`, one entry of a `report_rows`
+  /// batch.
+  struct Credit {
+    NodeId reporter = 0;
+    std::uint64_t reports = 0;
+  };
+
+  /// Records one listing run's reports: every row of `rows` (the `width`
+  /// ids at rows[r·width, (r+1)·width), any order; width ≥ 1) is appended
+  /// once, and each credit adds its `reports` to its reporter. The per-node
+  /// totals and `total_reports` end where one `report()` per report would
+  /// leave them, and so does the running maximum: a per-node count only
+  /// grows, so its largest value is the same whichever order the reports
+  /// arrive in (the argument `merge_from` makes).
   void report_rows(std::span<const NodeId> rows, std::size_t width,
-                   std::span<const std::size_t> reporter_ends,
-                   std::span<const NodeId> reporters) {
-    for (const NodeId reporter : reporters) count_report(reporter);
-    for (std::size_t r = 0; r < reporter_ends.size(); ++r) {
-      if (reporter_ends[r] == (r == 0 ? 0 : reporter_ends[r - 1])) continue;
-      append(rows.subspan(r * width, width));
+                   std::span<const Credit> credits) {
+    for (const Credit& c : credits) count_report(c.reporter, c.reports);
+    for (std::size_t at = 0; at < rows.size(); at += width) {
+      append(rows.subspan(at, width));
     }
   }
 
@@ -71,7 +77,7 @@ class ListingOutput {
   const CliqueSet& cliques() const;
   std::uint64_t total_reports() const { return total_reports_; }
   /// Rows appended, duplicates included: one per `report()` and one per
-  /// reported row of `report_rows`. Equals `unique_count()` exactly when
+  /// row of a `report_rows` batch. Equals `unique_count()` exactly when
   /// no clique reached the collector twice.
   std::uint64_t row_count() const { return row_count_; }
   std::uint64_t unique_count() const;
@@ -88,11 +94,11 @@ class ListingOutput {
   std::uint64_t max_reports_per_node() const { return max_reports_; }
 
  private:
-  void count_report(NodeId reporter) {
-    const std::uint64_t reports =
-        ++per_node_reports_[static_cast<std::size_t>(reporter)];
-    max_reports_ = std::max(max_reports_, reports);
-    ++total_reports_;
+  void count_report(NodeId reporter, std::uint64_t reports = 1) {
+    std::uint64_t& mine = per_node_reports_[static_cast<std::size_t>(reporter)];
+    mine += reports;
+    max_reports_ = std::max(max_reports_, mine);
+    total_reports_ += reports;
   }
   void append(std::span<const NodeId> clique) {
     ++row_count_;
@@ -147,9 +153,11 @@ struct KpConfig {
   /// bad_scale · √n · log2(n) C-light neighbors. (The paper's constant is
   /// 100.) The default 1.0 is already far above the C-light degrees of the
   /// benchmarked inputs: they declare no bad node, so by default the
-  /// bad-edge path stays idle. `Stress.AggressiveBadEdgeThreshold`
-  /// (bad_scale 0.01 on a periphery workload) is the test that forces bad
-  /// nodes, and checks the listing stays exact.
+  /// bad-edge path stays idle. Two tests force bad nodes on periphery
+  /// workloads: `Stress.AggressiveBadEdgeThreshold` (bad_scale 0.01)
+  /// checks the listing stays exact, and `ArbList.BadEdgeBudgetRespected`
+  /// (bad_scale 0.02, 77 bad edges in one ARB-LIST call) checks the Er
+  /// decay budget.
   double bad_scale = 1.0;
 
   /// Ablation switch (E7a): when false, bad nodes are never declared and

@@ -15,7 +15,9 @@
 //    local graph iff the multiset covers every pair of the clique's parts,
 //    i.e. holds each part a at least min(c_a, 2) times, where c_a counts
 //    the clique's vertices in part a (`covers_part_tuple`, memoised per
-//    packed part tuple by `PartTupleCovers`).
+//    packed part tuple by `PartTupleCovers`, which also reports a listing
+//    run: rows appended once, each covering representative credited once
+//    per part tuple).
 // A sparsity-oblivious schedule cannot ask these questions; it budgets for
 // every potential pair instead (`oblivious_pair_budget`).
 #pragma once
@@ -28,6 +30,8 @@
 
 #include "common/intersect.h"
 #include "common/math_util.h"
+#include "common/small_sort.h"
+#include "core/listing_types.h"
 #include "graph/graph.h"
 #include "graph/ids.h"
 
@@ -153,43 +157,102 @@ inline bool covers_part_tuple(std::span<const int> held,
 
 /// Which of a fixed list of part multisets receive a clique, memoised per
 /// clique part tuple: a sorted tuple of p parts packs into a base-q key
-/// below q^p, and each distinct tuple's cover list is computed once.
+/// below q^p, and each distinct tuple gets a memo slot holding its cover
+/// list, computed once.
 class PartTupleCovers {
  public:
   PartTupleCovers(std::vector<std::vector<int>> multisets, int q, int p)
       : multisets_(std::move(multisets)),
         q_(static_cast<std::size_t>(q)),
-        at_(static_cast<std::size_t>(ipow(q, p)), 0) {}
+        slot_of_(static_cast<std::size_t>(ipow(q, p)), 0),
+        parts_(static_cast<std::size_t>(p)) {}
 
-  /// Ascending indices of the multisets covering the clique whose p
-  /// vertices lie in `parts` (any order; sorted in place).
-  std::span<const std::uint32_t> covering(std::span<int> parts) {
-    std::sort(parts.begin(), parts.end());
+  /// The memo slot of the clique whose p vertices lie in `parts` (any
+  /// order; sorted in place). Equal tuples share a slot.
+  std::uint32_t slot(std::span<int> parts) {
+    sort_small(parts);
     std::size_t key = 0;
     for (const int a : parts) key = key * q_ + static_cast<std::size_t>(a);
-    std::size_t& end = at_[key];
-    if (end == 0) {
-      const std::size_t count_at = lists_.size();
-      lists_.push_back(0);
+    std::uint32_t& at = slot_of_[key];
+    if (at == 0) {
       for (std::size_t r = 0; r < multisets_.size(); ++r) {
         if (covers_part_tuple(multisets_[r], parts)) {
           lists_.push_back(static_cast<std::uint32_t>(r));
         }
       }
-      lists_[count_at] =
-          static_cast<std::uint32_t>(lists_.size() - count_at - 1);
-      end = count_at + 1;
+      list_ends_.push_back(lists_.size());
+      hits_.push_back(0);
+      at = static_cast<std::uint32_t>(list_ends_.size() - 1);
     }
-    return {lists_.data() + end, lists_[end - 1]};
+    return at - 1;
+  }
+
+  /// Ascending indices of the multisets covering the tuple of `slot`.
+  std::span<const std::uint32_t> covering(std::uint32_t slot) const {
+    const std::size_t begin = list_ends_[slot];
+    return {lists_.data() + begin, list_ends_[slot + 1] - begin};
+  }
+
+  /// Reports one listing run into `out`. Each `width`-id row of `rows` is a
+  /// clique, vertex v in part `part[v]`, reported once by every multiset
+  /// covering it, under the id `reporter[m]` of multiset m's
+  /// representative. Rows no multiset covers are dropped; the rest are
+  /// rewritten in place through `to_global` (ids kept when it is empty)
+  /// and appended to `out` once each. Reports are credited per slot, not
+  /// per row: a run counts its kept rows per part tuple, then credits each
+  /// covering representative that count once. Returns the reports made.
+  std::uint64_t report_rows(std::span<NodeId> rows,
+                            std::span<const int> part,
+                            std::span<const NodeId> to_global,
+                            std::span<const NodeId> reporter,
+                            ListingOutput& out) {
+    const std::size_t width = parts_.size();
+    std::size_t kept = 0;
+    for (std::size_t at = 0; at < rows.size(); at += width) {
+      NodeId* const row = rows.data() + at;
+      for (std::size_t i = 0; i < width; ++i) {
+        parts_[i] = part[static_cast<std::size_t>(row[i])];
+      }
+      const std::uint32_t s = slot(parts_);
+      if (list_ends_[s] == list_ends_[s + 1]) continue;
+      if (hits_[s]++ == 0) touched_.push_back(s);
+      NodeId* const dst = rows.data() + kept;
+      for (std::size_t i = 0; i < width; ++i) {
+        dst[i] = to_global.empty()
+                     ? row[i]
+                     : to_global[static_cast<std::size_t>(row[i])];
+      }
+      kept += width;
+    }
+    credits_.clear();
+    std::uint64_t reports = 0;
+    for (const std::uint32_t s : touched_) {
+      for (const std::uint32_t m : covering(s)) {
+        // dcl-lint: allow(reserve-hint): member scratch, kept across runs
+        credits_.push_back({reporter[m], hits_[s]});
+        reports += hits_[s];
+      }
+      hits_[s] = 0;
+    }
+    touched_.clear();
+    out.report_rows(rows.first(kept), width, credits_);
+    return reports;
   }
 
  private:
   std::vector<std::vector<int>> multisets_;
   std::size_t q_;
-  /// Per packed tuple: where its indices start in `lists_`, just past
-  /// their count; 0 = not yet computed.
-  std::vector<std::size_t> at_;
+  /// Per packed tuple: its slot + 1; 0 = not yet computed.
+  std::vector<std::uint32_t> slot_of_;
+  /// Slot s's cover list is lists_[list_ends_[s], list_ends_[s + 1]).
+  std::vector<std::size_t> list_ends_{0};
   std::vector<std::uint32_t> lists_;
+  // `report_rows` scratch: kept rows per slot (all zero between runs), the
+  // slots a run touched, its credits, and one row's parts.
+  std::vector<std::uint64_t> hits_;
+  std::vector<std::uint32_t> touched_;
+  std::vector<ListingOutput::Credit> credits_;
+  std::vector<int> parts_;
 };
 
 }  // namespace dcl

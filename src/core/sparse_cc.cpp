@@ -142,7 +142,7 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
   // Local listing, simulated once (see the header): list the real edges
   // of g along the orientation above and report each clique by every
   // representative whose multiset covers its part tuple, all in one batch
-  // that inserts each clique once.
+  // that appends each clique once.
   cc_span.sync_to(ledger.total_rounds(), ledger.total_messages());
   {
     SpanGuard list_span(telemetry, "sparse-cc/list", "core");
@@ -158,21 +158,8 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
     std::vector<NodeId> flat;
     list_dag_cliques(dag, p, scratch, flat, 0, n);
     PartTupleCovers covers(msets.parts, q, p);
-    std::vector<int> parts(static_cast<std::size_t>(p));
-    std::vector<std::size_t> reporter_ends;
-    std::vector<NodeId> reporters;
-    reporter_ends.reserve(flat.size() / parts.size());
-    for (std::size_t at = 0; at < flat.size(); at += parts.size()) {
-      for (std::size_t x = 0; x < parts.size(); ++x) {
-        parts[x] = part[static_cast<std::size_t>(flat[at + x])];
-      }
-      for (const std::uint32_t r : covers.covering(parts)) {
-        reporters.push_back(msets.rep[r]);
-      }
-      reporter_ends.push_back(reporters.size());
-    }
-    out.report_rows(flat, parts.size(), reporter_ends, reporters);
-    list_span.add_work(reporter_ends.size());
+    covers.report_rows(flat, part, {}, msets.rep, out);
+    list_span.add_work(flat.size() / static_cast<std::size_t>(p));
   }
 
   result.lost_messages = ledger.lost_messages();

@@ -24,8 +24,9 @@
 // and each clique is reported by every representative whose multiset
 // covers it. That is exactly the (reporter, clique) reports of one listing
 // per representative; loads and round charges are still per node. The
-// reports reach the output as one `ListingOutput::report_rows` batch:
-// counts move per representative, and each clique is appended once.
+// reports reach the output as one `ListingOutput::report_rows` batch
+// built by `PartTupleCovers::report_rows`: each clique is appended once,
+// and each representative is credited once per part tuple it covers.
 //
 // Fake-edge padding (Section 4): when m/n^{1/p} < pad_factor·n·log n the
 // paper pads with marked fake edges so Lemma 2.7's conditions hold; padding

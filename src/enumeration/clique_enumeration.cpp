@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/intersect.h"
+#include "common/small_sort.h"
 #include "graph/orientation.h"
 
 namespace dcl {
@@ -287,8 +288,10 @@ CliqueDag degeneracy_dag(const Graph& g) {
 /// restores `deg` from the per-level scratch — the permutation itself never
 /// needs undoing, because every deeper survivor set is a subset of the
 /// prefix it was carved from. Consequences: the next candidate set is a
-/// free span (no filtered copy), inner scans touch induced degrees instead
-/// of full degrees, and the last level is a plain degree sum with no scan.
+/// free span (no filtered copy), and inner scans touch induced degrees
+/// instead of full degrees. The last two levels are not trimmed: their
+/// rows are read once, by a label scan of the prefixes trimmed one level
+/// up, so a trim there would only add swap writes and restores.
 struct TrimView {
   const std::uint64_t* off;
   NodeId* adj;
@@ -448,8 +451,6 @@ class CliqueWalk {
   }
 
   /// p ≤ 3: `cands` is the root's out-row, labeled 1 (`remaining` ∈ {1, 2}).
-  /// Completing pairs are emitted straight from the label scan, with no
-  /// candidate materialization.
   // dcl-hot
   std::uint64_t label_level(std::span<const NodeId> cands, int remaining) {
     if (static_cast<int>(cands.size()) < remaining) return 0;
@@ -465,24 +466,35 @@ class CliqueWalk {
       }
       return cands.size();
     }
+    return pair_scan(cands, 1, false);
+  }
+
+  /// The last two levels: every completing pair (x, w) of `cands` (all
+  /// labeled `mark`), found by scanning each x's current row for `mark`
+  /// and emitted straight from the scan with the goal flag aligned to it,
+  /// with no candidate materialization. A row is current either untrimmed
+  /// (p ≤ 3) or trimmed one level up, to a superset of `cands`.
+  // dcl-hot
+  std::uint64_t pair_scan(std::span<const NodeId> cands, std::uint8_t mark,
+                          bool prefix_goal) {
     const std::uint8_t* const label = ws_.label.data();
     std::uint64_t total = 0;
     for (std::size_t i = 0; i < cands.size(); ++i) {
       if (i + 1 < cands.size()) prefetch(sub_.row(cands[i + 1]));
       const NodeId x = cands[i];
-      const auto row = sub_.out(x);  // untrimmed at p ≤ 3
+      const auto row = sub_.out(x);
       if constexpr (!kEmit) {
         for (const NodeId w : row) {
           total += static_cast<std::uint64_t>(
-              label[static_cast<std::size_t>(w)] == 1);
+              label[static_cast<std::size_t>(w)] == mark);
         }
       } else {
         const std::uint8_t* g = kGoal ? sub_.row_goal(x) : nullptr;
         for (std::size_t j = 0; j < row.size(); ++j) {
           const NodeId w = row[j];
-          if (label[static_cast<std::size_t>(w)] != 1) continue;
+          if (label[static_cast<std::size_t>(w)] != mark) continue;
           ++total;
-          if (completes_goal(false, x, w, kGoal ? g[j] : 0)) emit(x, w);
+          if (completes_goal(prefix_goal, x, w, kGoal ? g[j] : 0)) emit(x, w);
         }
       }
     }
@@ -491,51 +503,34 @@ class CliqueWalk {
 
   /// p ≥ 4 recursion over the trimmed view. Entry invariant: every
   /// candidate is labeled `level` and trimmed to the candidate set (the
-  /// parent — or the root loop — ran `trim_prefixes`). `remaining` ≥ 2.
+  /// parent — or the root loop — ran `trim_prefixes`). `remaining` ≥ 3;
+  /// at 3 the next candidates are label-scanned (`pair_scan`), not trimmed.
   // dcl-hot
   std::uint64_t trim_level(std::span<const NodeId> cands, std::uint8_t level,
                            int remaining, bool prefix_goal) {
     if (static_cast<int>(cands.size()) < remaining) return 0;
     std::uint64_t total = 0;
-    if (remaining == 2) {
-      // The prefix invariant makes the two last levels a pure degree sum:
-      // deg[x] counts exactly the completing pairs (x, w) within `cands`,
-      // and listing reads them straight off the trimmed prefixes.
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        const NodeId x = cands[i];
-        const auto row = sub_.out(x);
-        total += row.size();
-        if constexpr (kEmit) {
-          if (i + 1 < cands.size()) prefetch(sub_.row(cands[i + 1]));
-          const std::uint8_t* g = kGoal ? sub_.row_goal(x) : nullptr;
-          for (std::size_t j = 0; j < row.size(); ++j) {
-            if (completes_goal(prefix_goal, x, row[j], kGoal ? g[j] : 0)) {
-              emit(x, row[j]);
-            }
-          }
-        }
-      }
-      return total;
-    }
     const auto up = static_cast<std::uint8_t>(level + 1);
+    const bool trim = remaining > 3;
     std::vector<NodeId>& saved = ws_.saved[static_cast<std::size_t>(level)];
     for (const NodeId u : cands) {
       const auto next = sub_.out(u);  // already trimmed to `cands` — free
       if (static_cast<int>(next.size()) < remaining - 1) continue;
       for (const NodeId x : next) ws_.label[static_cast<std::size_t>(x)] = up;
-      trim_prefixes<kGoal>(sub_, next, ws_.label, up, saved);
+      if (trim) trim_prefixes<kGoal>(sub_, next, ws_.label, up, saved);
       const bool u_goal =
           prefix_goal ||
           (kGoal && ws_.goal_in[static_cast<std::size_t>(u)] != 0);
       if (!u_goal) shift_goal_in(u, next, 1);
       // dcl-lint: allow(sem-hot-alloc): prefix is reserved to depth p by run()
       if constexpr (kEmit) ws_.prefix.push_back(u);
-      total += trim_level(next, up, remaining - 1, u_goal);
+      total += trim ? trim_level(next, up, remaining - 1, u_goal)
+                    : pair_scan(next, up, u_goal);
       if constexpr (kEmit) ws_.prefix.pop_back();
       if (!u_goal) shift_goal_in(u, next, -1);
       for (std::size_t i = 0; i < next.size(); ++i) {
         ws_.label[static_cast<std::size_t>(next[i])] = level;
-        ws_.deg[static_cast<std::size_t>(next[i])] = saved[i];
+        if (trim) ws_.deg[static_cast<std::size_t>(next[i])] = saved[i];
       }
     }
     return total;
@@ -569,43 +564,11 @@ std::vector<Clique> list_k_cliques(const Graph& g, int p) {
   std::vector<NodeId> flat;
   list_dag_cliques(dag, p, scratch, flat, 0, dag.node_count());
   const auto width = static_cast<std::size_t>(p);
-  const auto cas = [](NodeId& a, NodeId& b) {  // branchless compare-swap
-    const NodeId lo = std::min(a, b);
-    b = std::max(a, b);
-    a = lo;
-  };
   std::vector<Clique> result;
   result.reserve(flat.size() / width);
   for (std::size_t at = 0; at < flat.size(); at += width) {
-    // Canonicalize in the flat buffer. Sorting networks for the common
-    // widths (optimal compare-swap counts, no data-dependent branches);
-    // insertion sort above that.
-    NodeId* c = flat.data() + at;
-    switch (width) {
-      case 2:
-        cas(c[0], c[1]);
-        break;
-      case 3:
-        cas(c[0], c[2]); cas(c[0], c[1]); cas(c[1], c[2]);
-        break;
-      case 4:
-        cas(c[0], c[2]); cas(c[1], c[3]); cas(c[0], c[1]); cas(c[2], c[3]);
-        cas(c[1], c[2]);
-        break;
-      case 5:
-        cas(c[0], c[3]); cas(c[1], c[4]); cas(c[0], c[2]); cas(c[1], c[3]);
-        cas(c[0], c[1]); cas(c[2], c[4]); cas(c[1], c[2]); cas(c[3], c[4]);
-        cas(c[2], c[3]);
-        break;
-      default:
-        for (std::size_t i = 1; i < width; ++i) {
-          const NodeId x = c[i];
-          std::size_t j = i;
-          for (; j > 0 && c[j - 1] > x; --j) c[j] = c[j - 1];
-          c[j] = x;
-        }
-        break;
-    }
+    // Canonicalize in the flat buffer.
+    sort_small(std::span<NodeId>(flat.data() + at, width));
     result.emplace_back(flat.begin() + static_cast<std::ptrdiff_t>(at),
                         flat.begin() + static_cast<std::ptrdiff_t>(at + width));
   }

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "baselines/baselines.h"
 #include "common/rng.h"
 #include "core/kp_lister.h"
+#include "core/part_tables.h"
 #include "core/sparse_cc.h"
 #include "graph/generators.h"
 #include "graph/workloads.h"
@@ -135,58 +138,167 @@ TEST(ListingOutput, MergeFromReproducesSequentialCounters) {
   EXPECT_EQ(global.reports_of(1), 2u);
 }
 
+/// Every report counter of two collectors, and their clique sets, agree.
+/// (Row counts differ by design: a batch appends a row once, however many
+/// reporters it has.)
+void expect_same(const ListingOutput& a, const ListingOutput& b, NodeId n) {
+  EXPECT_EQ(a.total_reports(), b.total_reports());
+  EXPECT_EQ(a.max_reports_per_node(), b.max_reports_per_node());
+  EXPECT_EQ(a.unique_count(), b.unique_count());
+  EXPECT_EQ(a.cliques().fingerprint(), b.cliques().fingerprint());
+  EXPECT_TRUE(a.cliques() == b.cliques());
+  for (NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(a.reports_of(v), b.reports_of(v)) << "v " << v;
+  }
+}
+
 TEST(ListingOutput, BatchReportMatchesPerReporterReports) {
-  // report_rows moves every per-node count, the total and the running
-  // maximum as one report() per (reporter, row) would, inserts each row
-  // once, and skips rows without a reporter. Rows repeat cliques (also
-  // permuted), and reporters repeat across rows.
+  // report_rows appends each row once and moves every per-node count, the
+  // total and the running maximum as one report() per credited report
+  // would. Rows repeat cliques (also permuted), and a reporter may hold
+  // several credits of one batch.
   const NodeId n = 8;
   const std::vector<NodeId> rows = {0, 1, 2, 3,  //
-                                    4, 5, 6, 7,  //
                                     3, 2, 1, 0,  //
                                     1, 2, 3, 4,  //
-                                    2, 3, 4, 5,  //
                                     0, 1, 2, 3};
-  const std::vector<std::size_t> ends = {2, 2, 5, 6, 6, 8};
-  const std::vector<NodeId> reporters = {0, 7, 7, 0, 3, 7, 7, 1};
+  // Row 0 by {0, 7}, row 1 by {7, 0, 3}, row 2 by {7}, row 3 by {7, 1}.
+  const std::vector<ListingOutput::Credit> credits = {
+      {0, 2}, {7, 3}, {3, 1}, {7, 1}, {1, 1}};
 
   ListingOutput per_reporter(n);
-  for (std::size_t r = 0; r < ends.size(); ++r) {
+  const std::vector<std::vector<NodeId>> reporters_of = {
+      {0, 7}, {7, 0, 3}, {7}, {7, 1}};
+  for (std::size_t r = 0; r < reporters_of.size(); ++r) {
     const std::span<const NodeId> row(rows.data() + 4 * r, 4);
-    for (std::size_t i = r == 0 ? 0 : ends[r - 1]; i < ends[r]; ++i) {
-      per_reporter.report(reporters[i], row);
-    }
+    for (const NodeId v : reporters_of[r]) per_reporter.report(v, row);
   }
   ListingOutput batch(n);
-  batch.report_rows(rows, 4, ends, reporters);
+  batch.report_rows(rows, 4, credits);
 
-  const auto expect_same = [&](const ListingOutput& a,
-                               const ListingOutput& b) {
-    EXPECT_EQ(a.total_reports(), b.total_reports());
-    EXPECT_EQ(a.max_reports_per_node(), b.max_reports_per_node());
-    EXPECT_EQ(a.unique_count(), b.unique_count());
-    EXPECT_EQ(a.cliques().fingerprint(), b.cliques().fingerprint());
-    EXPECT_TRUE(a.cliques() == b.cliques());
-    for (NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(a.reports_of(v), b.reports_of(v)) << "v " << v;
-    }
-  };
-  expect_same(batch, per_reporter);
+  expect_same(batch, per_reporter, n);
   EXPECT_EQ(batch.total_reports(), 8u);
-  EXPECT_EQ(batch.unique_count(), 2u);  // {4,5,6,7} and {2,3,4,5} unreported
+  EXPECT_EQ(batch.row_count(), 4u);
+  EXPECT_EQ(batch.unique_count(), 2u);
   EXPECT_EQ(batch.max_reports_per_node(), 4u);
 
   // Shards built by report_rows merge to the sequential result.
   ListingOutput shard_a(n), shard_b(n), merged(n);
   const std::span<const NodeId> all(rows);
-  shard_a.report_rows(all.first(12), 4, std::span(ends).first(3),
-                      std::span(reporters).first(5));
-  const std::vector<std::size_t> ends_b = {1, 1, 3};
-  shard_b.report_rows(all.subspan(12), 4, ends_b,
-                      std::span(reporters).subspan(5));
+  shard_a.report_rows(all.first(8), 4, std::span(credits).first(3));
+  shard_b.report_rows(all.subspan(8), 4, std::span(credits).subspan(3));
   merged.merge_from(shard_a);
   merged.merge_from(shard_b);
-  expect_same(merged, per_reporter);
+  expect_same(merged, per_reporter, n);
+  EXPECT_EQ(merged.row_count(), 4u);
+
+  // A batch with rows and no credits appends; one with credits and no rows
+  // only counts.
+  ListingOutput split(n);
+  split.report_rows(rows, 4, {});
+  split.report_rows({}, 4, credits);
+  expect_same(split, per_reporter, n);
+  EXPECT_EQ(split.row_count(), 4u);
+}
+
+TEST(ListingOutput, PartTupleCreditsMatchPerReporterReports) {
+  // PartTupleCovers::report_rows credits each covering representative once
+  // per part tuple. That must leave the collector exactly where one
+  // report() per (covering representative, row) leaves it, with rows
+  // rewritten through the compact-to-global map and rows no multiset
+  // covers dropped. The roster leaves out every multiset holding part 0
+  // twice, so tuples with 0 three times have no cover.
+  Rng rng(41);
+  for (const auto& [q, p] : std::vector<std::pair<int, int>>{
+           {3, 3}, {3, 4}, {2, 5}, {4, 4}, {2, 6}}) {
+    SCOPED_TRACE(testing::Message() << "q=" << q << " p=" << p);
+    const NodeId k = 90;  // compact ids
+    const NodeId n = 300;  // global ids and reporters
+    std::vector<int> part(static_cast<std::size_t>(k));
+    for (auto& a : part) {
+      a = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(q)));
+    }
+    std::vector<NodeId> to_global(static_cast<std::size_t>(k));
+    for (NodeId c = 0; c < k; ++c) {
+      to_global[static_cast<std::size_t>(c)] = 3 * c + 1;
+    }
+    std::vector<std::vector<int>> roster;
+    std::vector<NodeId> reporter;
+    const PartMultisets m = part_multisets(to_node(ipow(q, p)), q, p);
+    for (std::size_t i = 0; i < m.parts.size(); ++i) {
+      if (std::count(m.parts[i].begin(), m.parts[i].end(), 0) >= 2) continue;
+      roster.push_back(m.parts[i]);
+      reporter.push_back(to_node(rng.next_below(static_cast<std::uint64_t>(n))));
+    }
+    std::vector<NodeId> flat;
+    for (int r = 0; r < 600; ++r) {
+      const Clique c = random_clique(rng, static_cast<std::size_t>(p), k);
+      flat.insert(flat.end(), c.begin(), c.end());
+    }
+
+    // Reference: one report() per (covering representative, row).
+    ListingOutput reference(n);
+    std::uint64_t covered_rows = 0;
+    std::size_t dropped = 0;
+    const auto report_each = [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t at = lo; at < hi; at += static_cast<std::size_t>(p)) {
+        std::vector<int> tuple;
+        Clique global;
+        for (std::size_t i = 0; i < static_cast<std::size_t>(p); ++i) {
+          const auto c = static_cast<std::size_t>(flat[at + i]);
+          tuple.push_back(part[c]);
+          global.push_back(to_global[c]);
+        }
+        std::sort(tuple.begin(), tuple.end());
+        bool covered = false;
+        for (std::size_t r = 0; r < roster.size(); ++r) {
+          if (!covers_part_tuple(roster[r], tuple)) continue;
+          reference.report(reporter[r], global);
+          covered = true;
+        }
+        covered_rows += covered ? 1 : 0;
+        dropped += covered ? 0 : 1;
+      }
+    };
+    report_each(0, flat.size());
+    EXPECT_GT(dropped, 0u);
+    EXPECT_GT(reference.row_count(), 0u);
+
+    // One batch.
+    PartTupleCovers covers(roster, q, p);
+    ListingOutput batch(n);
+    std::vector<NodeId> rows = flat;
+    EXPECT_EQ(covers.report_rows(rows, part, to_global, reporter, batch),
+              reference.total_reports());
+    expect_same(batch, reference, n);
+    EXPECT_EQ(batch.row_count(), covered_rows);
+
+    // Two shards, one memo: the second run starts from clean hit counts.
+    const std::size_t half = flat.size() / 2 / static_cast<std::size_t>(p) *
+                             static_cast<std::size_t>(p);
+    ListingOutput shard_a(n), shard_b(n), merged(n);
+    std::vector<NodeId> rows_a(flat.begin(), flat.begin() + half);
+    std::vector<NodeId> rows_b(flat.begin() + half, flat.end());
+    covers.report_rows(rows_a, part, to_global, reporter, shard_a);
+    covers.report_rows(rows_b, part, to_global, reporter, shard_b);
+    merged.merge_from(shard_a);
+    merged.merge_from(shard_b);
+    expect_same(merged, reference, n);
+    EXPECT_EQ(merged.row_count(), covered_rows);
+
+    // An empty `to_global` keeps the ids.
+    ListingOutput same_ids(n);
+    ListingOutput same_ids_reference(n);
+    std::vector<NodeId> identity(to_global.size());
+    for (NodeId c = 0; c < k; ++c) identity[static_cast<std::size_t>(c)] = c;
+    rows = flat;
+    PartTupleCovers(roster, q, p).report_rows(rows, part, identity, reporter,
+                                              same_ids_reference);
+    rows = flat;
+    covers.report_rows(rows, part, {}, reporter, same_ids);
+    expect_same(same_ids, same_ids_reference, n);
+    EXPECT_EQ(same_ids.row_count(), covered_rows);
+  }
 }
 
 TEST(ListingOutput, ArenaMatchesPerCliqueInserts) {
@@ -194,7 +306,7 @@ TEST(ListingOutput, ArenaMatchesPerCliqueInserts) {
   // per-clique CliqueSet insert loop builds. Widths 1-8 fit a packed key
   // and 9 does not; a small universe repeats cliques across batches, and
   // every fifth row repeats the row three back, permuted, inside the same
-  // batch. Every seventh row has no reporter and must be skipped.
+  // batch. Every seventh row is left out of its batch.
   Rng rng(29);
   const NodeId n = 40;
   for (std::size_t width = 1; width <= 9; ++width) {
@@ -211,22 +323,20 @@ TEST(ListingOutput, ArenaMatchesPerCliqueInserts) {
       return std::span<const NodeId>(flat).subspan(r * width, width);
     };
     const auto kept = [](std::size_t r) { return r % 7 != 3; };
-    // Reports rows [lo, hi) as one report_rows batch; a kept row is
-    // reported by node r mod n and, every other row, by one more node.
+    // Reports the kept rows of [lo, hi) as one report_rows batch; a kept
+    // row is reported by node r mod n and, every other row, by one more
+    // node.
     const auto report_batch = [&](ListingOutput& out, std::size_t lo,
                                   std::size_t hi) {
-      std::vector<std::size_t> ends;
-      std::vector<NodeId> reporters;
+      std::vector<NodeId> kept_rows;
+      std::vector<ListingOutput::Credit> credits;
       for (std::size_t r = lo; r < hi; ++r) {
-        if (kept(r)) {
-          reporters.push_back(static_cast<NodeId>(r % n));
-          if (r % 2 == 0) reporters.push_back(static_cast<NodeId>(r * 7 % n));
-        }
-        ends.push_back(reporters.size());
+        if (!kept(r)) continue;
+        kept_rows.insert(kept_rows.end(), row(r).begin(), row(r).end());
+        credits.push_back({static_cast<NodeId>(r % n), 1});
+        if (r % 2 == 0) credits.push_back({static_cast<NodeId>(r * 7 % n), 1});
       }
-      out.report_rows(std::span<const NodeId>(flat).subspan(
-                          lo * width, (hi - lo) * width),
-                      width, ends, reporters);
+      out.report_rows(kept_rows, width, credits);
     };
     const auto per_clique = [&](std::size_t lo, std::size_t hi,
                                 CliqueSet& set) {

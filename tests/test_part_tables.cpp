@@ -64,7 +64,7 @@ TEST(PartTables, CoverLemmaMatchesPairwiseCoverage) {
 
 TEST(PartTables, CoverMemoMatchesTheDirectRule) {
   for (int q = 2; q <= 4; ++q) {
-    for (int p = 3; p <= 5; ++p) {
+    for (int p = 3; p <= 6; ++p) {
       const auto multisets = sorted_tuples(q, p);
       PartTupleCovers covers(multisets, q, p);
       // Two passes: the first computes each tuple's list, the second reads
@@ -79,7 +79,7 @@ TEST(PartTables, CoverMemoMatchesTheDirectRule) {
             }
           }
           std::vector<int> parts(t.rbegin(), t.rend());
-          const auto got = covers.covering(parts);
+          const auto got = covers.covering(covers.slot(parts));
           EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
                     expected)
               << "q=" << q << " p=" << p << " pass " << pass;
