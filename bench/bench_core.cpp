@@ -125,7 +125,7 @@ void list_kp_benchmark(BenchReport& report, const char* input_name,
                                const ListingOutput& ref_out) {
     t.counters.emplace_back("ledger_total_rounds", ref.total_rounds());
     t.counters.emplace_back("unique_cliques",
-                            static_cast<double>(ref.unique_cliques));
+                            static_cast<double>(ref_out.unique_count()));
     t.counters.emplace_back("total_reports",
                             static_cast<double>(ref.total_reports));
     t.counters.emplace_back(
@@ -148,7 +148,7 @@ void list_kp_benchmark(BenchReport& report, const char* input_name,
   add_counters(report.add(time_kernel(
                    "list_kp" + suffix,
                    [&] { return list_kp(g, cfg).total_reports; },
-                   static_cast<double>(ref.unique_cliques))),
+                   static_cast<double>(ref_out.unique_count()))),
                ref, ref_out);
   {
     // The same end-to-end run at 4 shards. DCL_THREADS is a pure speed
@@ -168,7 +168,7 @@ void list_kp_benchmark(BenchReport& report, const char* input_name,
     auto& t = report.add(time_kernel(
         "list_kp_t4" + suffix,
         [&] { return list_kp(g, cfg).total_reports; },
-        static_cast<double>(ref4.unique_cliques)));
+        static_cast<double>(ref4_out.unique_count())));
     set_shard_threads(previous);
     add_counters(t, ref4, ref4_out);
   }
@@ -194,12 +194,12 @@ void sparse_cc_benchmark(BenchReport& report, const std::string& name,
         ListingOutput out(g.node_count());
         return sparse_cc_list(g, cfg, out).total_reports;
       },
-      static_cast<double>(ref.unique_cliques)));
+      static_cast<double>(ref_out.unique_count())));
   t.counters.emplace_back("ledger_total_rounds", ref.total_rounds());
   t.counters.emplace_back("ledger_total_messages",
                           static_cast<double>(ref.ledger.total_messages()));
   t.counters.emplace_back("unique_cliques",
-                          static_cast<double>(ref.unique_cliques));
+                          static_cast<double>(ref_out.unique_count()));
   t.counters.emplace_back("total_reports",
                           static_cast<double>(ref.total_reports));
   t.counters.emplace_back("max_reports_per_node",
@@ -281,10 +281,10 @@ void hooks_ab_benchmark(BenchReport& report) {
     auto& t = report.add(time_kernel(
         "list_kp_hooks_a/p=4/er_n140_m3200",
         [&] { return list_kp(g, cfg_a).total_reports; },
-        static_cast<double>(ref_a.unique_cliques)));
+        static_cast<double>(out_a.unique_count())));
     t.counters.emplace_back("ledger_total_rounds", ref_a.total_rounds());
     t.counters.emplace_back("unique_cliques",
-                            static_cast<double>(ref_a.unique_cliques));
+                            static_cast<double>(out_a.unique_count()));
     t.counters.emplace_back("fingerprint_fold32",
                             fold_fingerprint(out_a.cliques().fingerprint()));
   }
@@ -296,10 +296,10 @@ void hooks_ab_benchmark(BenchReport& report) {
           TelemetryScope scope(per_run);
           return list_kp(g, cfg_b).total_reports;
         },
-        static_cast<double>(ref_b.unique_cliques)));
+        static_cast<double>(out_b.unique_count())));
     t.counters.emplace_back("ledger_total_rounds", ref_b.total_rounds());
     t.counters.emplace_back("unique_cliques",
-                            static_cast<double>(ref_b.unique_cliques));
+                            static_cast<double>(out_b.unique_count()));
     t.counters.emplace_back("fingerprint_fold32",
                             fold_fingerprint(out_b.cliques().fingerprint()));
     t.counters.emplace_back("retry_rounds", ref_b.ledger.retry_rounds());

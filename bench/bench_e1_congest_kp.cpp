@@ -41,7 +41,8 @@ int main() {
         cfg.p = p;
         cfg.seed = seed;
         cfg.stop_scale = 0.15;
-        const auto result = list_kp(g, cfg);
+        ListingOutput out(g.node_count());
+        const auto result = list_kp_collect(g, cfg, out);
         if (seed == 1) {
           table.row()
               .add(p)
@@ -51,7 +52,7 @@ int main() {
               .add(result.ledger.rounds_of_kind(CostKind::exchange), 1)
               .add(result.ledger.rounds_of_kind(CostKind::routing), 1)
               .add(result.ledger.rounds_of_kind(CostKind::analytic), 1)
-              .add(result.unique_cliques);
+              .add(out.unique_count());
         }
         return result.total_rounds();
       });

@@ -47,7 +47,7 @@ int main() {
             .add(result.total_rounds(), 1)
             .add(oblivious_rounds, 1)
             .add(result.max_recv_load)
-            .add(result.unique_cliques);
+            .add(out.unique_count());
         if (m >= max_m) break;  // density cap reached
       }
       table.print();

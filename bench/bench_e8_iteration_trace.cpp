@@ -25,7 +25,8 @@ int main() {
   cfg.stop_scale = 0.05;  // run the outer loop as deep as it can go
   cfg.coupling_scale = 0.5;
   cfg.seed = 11;
-  const auto result = list_kp(g, cfg);
+  ListingOutput out(g.node_count());
+  const auto result = list_kp_collect(g, cfg, out);
 
   std::printf("\nOuter LIST iterations (n = %d, m = %lld):\n", n,
               static_cast<long long>(g.edge_count()));
@@ -77,7 +78,7 @@ int main() {
       "ARB-LIST; bad/|Er| ≤ 0.04 (paper proves 1/25).\n"
       "Total: %.1f rounds, %llu unique cliques (duplication ×%.2f).\n",
       result.total_rounds(),
-      static_cast<unsigned long long>(result.unique_cliques),
-      result.duplication_factor);
+      static_cast<unsigned long long>(out.unique_count()),
+      out.duplication_factor());
   return 0;
 }

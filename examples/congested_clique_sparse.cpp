@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(m),
                 static_cast<double>(m) / crossover, result.total_rounds(),
                 oblivious.total_rounds(),
-                static_cast<unsigned long long>(result.unique_cliques),
+                static_cast<unsigned long long>(out.unique_count()),
                 ok ? "" : "  DISAGREE");
   }
 
@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
   std::printf("\nfake-edge padding demo: %lld fake edges added; listed "
               "%llu cliques, exact count %llu — %s\n",
               static_cast<long long>(result.fake_edges),
-              static_cast<unsigned long long>(result.unique_cliques),
+              static_cast<unsigned long long>(out.unique_count()),
               static_cast<unsigned long long>(truth),
-              result.unique_cliques == truth ? "no leakage" : "LEAKED");
-  return result.unique_cliques == truth ? 0 : 1;
+              out.unique_count() == truth ? "no leakage" : "LEAKED");
+  return out.unique_count() == truth ? 0 : 1;
 }

@@ -33,7 +33,7 @@ void run_case(const dcl::Graph& g, int p, bool k4_fast) {
       "  K%d%-9s %8llu motifs | ours %9.1f rounds (msg-level %7.1f) | "
       "trivial %6.1f | %s\n",
       p, k4_fast ? " (fast)" : "",
-      static_cast<unsigned long long>(result.unique_cliques),
+      static_cast<unsigned long long>(out.unique_count()),
       result.total_rounds(),
       result.ledger.rounds_of_kind(CostKind::exchange),
       trivial.total_rounds(), ok ? "agree" : "DISAGREE");

@@ -34,10 +34,10 @@ int main(int argc, char** argv) {
 
   std::printf("listed %llu unique K%d instances in %.1f simulated rounds "
               "(%llu reports, duplication x%.2f)\n",
-              static_cast<unsigned long long>(result.unique_cliques), p,
+              static_cast<unsigned long long>(output.unique_count()), p,
               result.total_rounds(),
               static_cast<unsigned long long>(result.total_reports),
-              result.duplication_factor);
+              output.duplication_factor());
   result.ledger.print_breakdown(std::cout);
 
   // 3. Validate against the sequential oracle.

@@ -27,7 +27,6 @@ BaselineResult trivial_broadcast_list(const Graph& g, int p,
   args.mode = BroadcastMode::neighborhood;
   args.label = "trivial-neighborhood-broadcast";
   broadcast_listing(args, result.ledger, out);
-  result.unique_cliques = out.unique_count();
   result.total_reports = out.total_reports();
   return result;
 }
@@ -95,7 +94,6 @@ BaselineResult oblivious_cc_list(const Graph& g, int p, ListingOutput& out) {
       out.report(i, global);
     }
   }
-  result.unique_cliques = out.unique_count();
   result.total_reports = out.total_reports();
   return result;
 }
@@ -146,7 +144,6 @@ BaselineResult one_shot_list(const Graph& g, int p, ListingOutput& out,
   args.label = "one-shot-leftover-broadcast";
   broadcast_listing(args, result.ledger, out);
 
-  result.unique_cliques = out.unique_count();
   result.total_reports = out.total_reports();
   return result;
 }
@@ -159,7 +156,6 @@ BaselineResult chang_style_triangle_list(const Graph& g, ListingOutput& out,
   const KpListResult r = list_kp_collect(g, cfg, out);
   BaselineResult result;
   result.ledger = r.ledger;
-  result.unique_cliques = r.unique_cliques;
   result.total_reports = r.total_reports;
   return result;
 }

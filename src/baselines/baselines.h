@@ -28,7 +28,6 @@ namespace dcl {
 
 struct BaselineResult {
   RoundLedger ledger;
-  std::uint64_t unique_cliques = 0;
   std::uint64_t total_reports = 0;
   double total_rounds() const { return ledger.total_rounds(); }
 };

@@ -12,9 +12,8 @@ DetectionResult detect_kp(const Graph& g, const KpConfig& cfg) {
   result.rounds = run.total_rounds();
   result.found = out.unique_count() > 0;
   if (result.found) {
-    // The lexicographically smallest listed clique: a function of the
-    // clique set alone, never of the dedup table's slot order (which
-    // depends on insertion order).
+    // The lexicographically smallest listed clique. The set's own order
+    // is by hash, so its first member would be a valid but arbitrary pick.
     out.cliques().for_each_span([&](std::span<const NodeId> c) {
       if (result.witness.empty() ||
           std::lexicographical_compare(c.begin(), c.end(),

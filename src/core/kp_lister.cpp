@@ -204,9 +204,7 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
                        result.ledger.total_messages());
   }
 
-  result.unique_cliques = out.unique_count();
   result.total_reports = out.total_reports();
-  result.duplication_factor = out.duplication_factor();
   result.lost_messages = result.ledger.lost_messages();
   result.crash_degraded = faults.crash_degraded;
   for (NodeId v = 0; v < n; ++v) {
@@ -218,7 +216,7 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
     MetricsRegistry& metrics = telemetry->metrics();
     metrics.counter_add("list.arb_iterations", result.arb_traces.size());
     metrics.gauge_set("list.unique_cliques",
-                      static_cast<std::int64_t>(result.unique_cliques));
+                      static_cast<std::int64_t>(out.unique_count()));
     metrics.gauge_set("list.total_reports",
                       static_cast<std::int64_t>(result.total_reports));
     metrics.gauge_set("list.crashed_nodes",

@@ -12,8 +12,10 @@
 //   * final stage: every node broadcasts its remaining outgoing edges to
 //     its neighbors (O(A) rounds) and lists all remaining Kp locally.
 //
-// The returned result carries the audited round ledger, the listing
-// statistics, and per-iteration traces for experiments E1/E2/E8.
+// The returned result carries the audited round ledger, the report total,
+// and per-iteration traces for experiments E1/E2/E8. It counts no distinct
+// cliques: that is the reader's job, through the collector
+// (`ListingOutput::unique_count()` after `list_kp_collect`).
 //
 // Correctness contract (validated by the test suite): the union of all node
 // outputs equals the exact set of Kp instances of the input graph — no

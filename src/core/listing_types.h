@@ -18,18 +18,16 @@ namespace dcl {
 
 /// Collects the listing output of every node. The distributed guarantee
 /// (Section 1) is that the *union* of all node outputs equals the set of Kp
-/// instances; several nodes may legitimately report the same clique, so the
-/// collector counts unique cliques and tracks the duplication factor.
+/// instances; several nodes may legitimately report the same clique, so
+/// counting distinct cliques is the reader's job, not the lister's.
 ///
 /// Reports are append-only: each reported clique is copied, in the order
-/// reported, into a flat arena of rows, duplicates included. ARB-LIST, the
-/// CONGESTED-CLIQUE lister and the broadcast lister hand every clique over
-/// once, so nothing on their report path hashes. `unique_count()` runs one
-/// distinct pass over the arena when it is read, and `cliques()` builds
-/// the `CliqueSet` view when it is read; both stay exact when rows repeat
-/// (the baselines, k4fast's light-node probe, fault plans). The two reads
-/// cache their result until the next report, so concurrent readers of one
-/// collector are not safe.
+/// reported, into a flat arena of rows, duplicates included, and nothing on
+/// the report path hashes. `cliques()` builds the `CliqueSet` of distinct
+/// cliques from the arena when it is read, and `unique_count()` is its
+/// size; both stay exact when rows repeat (the baselines, k4fast's
+/// light-node probe, fault plans). The set is cached until the next
+/// report, so concurrent readers of one collector are not safe.
 class ListingOutput {
  public:
   explicit ListingOutput(NodeId n) : per_node_reports_(static_cast<std::size_t>(n), 0) {}
@@ -72,7 +70,7 @@ class ListingOutput {
   /// same node count.
   void merge_from(const ListingOutput& shard);
 
-  /// The unique cliques reported, as a set built on first read after a
+  /// The distinct cliques reported, as a set built on first read after a
   /// report (cached; see the class comment).
   const CliqueSet& cliques() const;
   std::uint64_t total_reports() const { return total_reports_; }
@@ -80,7 +78,7 @@ class ListingOutput {
   /// row of a `report_rows` batch. Equals `unique_count()` exactly when
   /// no clique reached the collector twice.
   std::uint64_t row_count() const { return row_count_; }
-  std::uint64_t unique_count() const;
+  std::uint64_t unique_count() const { return cliques().size(); }
   double duplication_factor() const {
     const std::uint64_t unique = unique_count();
     return unique == 0 ? 0.0
@@ -105,24 +103,15 @@ class ListingOutput {
     arena_.push_back(static_cast<NodeId>(clique.size()));
     arena_.insert(arena_.end(), clique.begin(), clique.end());
   }
-  /// The arena row starting at `at`; advances `at` past it.
-  std::span<const NodeId> next_row(std::size_t& at) const {
-    const auto width = static_cast<std::size_t>(arena_[at]);
-    const std::span<const NodeId> row(arena_.data() + at + 1, width);
-    at += 1 + width;
-    return row;
-  }
 
   std::vector<NodeId> arena_;  ///< per row: its width, then its ids
   std::uint64_t row_count_ = 0;
   std::uint64_t total_reports_ = 0;
   std::uint64_t max_reports_ = 0;
   std::vector<std::uint64_t> per_node_reports_;
-  // Read caches, valid while their row count equals row_count_.
+  // Read cache, valid while its row count equals row_count_.
   mutable CliqueSet view_;
   mutable std::uint64_t view_rows_ = 0;
-  mutable std::uint64_t unique_ = 0;
-  mutable std::uint64_t unique_rows_ = 0;
 };
 
 /// How the in-cluster lister charges the edge-distribution step.
@@ -239,9 +228,7 @@ struct ListIterationTrace {
 
 struct KpListResult {
   RoundLedger ledger;
-  std::uint64_t unique_cliques = 0;
   std::uint64_t total_reports = 0;
-  double duplication_factor = 0.0;
   std::vector<ListIterationTrace> list_traces;
   std::vector<ArbIterationTrace> arb_traces;
   /// Fault-plane summary (all zero / empty on a fault-free run): messages

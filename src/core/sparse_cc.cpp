@@ -163,7 +163,6 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
   }
 
   result.lost_messages = ledger.lost_messages();
-  result.unique_cliques = out.unique_count();
   result.total_reports = out.total_reports();
   record_cc_metrics();
   return result;

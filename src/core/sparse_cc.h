@@ -61,7 +61,6 @@ struct SparseCcConfig {
 
 struct SparseCcResult {
   RoundLedger ledger;
-  std::uint64_t unique_cliques = 0;
   std::uint64_t total_reports = 0;
   std::int64_t parts = 0;
   std::int64_t fake_edges = 0;

@@ -1,6 +1,7 @@
 #include "enumeration/clique_enumeration.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -11,7 +12,7 @@
 namespace dcl {
 
 // ---------------------------------------------------------------------------
-// CliqueSet — open-addressing flat table over packed keys.
+// CliqueSet — canonical rows sorted by (hash, width, ids).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -33,194 +34,170 @@ inline void prefetch(const void* p) {
 #endif
 }
 
-}  // namespace
-
-CliqueSet::PackedKey CliqueSet::pack(std::span<const NodeId> clique) {
-  PackedKey key;
-  key.fill(kUnused);
-  std::copy(clique.begin(), clique.end(), key.begin());
-  // Insertion sort: the keys are at most 8 wide, and report order is
-  // usually already sorted or nearly so.
-  for (std::size_t i = 1; i < clique.size(); ++i) {
-    const NodeId x = key[i];
-    std::size_t j = i;
-    for (; j > 0 && key[j - 1] > x; --j) key[j] = key[j - 1];
-    key[j] = x;
+/// The per-clique hash that `CliqueSet::fingerprint` sums, over sorted ids.
+/// Cliques of 1-8 ids hash as one fixed-width key (the ids padded with -1
+/// to 8 lanes of 32 bits, mixed 64 bits at a time); the empty clique and
+/// wider ones hash id by id. The pinned values are in test_clique_set.cpp
+/// and in every `fingerprint_fold32` of BENCH_core.json.
+std::uint64_t clique_hash(std::span<const NodeId> sorted) {
+  constexpr std::size_t kKeyWidth = 8;
+  if (sorted.empty() || sorted.size() > kKeyWidth) {
+    std::uint64_t h = 0x2545f4914f6cdd1dULL;
+    for (const NodeId v : sorted) {
+      h = splitmix64(h ^ static_cast<std::uint32_t>(v));
+    }
+    return h;
   }
-  return key;
-}
-
-std::uint64_t CliqueSet::hash_key(const PackedKey& key) {
-  static_assert(sizeof(PackedKey) == 4 * sizeof(std::uint64_t));
+  std::array<NodeId, kKeyWidth> key;
+  key.fill(-1);
+  std::copy(sorted.begin(), sorted.end(), key.begin());
   const auto lanes = std::bit_cast<std::array<std::uint64_t, 4>>(key);
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (const std::uint64_t lane : lanes) h = splitmix64(h ^ lane);
   return h;
 }
 
-void CliqueSet::place_robin_hood(std::vector<PackedKey>& slots,
-                                 PackedKey key) {
-  const std::size_t mask = slots.size() - 1;
-  std::size_t i = static_cast<std::size_t>(hash_key(key)) & mask;
-  std::size_t dist = 0;
-  while (slots[i][0] != kUnused) {
-    const std::size_t their =
-        (i - (static_cast<std::size_t>(hash_key(slots[i])) & mask)) & mask;
-    if (their < dist) {
-      std::swap(slots[i], key);
-      dist = their;
+/// The width-prefixed row at `start` of `rows`: its width, then its ids.
+std::span<const NodeId> row_at(const std::vector<NodeId>& rows,
+                               std::size_t start) {
+  return {rows.data() + start, 1 + static_cast<std::size_t>(rows[start])};
+}
+
+/// Set order: by hash, then by the width-prefixed row (width, then ids).
+bool row_less(std::uint64_t ha, std::span<const NodeId> a, std::uint64_t hb,
+              std::span<const NodeId> b) {
+  if (ha != hb) return ha < hb;
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+}
+
+bool row_equal(std::span<const NodeId> a, std::span<const NodeId> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
+}  // namespace
+
+CliqueSet::CliqueSet(const std::vector<Clique>& cliques) {
+  std::vector<NodeId> rows;
+  for (const Clique& c : cliques) {
+    rows.push_back(static_cast<NodeId>(c.size()));
+    rows.insert(rows.end(), c.begin(), c.end());
+  }
+  *this = from_rows(std::move(rows));
+}
+
+CliqueSet CliqueSet::from_rows(std::vector<NodeId> rows) {
+  // Canonicalize every row in place and key it by its hash.
+  struct Key {
+    std::uint64_t hash;
+    std::size_t start;
+  };
+  std::size_t count = 0;
+  for (std::size_t at = 0; at < rows.size();
+       at += 1 + static_cast<std::size_t>(rows[at])) {
+    ++count;
+  }
+  std::vector<Key> keys;
+  keys.reserve(count);
+  for (std::size_t at = 0; at < rows.size();) {
+    const auto width = static_cast<std::size_t>(rows[at]);
+    const std::span<NodeId> ids(rows.data() + at + 1, width);
+    sort_small(ids);
+    keys.push_back({clique_hash(ids), at});
+    at += 1 + width;
+  }
+  // Set order in two steps: one counting pass by the hash's top bits
+  // spreads the keys over at most 2^16 buckets, a counter array that stays
+  // in cache, then each bucket is sorted by the full order. One comparison
+  // sort of all keys costs several times more on millions of rows.
+  const int bits =
+      std::clamp(static_cast<int>(std::bit_width(count)) - 3, 1, 16);
+  const auto bucket = [bits](std::uint64_t hash) {
+    return static_cast<std::size_t>(hash >> (64 - bits));
+  };
+  std::vector<std::size_t> fence((std::size_t{1} << bits) + 1, 0);
+  for (const Key& k : keys) ++fence[bucket(k.hash) + 1];
+  for (std::size_t b = 1; b < fence.size(); ++b) fence[b] += fence[b - 1];
+  std::vector<Key> sorted(count);
+  {
+    std::vector<std::size_t> next(fence.begin(), fence.end() - 1);
+    for (const Key& k : keys) sorted[next[bucket(k.hash)]++] = k;
+  }
+  keys = {};
+  const auto less = [&](const Key& a, const Key& b) {
+    return row_less(a.hash, row_at(rows, a.start), b.hash,
+                    row_at(rows, b.start));
+  };
+  for (std::size_t b = 0; b + 1 < fence.size(); ++b) {
+    std::sort(sorted.begin() + static_cast<std::ptrdiff_t>(fence[b]),
+              sorted.begin() + static_cast<std::ptrdiff_t>(fence[b + 1]),
+              less);
+  }
+
+  // Emit each distinct row once, in set order.
+  CliqueSet set;
+  set.rows_.reserve(rows.size());
+  set.hashes_.reserve(count);
+  set.starts_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i + 8 < count) prefetch(rows.data() + sorted[i + 8].start);
+    const Key& k = sorted[i];
+    const std::span<const NodeId> row = row_at(rows, k.start);
+    if (!set.hashes_.empty() && set.hashes_.back() == k.hash &&
+        row_equal(row_at(set.rows_, set.starts_.back()), row)) {
+      continue;
     }
-    i = (i + 1) & mask;
-    ++dist;
+    set.starts_.push_back(set.rows_.size());
+    set.hashes_.push_back(k.hash);
+    set.fingerprint_ += k.hash;
+    set.rows_.insert(set.rows_.end(), row.begin(), row.end());
   }
-  slots[i] = key;
+  set.rows_.shrink_to_fit();
+  set.hashes_.shrink_to_fit();
+  set.starts_.shrink_to_fit();
+  return set;
 }
 
-bool CliqueSet::insert_packed(const PackedKey& key) {
-  if (slots_.empty()) {
-    reserve(0);
-  } else if ((packed_count_ + 1) * 10 > slots_.size() * 7) {
-    rehash(slots_.size() * 2);
-  }
-  // Duplicate scan: along a robin-hood probe chain residents appear in
-  // non-decreasing ideal-slot order, so an equal key — same ideal slot —
-  // must occur before the first empty slot or the first resident strictly
-  // closer to its own ideal than we are to ours, where placement steals.
-  // Displacement stays bounded regardless of insert order, hash-ordered
-  // inserts into a growing table included.
-  const std::uint64_t hash = hash_key(key);
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = static_cast<std::size_t>(hash) & mask, dist = 0;
-       slots_[i][0] != kUnused; i = (i + 1) & mask, ++dist) {
-    if (slots_[i] == key) return false;
-    const std::size_t their =
-        (i - (static_cast<std::size_t>(hash_key(slots_[i])) & mask)) & mask;
-    if (their < dist) break;
-  }
-  place_robin_hood(slots_, key);
-  ++packed_count_;
-  fingerprint_ += hash;
-  return true;
-}
-
-bool CliqueSet::contains_packed(const PackedKey& key) const {
-  if (slots_.empty()) return false;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(hash_key(key)) & mask;
-  while (slots_[i][0] != kUnused) {
-    if (slots_[i] == key) return true;
-    i = (i + 1) & mask;
+bool CliqueSet::contains(std::span<const NodeId> clique) const {
+  std::vector<NodeId> row(clique.size() + 1);
+  row[0] = static_cast<NodeId>(clique.size());
+  std::copy(clique.begin(), clique.end(), row.begin() + 1);
+  const std::span<NodeId> ids(row.data() + 1, clique.size());
+  sort_small(ids);
+  const auto [lo, hi] =
+      std::equal_range(hashes_.begin(), hashes_.end(), clique_hash(ids));
+  for (auto it = lo; it != hi; ++it) {
+    const auto i = static_cast<std::size_t>(it - hashes_.begin());
+    if (row_equal(row_at(rows_, starts_[i]), row)) return true;
   }
   return false;
 }
 
-void CliqueSet::rehash(std::size_t new_slots) {
-  std::vector<PackedKey> old = std::move(slots_);
-  PackedKey empty;
-  empty.fill(kUnused);
-  slots_.assign(new_slots, empty);
-  // Rehash feeds keys in old-slot (≈ hash) order — exactly the adversarial
-  // order for plain linear probing; robin-hood placement keeps the rebuilt
-  // table displacement-bounded too.
-  for (const PackedKey& key : old) {
-    if (key[0] == kUnused) continue;
-    place_robin_hood(slots_, key);
-  }
-}
-
-std::size_t CliqueSet::max_displacement() const {
-  if (slots_.empty()) return 0;
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t worst = 0;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i][0] == kUnused) continue;
-    const std::size_t ideal =
-        static_cast<std::size_t>(hash_key(slots_[i])) & mask;
-    worst = std::max(worst, (i - ideal) & mask);
-  }
-  return worst;
-}
-
-void CliqueSet::reserve(std::size_t expected) {
-  std::size_t target = 32;
-  // Smallest power of two keeping `expected` keys at or under 0.7 load.
-  while (target * 7 < expected * 10) target *= 2;
-  if (target > slots_.size()) rehash(target);
-}
-
-std::uint64_t CliqueSet::overflow_hash(const Clique& sorted) {
-  std::uint64_t h = 0x2545f4914f6cdd1dULL;
-  for (const NodeId v : sorted) {
-    h = splitmix64(h ^ static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
-  }
-  return h;
-}
-
-bool CliqueSet::insert(std::span<const NodeId> clique) {
-  if (clique.empty() || clique.size() > kPackedMax) {
-    Clique c(clique.begin(), clique.end());
-    std::sort(c.begin(), c.end());
-    const std::uint64_t h = overflow_hash(c);
-    const bool fresh = overflow_.insert(std::move(c)).second;
-    if (fresh) fingerprint_ += h;
-    return fresh;
-  }
-  return insert_packed(pack(clique));
-}
-
-bool CliqueSet::insert(const Clique& clique) {
-  return insert(std::span<const NodeId>(clique));
-}
-
-bool CliqueSet::contains(std::span<const NodeId> clique) const {
-  if (clique.empty() || clique.size() > kPackedMax) {
-    Clique c(clique.begin(), clique.end());
-    std::sort(c.begin(), c.end());
-    return overflow_.contains(c);
-  }
-  return contains_packed(pack(clique));
-}
-
-bool CliqueSet::contains(const Clique& clique) const {
-  return contains(std::span<const NodeId>(clique));
-}
-
-template <typename F>
-void CliqueSet::for_each(F&& fn) const {
-  Clique scratch;
-  for (const PackedKey& key : slots_) {
-    if (key[0] == kUnused) continue;
-    scratch.clear();
-    for (const NodeId v : key) {
-      if (v == kUnused) break;
-      scratch.push_back(v);
-    }
-    fn(scratch);
-  }
-  for (const Clique& c : overflow_) fn(c);
-}
-
 std::vector<Clique> CliqueSet::difference(const CliqueSet& other) const {
+  // Both sides are in set order, so one merge walk finds the rows of this
+  // set that `other` lacks.
   std::vector<Clique> out;
-  for_each([&](const Clique& c) {
-    if (!other.contains(std::span<const NodeId>(c))) out.push_back(c);
-  });
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < size(); ++i) {
+    const std::span<const NodeId> row = row_at(rows_, starts_[i]);
+    while (j < other.size() &&
+           row_less(other.hashes_[j], row_at(other.rows_, other.starts_[j]),
+                    hashes_[i], row)) {
+      ++j;
+    }
+    if (j < other.size() && other.hashes_[j] == hashes_[i] &&
+        row_equal(row_at(other.rows_, other.starts_[j]), row)) {
+      continue;
+    }
+    out.emplace_back(row.begin() + 1, row.end());
+  }
   return out;
-}
-
-bool CliqueSet::operator==(const CliqueSet& other) const {
-  if (size() != other.size()) return false;
-  bool equal = true;
-  for_each([&](const Clique& c) {
-    equal = equal && other.contains(std::span<const NodeId>(c));
-  });
-  return equal;
 }
 
 std::vector<Clique> CliqueSet::to_vector() const {
   std::vector<Clique> out;
   out.reserve(size());
-  for_each([&](const Clique& c) { out.push_back(c); });
+  for_each_span(
+      [&](std::span<const NodeId> c) { out.emplace_back(c.begin(), c.end()); });
   return out;
 }
 

@@ -17,9 +17,7 @@
 // allocate nothing after warm-up (see docs/PERFORMANCE.md).
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <set>
 #include <span>
 #include <vector>
 
@@ -34,114 +32,59 @@ using Clique = std::vector<NodeId>;
 /// Canonical set of cliques with value semantics; the comparison target for
 /// listing validation.
 ///
-/// Cliques of up to `kPackedMax` vertices — every Kp the paper's algorithms
-/// list (p ≤ 8) — are deduplicated in an open-addressing flat table over
-/// fixed-width packed keys (sorted ids, -1-padded, splitmix-mixed), so an
-/// insert does no heap allocation once the table is sized. Larger cliques
-/// (e.g. maximal cliques of dense graphs) spill to a node-based set. The
-/// listers do not insert here as they report: `ListingOutput` appends rows
-/// and builds this set only when `cliques()` is read.
+/// Built once from its input and read-only after. Each distinct clique is
+/// stored once as a canonical row (its width, then its ids ascending) in
+/// one flat vector, ordered by the clique's hash, then width, then ids.
+/// That order is a function of the contents alone: equal sets hold equal
+/// vectors and visit their members in the same order, whatever order and
+/// multiplicity their input had. The listers do not build this set as they
+/// report: `ListingOutput` appends rows and builds it when `cliques()` is
+/// read.
 class CliqueSet {
  public:
-  /// Widest clique stored inline; chosen for the paper's p ≤ 8 regime
-  /// (a packed key is 8 × 32-bit NodeId = one cache line half).
-  static constexpr std::size_t kPackedMax = 8;
-
   CliqueSet() = default;
-  explicit CliqueSet(const std::vector<Clique>& cliques) {
-    for (const auto& c : cliques) insert(c);
-  }
+  /// The distinct cliques of `cliques`, each given in any vertex order.
+  explicit CliqueSet(const std::vector<Clique>& cliques);
+  /// The distinct cliques of `rows`: per clique its width, then its ids in
+  /// any order (the layout of `ListingOutput`'s arena).
+  static CliqueSet from_rows(std::vector<NodeId> rows);
 
-  /// Inserts a clique given in any vertex order; returns true if new.
-  bool insert(const Clique& clique);
-  /// Allocation-free insert for cliques of ≤ kPackedMax vertices (any
-  /// order); falls back to the spill set above that width.
-  bool insert(std::span<const NodeId> clique);
-  bool contains(const Clique& clique) const;
+  /// Whether `clique` (any vertex order) is a member.
   bool contains(std::span<const NodeId> clique) const;
-  std::size_t size() const { return packed_count_ + overflow_.size(); }
-  bool empty() const { return size() == 0; }
-
-  /// Pre-sizes the packed table for `expected` cliques so inserts perform
-  /// no growth rehashes up to that size (`ListingOutput` sizes its view
-  /// this way).
-  void reserve(std::size_t expected);
-
-  /// Longest probe distance of any packed key from its ideal slot — the
-  /// robin-hood balance diagnostic. Insert placement is displacement-
-  /// bounded (robin hood: a probing key steals the slot of any resident
-  /// closer to its own ideal), so this stays O(log n)-ish at the 0.7 load
-  /// ceiling no matter the insert order; in particular hash-ordered
-  /// inserts (a slot-order walk of another table) cannot degenerate into
-  /// the long probe chains plain linear probing builds. O(slots) scan;
-  /// tests assert the bound after adversarial insert orders.
-  std::size_t max_displacement() const;
+  std::size_t size() const { return hashes_.size(); }
+  bool empty() const { return hashes_.empty(); }
 
   /// Order-independent content hash: the wrapping sum of one mixed hash
-  /// per member clique, maintained incrementally on insert. Two sets with
-  /// equal contents have equal fingerprints regardless of insertion
-  /// history; the empty set is 0. `ListingOutput` exposes it, and
+  /// per member clique. Two sets with equal contents have equal
+  /// fingerprints; the empty set is 0. `ListingOutput` exposes it, and
   /// `bench_core` and perfbench read it as the ledger-style drift detector.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
-  /// Visits every member clique as a sorted `std::span<const NodeId>`
-  /// without materializing vectors.
-  /// Packed cliques are visited in slot order, overflow cliques after in
-  /// lexicographic order (the spill set is ordered precisely so this
-  /// visitation order is deterministic — dcl_lint's unordered-iteration
-  /// rule bans hash-order walks on any path that can reach fingerprints);
-  /// the span is valid only for the duration of the call.
+  /// Visits every member clique, in set order, as a sorted
+  /// `std::span<const NodeId>` valid only for the duration of the call.
   template <typename F>
   void for_each_span(F&& fn) const {
-    for (const PackedKey& key : slots_) {
-      if (key[0] == kUnused) continue;
-      std::size_t len = 1;
-      while (len < kPackedMax && key[len] != kUnused) ++len;
-      fn(std::span<const NodeId>(key.data(), len));
-    }
-    for (const Clique& c : overflow_) {
-      fn(std::span<const NodeId>(c.data(), c.size()));
+    for (std::size_t at = 0; at < rows_.size();) {
+      const auto width = static_cast<std::size_t>(rows_[at]);
+      fn(std::span<const NodeId>(rows_.data() + at + 1, width));
+      at += 1 + width;
     }
   }
 
-  /// Cliques present in `this` but not in `other`.
+  /// Cliques present in `this` but not in `other`, in set order.
   std::vector<Clique> difference(const CliqueSet& other) const;
 
-  bool operator==(const CliqueSet& other) const;
+  bool operator==(const CliqueSet& other) const {
+    return rows_ == other.rows_;
+  }
 
   std::vector<Clique> to_vector() const;
 
  private:
-  /// Sorted node ids padded with kUnused; padding never collides with a
-  /// real id, so key equality is exactly clique equality.
-  using PackedKey = std::array<NodeId, kPackedMax>;
-  static constexpr NodeId kUnused = -1;
-
-  static PackedKey pack(std::span<const NodeId> clique);  // sorts inline
-  static std::uint64_t hash_key(const PackedKey& key);
-
-  /// Robin-hood placement of a key known to be absent (rehash and
-  /// insert_packed): probes from the ideal slot, swapping with any
-  /// resident that sits closer to its own ideal than the carried key does.
-  static void place_robin_hood(std::vector<PackedKey>& slots, PackedKey key);
-
-  bool insert_packed(const PackedKey& key);
-  bool contains_packed(const PackedKey& key) const;
-  static std::uint64_t overflow_hash(const Clique& sorted);
-  void rehash(std::size_t new_slots);
-  template <typename F>
-  void for_each(F&& fn) const;  // fn(const Clique&)
-
-  std::vector<PackedKey> slots_;  ///< open addressing; key[0]==kUnused = free
-  std::size_t packed_count_ = 0;
+  std::vector<NodeId> rows_;           ///< canonical rows, in set order
+  std::vector<std::uint64_t> hashes_;  ///< per member, ascending
+  std::vector<std::size_t> starts_;    ///< per member, its row's offset
   std::uint64_t fingerprint_ = 0;
-  /// Spill set for cliques wider than kPackedMax. Ordered (lexicographic
-  /// over sorted member ids), NOT hashed: for_each/for_each_span walk it,
-  /// and an unordered spill would leak implementation-defined hash order
-  /// into every downstream visitation (found by dcl_lint's
-  /// unordered-iteration rule). The spill path only carries >8-wide
-  /// maximal cliques, so the O(log n) node-based set is not a hot path.
-  std::set<Clique> overflow_;
 };
 
 /// An acyclic orientation in flat CSR form — the input of the one clique

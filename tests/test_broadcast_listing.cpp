@@ -91,7 +91,7 @@ TEST(BroadcastListing, CurrentMaskRestrictsGraph) {
   args.p = 3;
   broadcast_listing(args, ledger, out);
   EXPECT_EQ(out.unique_count(), 1u);
-  EXPECT_TRUE(out.cliques().contains({0, 1, 2}));
+  EXPECT_TRUE(out.cliques().contains(Clique{0, 1, 2}));
 }
 
 TEST(BroadcastListing, RequireEdgeFilter) {

@@ -78,9 +78,9 @@ TEST(PipelineChaos, RecoverableSweepsKeepFingerprintsBitIdentical) {
         cfg.faults = &plan;
         ListingOutput out(fixture.graph.node_count());
         const auto result = list_kp_collect(fixture.graph, cfg, out);
-        expect_result_valid(result);
+        expect_result_valid(result, out);
         EXPECT_EQ(out.cliques().fingerprint(), base_out.cliques().fingerprint());
-        EXPECT_EQ(result.unique_cliques, base.unique_cliques);
+        EXPECT_EQ(out.unique_count(), base_out.unique_count());
         EXPECT_GE(result.total_rounds(), base.total_rounds())
             << "faults can only add cost";
         EXPECT_TRUE(result.crashed_nodes.empty());
@@ -232,7 +232,7 @@ TEST(PipelineChaos, SparseCcKeepsExactOutputUnderFaults) {
   const auto result = sparse_cc_list(g, chaotic, out);
   expect_ledger_valid(result.ledger);
   EXPECT_EQ(out.cliques().fingerprint(), clean.cliques().fingerprint());
-  EXPECT_EQ(result.unique_cliques, base.unique_cliques);
+  EXPECT_EQ(out.unique_count(), clean.unique_count());
   EXPECT_GE(result.total_rounds(), base.total_rounds());
   EXPECT_GT(result.ledger.retransmitted_messages(), 0u);
 }
@@ -286,7 +286,7 @@ TEST(PipelineChaos, EntryCrashesSatisfyTheSurvivorContract) {
       cfg.faults = &plan;
       ListingOutput out(fixture.graph.node_count());
       const auto result = list_kp_collect(fixture.graph, cfg, out);
-      expect_result_valid(result);
+      expect_result_valid(result, out);
       ASSERT_EQ(result.crashed_nodes.size(), 2u);
       EXPECT_EQ(result.crashed_nodes[0], 3);
       EXPECT_EQ(result.crashed_nodes[1], 17);
@@ -310,7 +310,7 @@ TEST(PipelineChaos, MidRunCrashesWithMessageFaultsStaySound) {
     cfg.faults = &plan;
     ListingOutput out(g.node_count());
     const auto result = list_kp_collect(g, cfg, out);
-    expect_result_valid(result);
+    expect_result_valid(result, out);
     if (!result.crashed_nodes.empty()) {
       expect_survivor_contract(g, 4, result, out);
     }

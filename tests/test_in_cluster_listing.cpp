@@ -407,6 +407,7 @@ Reference reference_reports(const Scenario& s, const std::vector<int>& part,
   for (const Edge& e : local.edges()) {
     ref.local_goals += s.goal[*s.g.edge_id(e.u, e.v)] ? 1 : 0;
   }
+  std::vector<Clique> reports;
   for (const Clique& c : list_k_cliques(local, p)) {
     bool has_goal = false;
     for (std::size_t x = 0; x < c.size(); ++x) {
@@ -414,8 +415,9 @@ Reference reference_reports(const Scenario& s, const std::vector<int>& part,
         has_goal = has_goal || s.goal[*s.g.edge_id(c[x], c[y])];
       }
     }
-    if (has_goal) ref.reports.insert(c);
+    if (has_goal) reports.push_back(c);
   }
+  ref.reports = CliqueSet(reports);
   return ref;
 }
 
@@ -464,13 +466,13 @@ RosterShape check_against_reference(Scenario& s, int p, int expected_q,
   ListingOutput out(n);
   shape.reported = InClusterEnumerator(plan).run(0, plan.dag.node_count(), out);
   EXPECT_EQ(out.total_reports(), shape.reported);
-  std::vector<CliqueSet> received(plan.reps.size());
+  std::vector<std::vector<Clique>> received(plan.reps.size());
   std::uint64_t dispatched = 0;
   for (const Clique& c : out.cliques().to_vector()) {
     const std::vector<int> tuple = clique_parts(c, part);
     for (std::size_t r = 0; r < plan.reps.size(); ++r) {
       if (!covers_part_tuple(plan.reps[r].parts, tuple)) continue;
-      received[r].insert(c);
+      received[r].push_back(c);
       ++dispatched;
     }
   }
@@ -490,7 +492,7 @@ RosterShape check_against_reference(Scenario& s, int p, int expected_q,
                   rep.node)]),
               ref.reports.size())
         << "p=" << p << " rep " << rep.node;
-    EXPECT_TRUE(received[r] == ref.reports)
+    EXPECT_TRUE(CliqueSet(received[r]) == ref.reports)
         << "p=" << p << " q=" << q << " rep " << rep.node;
   }
 

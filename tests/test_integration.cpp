@@ -22,7 +22,7 @@ void expect_exact_listing(const Graph& g, const KpConfig& cfg) {
   const CliqueSet truth{list_k_cliques(g, cfg.p)};
   ListingOutput out(g.node_count());
   const auto result = list_kp_collect(g, cfg, out);
-  expect_result_valid(result);
+  expect_result_valid(result, out);
   const auto missing = truth.difference(out.cliques());
   const auto extra = out.cliques().difference(truth);
   EXPECT_TRUE(missing.empty()) << missing.size() << " missed of "
@@ -125,9 +125,11 @@ TEST(Integration, ListerOnSerializedGraph) {
   const Graph loaded = read_edge_list(ss);
   KpConfig cfg;
   cfg.p = 4;
-  const auto a = list_kp(original, cfg);
-  const auto b = list_kp(loaded, cfg);
-  EXPECT_EQ(a.unique_cliques, b.unique_cliques);
+  ListingOutput out_a(original.node_count());
+  ListingOutput out_b(loaded.node_count());
+  const auto a = list_kp_collect(original, cfg, out_a);
+  const auto b = list_kp_collect(loaded, cfg, out_b);
+  EXPECT_TRUE(out_a.cliques() == out_b.cliques());
   EXPECT_DOUBLE_EQ(a.total_rounds(), b.total_rounds());
 }
 

@@ -20,14 +20,13 @@ void expect_exact(const Graph& g, const KpConfig& cfg) {
   const CliqueSet truth{list_k_cliques(g, cfg.p)};
   ListingOutput out(g.node_count());
   const auto result = list_kp_collect(g, cfg, out);
-  expect_result_valid(result);
+  expect_result_valid(result, out);
   const auto missing = truth.difference(out.cliques());
   const auto extra = out.cliques().difference(truth);
   EXPECT_TRUE(missing.empty())
       << missing.size() << " cliques missed (of " << truth.size() << ")";
   EXPECT_TRUE(extra.empty()) << extra.size() << " false positives";
-  EXPECT_EQ(result.unique_cliques, truth.size());
-  EXPECT_GE(result.total_reports, result.unique_cliques);
+  EXPECT_EQ(out.unique_count(), truth.size());
 }
 
 class KpListerSweep

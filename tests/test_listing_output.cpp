@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -19,12 +21,23 @@
 namespace dcl {
 namespace {
 
-/// The collector's unique count, view and fingerprint against a set built
-/// by one CliqueSet insert per reported clique.
-void expect_matches(const ListingOutput& out, const CliqueSet& expected) {
-  EXPECT_EQ(out.unique_count(), expected.size());
+/// The collector's unique count, view and fingerprint against a
+/// `std::set` oracle and a set built from the reported cliques.
+void expect_matches(const ListingOutput& out,
+                    const std::vector<Clique>& reported) {
+  std::set<Clique> oracle;
+  for (Clique c : reported) {
+    std::sort(c.begin(), c.end());
+    oracle.insert(std::move(c));
+  }
+  const CliqueSet expected(reported);
+  EXPECT_EQ(out.unique_count(), oracle.size());
   EXPECT_TRUE(out.cliques() == expected);
   EXPECT_EQ(out.cliques().fingerprint(), expected.fingerprint());
+  auto listed = out.cliques().to_vector();
+  std::sort(listed.begin(), listed.end());
+  EXPECT_TRUE(std::equal(listed.begin(), listed.end(), oracle.begin(),
+                         oracle.end()));
 }
 
 TEST(ListingOutput, CountsAndDeduplicates) {
@@ -55,8 +68,8 @@ TEST(ListingOutput, CliquesAccessible) {
   ListingOutput out(4);
   const NodeId c[] = {3, 1, 0};
   out.report(2, c);
-  EXPECT_TRUE(out.cliques().contains({0, 1, 3}));
-  EXPECT_FALSE(out.cliques().contains({0, 1, 2}));
+  EXPECT_TRUE(out.cliques().contains(Clique{0, 1, 3}));
+  EXPECT_FALSE(out.cliques().contains(Clique{0, 1, 2}));
 }
 
 TEST(ListingOutput, UnionSemanticsUnderMaximalDuplication) {
@@ -302,9 +315,9 @@ TEST(ListingOutput, PartTupleCreditsMatchPerReporterReports) {
 }
 
 TEST(ListingOutput, ArenaMatchesPerCliqueInserts) {
-  // The arena, its distinct pass and its view must build exactly the set a
-  // per-clique CliqueSet insert loop builds. Widths 1-8 fit a packed key
-  // and 9 does not; a small universe repeats cliques across batches, and
+  // The arena and its view must hold exactly the set of the kept rows.
+  // Widths 1-8 hash as one fixed-width key and 9 does not; a small
+  // universe repeats cliques across batches, and
   // every fifth row repeats the row three back, permuted, inside the same
   // batch. Every seventh row is left out of its batch.
   Rng rng(29);
@@ -339,9 +352,9 @@ TEST(ListingOutput, ArenaMatchesPerCliqueInserts) {
       out.report_rows(kept_rows, width, credits);
     };
     const auto per_clique = [&](std::size_t lo, std::size_t hi,
-                                CliqueSet& set) {
+                                std::vector<Clique>& reported) {
       for (std::size_t r = lo; r < hi; ++r) {
-        if (kept(r)) set.insert(row(r));
+        if (kept(r)) reported.emplace_back(row(r).begin(), row(r).end());
       }
     };
 
@@ -349,7 +362,7 @@ TEST(ListingOutput, ArenaMatchesPerCliqueInserts) {
     for (std::size_t lo = 0; lo < rows; lo += 500) {
       report_batch(batched, lo, std::min(rows, lo + 500));
     }
-    CliqueSet expected;
+    std::vector<Clique> expected;
     per_clique(0, rows, expected);
     SCOPED_TRACE(testing::Message() << "width " << width);
     expect_matches(batched, expected);
@@ -358,10 +371,10 @@ TEST(ListingOutput, ArenaMatchesPerCliqueInserts) {
     // Shards whose row ranges overlap, merged into a collector that
     // already holds every third row.
     ListingOutput merged(n);
-    CliqueSet union_expected;
+    std::vector<Clique> union_expected;
     for (std::size_t r = 0; r < rows; r += 3) {
       merged.report(static_cast<NodeId>(r % n), row(r));
-      union_expected.insert(row(r));
+      union_expected.emplace_back(row(r).begin(), row(r).end());
     }
     ListingOutput shard_a(n), shard_b(n);
     report_batch(shard_a, 0, 2 * rows / 3);
@@ -394,11 +407,9 @@ TEST(ListingOutput, MixedWidthsStayExact) {
   shard.report(4, k4_other);
   shard.report(5, k4);
   out.merge_from(shard);
-  CliqueSet expected;
-  expected.insert(tri);
-  expected.insert(k4);
-  expected.insert(k4_other);
-  expect_matches(out, expected);
+  expect_matches(out, {Clique(std::begin(tri), std::end(tri)),
+                       Clique(std::begin(k4), std::end(k4)),
+                       Clique(std::begin(k4_other), std::end(k4_other))});
   EXPECT_EQ(out.row_count(), 6u);
   EXPECT_DOUBLE_EQ(out.duplication_factor(), 2.0);
 }
@@ -407,7 +418,7 @@ TEST(ListingOutput, ListersHandEachCliqueOverOnce) {
   // General-mode ARB-LIST (clusters are vertex-disjoint, each covered
   // clique goes to the output once per cluster, goal edges leave after
   // their iteration) and the CONGESTED-CLIQUE lister never append one
-  // clique twice, so their outputs take the distinct pass's fast path.
+  // clique twice, so their row count is their unique count.
   Rng gen(3);
   std::vector<Graph> inputs;
   inputs.push_back(erdos_renyi_gnm(120, 2400, gen));
@@ -421,11 +432,11 @@ TEST(ListingOutput, ListersHandEachCliqueOverOnce) {
         cfg.p = p;
         cfg.stop_scale = stop_scale;
         ListingOutput out(g.node_count());
-        const KpListResult result = list_kp_collect(g, cfg, out);
+        list_kp_collect(g, cfg, out);
         SCOPED_TRACE(testing::Message() << "input " << i << " p=" << p
                                         << " stop_scale " << stop_scale);
         EXPECT_EQ(out.row_count(), out.unique_count());
-        EXPECT_EQ(result.unique_cliques, count_k_cliques(g, p));
+        EXPECT_EQ(out.unique_count(), count_k_cliques(g, p));
       }
     }
     for (const int p : {3, 4}) {
@@ -441,14 +452,14 @@ TEST(ListingOutput, ListersHandEachCliqueOverOnce) {
 
 TEST(ListingOutput, DuplicatingBaselineTakesTheExactPath) {
   // In the oblivious CONGESTED-CLIQUE baseline every node owning a part
-  // tuple that covers a clique lists it, so rows repeat and the unique
-  // count comes from the exact view.
+  // tuple that covers a clique lists it, so rows repeat, and the view
+  // still counts each clique once.
   Rng gen(5);
   const Graph g = erdos_renyi_gnm(60, 500, gen);
   ListingOutput out(g.node_count());
   oblivious_cc_list(g, 4, out);
   EXPECT_GT(out.row_count(), out.unique_count());
-  expect_matches(out, CliqueSet(list_k_cliques(g, 4)));
+  expect_matches(out, list_k_cliques(g, 4));
 }
 
 TEST(KpConfigDefaults, MatchPaperStructure) {

@@ -18,7 +18,7 @@ void expect_exact(const Graph& g, const KpConfig& cfg) {
   const CliqueSet truth{list_k_cliques(g, cfg.p)};
   ListingOutput out(g.node_count());
   const auto result = list_kp_collect(g, cfg, out);
-  expect_result_valid(result);
+  expect_result_valid(result, out);
   EXPECT_TRUE(out.cliques() == truth)
       << "expected " << truth.size() << ", got " << out.unique_count();
 }
@@ -169,12 +169,14 @@ TEST(Stress, RepeatedRunsShareNoState) {
   const Graph g = erdos_renyi_gnm(100, 2000, rng);
   KpConfig cfg;
   cfg.p = 4;
-  const auto first = list_kp(g, cfg);
+  ListingOutput first_out(g.node_count());
+  ListingOutput third_out(g.node_count());
+  const auto first = list_kp_collect(g, cfg, first_out);
   const auto second = list_kp(g, cfg);
-  const auto third = list_kp(g, cfg);
+  const auto third = list_kp_collect(g, cfg, third_out);
   EXPECT_DOUBLE_EQ(first.total_rounds(), second.total_rounds());
   EXPECT_DOUBLE_EQ(second.total_rounds(), third.total_rounds());
-  EXPECT_EQ(first.unique_cliques, third.unique_cliques);
+  EXPECT_TRUE(first_out.cliques() == third_out.cliques());
 }
 
 }  // namespace

@@ -38,13 +38,16 @@ inline void expect_ledger_valid(const RoundLedger& ledger) {
       << "per-kind breakdown does not sum to the total";
 }
 
-/// Structural invariants of a lister result: a valid ledger, coherent
-/// report counts, and monotone per-iteration round traces.
-inline void expect_result_valid(const KpListResult& result) {
+/// Structural invariants of a lister result and the collector it filled:
+/// a valid ledger, coherent report counts, and monotone per-iteration
+/// round traces.
+inline void expect_result_valid(const KpListResult& result,
+                                const ListingOutput& out) {
   expect_ledger_valid(result.ledger);
-  EXPECT_GE(result.total_reports, result.unique_cliques);
-  if (result.unique_cliques > 0) {
-    EXPECT_GE(result.duplication_factor, 1.0);
+  EXPECT_EQ(result.total_reports, out.total_reports());
+  EXPECT_GE(out.total_reports(), out.unique_count());
+  if (out.unique_count() > 0) {
+    EXPECT_GE(out.duplication_factor(), 1.0);
   }
   for (const auto& trace : result.list_traces) {
     EXPECT_GE(trace.rounds, 0.0);

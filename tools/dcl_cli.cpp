@@ -21,15 +21,16 @@
 //   dcl generate clustered 256 7 > g.txt
 //   dcl list g.txt 4 k4fast
 //   dcl decompose g.txt 0.55
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <algorithm>
@@ -69,18 +70,37 @@ int usage() {
   return 2;
 }
 
+/// `text` read as a T in full, or an error that names `what` and quotes
+/// `text`, which `main` prints as one line before exiting 1. Where atoi
+/// and atof would read "3x" as 3 and "abc" as 0, this rejects both, and
+/// it rejects "nan" and "inf", which no parameter here can take.
+template <typename T>
+T parse_number(const std::string& text, const std::string& what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool finite = true;
+  if constexpr (std::is_floating_point_v<T>) finite = std::isfinite(value);
+  if (text.empty() || ec != std::errc{} || ptr != end || !finite) {
+    throw std::runtime_error(what + " must be a number, got '" + text + "'");
+  }
+  return value;
+}
+
 int cmd_generate(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string family = argv[0];
-  const auto n = static_cast<NodeId>(std::atoi(argv[1]));
-  const std::uint64_t seed = (argc > 2) ? std::strtoull(argv[2], nullptr, 10)
-                                        : 1;
+  const auto n = parse_number<NodeId>(argv[1], "n");
+  const std::uint64_t seed =
+      (argc > 2) ? parse_number<std::uint64_t>(argv[2], "seed") : 1;
   Rng rng(seed);
   Graph g;
   if (family.rfind("gnm:", 0) == 0) {
-    g = erdos_renyi_gnm(n, std::atoll(family.c_str() + 4), rng);
+    g = erdos_renyi_gnm(n, parse_number<EdgeId>(family.substr(4), "gnm:<m>"),
+                        rng);
   } else if (family.rfind("gnp:", 0) == 0) {
-    g = erdos_renyi_gnp(n, std::atof(family.c_str() + 4), rng);
+    g = erdos_renyi_gnp(n, parse_number<double>(family.substr(4), "gnp:<p>"),
+                        rng);
   } else if (family == "clustered") {
     g = clustered_workload(n, rng);
   } else if (family == "periphery") {
@@ -88,7 +108,8 @@ int cmd_generate(int argc, char** argv) {
   } else if (family == "ring") {
     g = ring_of_cliques_workload(n, rng);
   } else if (family.rfind("powerlaw:", 0) == 0) {
-    g = power_law_chung_lu(n, 2.5, std::atof(family.c_str() + 9), rng);
+    g = power_law_chung_lu(
+        n, 2.5, parse_number<double>(family.substr(9), "powerlaw:<deg>"), rng);
   } else if (family == "complete") {
     g = complete_graph(n);
   } else {
@@ -151,9 +172,8 @@ int cmd_list(int argc, char** argv) {
     } else if (a.rfind("--stop-scale", 0) == 0 &&
                (a.size() == 12 || a[12] == '=')) {
       const std::string value = flag_value("--stop-scale");
-      char* end = nullptr;
-      const double x = std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0' || !(x > 0.0) || !std::isfinite(x)) {
+      const double x = parse_number<double>(value, "--stop-scale");
+      if (!(x > 0.0)) {
         throw std::runtime_error(
             "--stop-scale must be a positive number, got '" + value + "'");
       }
@@ -172,10 +192,10 @@ int cmd_list(int argc, char** argv) {
   }
 
   const Graph g = load_edge_list(pos[0]);
-  const int p = std::atoi(pos[1]);
+  const int p = parse_number<int>(pos[1], "p");
   const std::string algo = (pos.size() > 2) ? pos[2] : "general";
   const std::uint64_t seed =
-      (pos.size() > 3) ? std::strtoull(pos[3], nullptr, 10) : 1;
+      (pos.size() > 3) ? parse_number<std::uint64_t>(pos[3], "seed") : 1;
 
   FaultPlan plan;
   if (!fault_replay.empty()) {
@@ -350,7 +370,7 @@ int cmd_list(int argc, char** argv) {
 int cmd_count(int argc, char** argv) {
   if (argc < 2) return usage();
   const Graph g = load_edge_list(argv[0]);
-  const int p = std::atoi(argv[1]);
+  const int p = parse_number<int>(argv[1], "p");
   std::printf("%llu\n",
               static_cast<unsigned long long>(count_k_cliques(g, p)));
   return 0;
@@ -359,7 +379,7 @@ int cmd_count(int argc, char** argv) {
 int cmd_decompose(int argc, char** argv) {
   if (argc < 2) return usage();
   const Graph g = load_edge_list(argv[0]);
-  const double delta = std::atof(argv[1]);
+  const double delta = parse_number<double>(argv[1], "delta");
   DecompositionConfig cfg;
   cfg.delta = delta;
   Rng rng(1);
