@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
-#include "common/intersect.h"
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "core/arb_list.h"
@@ -48,52 +48,27 @@ BaselineResult oblivious_cc_list(const Graph& g, int p, ListingOutput& out) {
       1, static_cast<int>(floor_pow(n, 1.0 / static_cast<double>(p))));
   const std::int64_t part_size = ceil_div(static_cast<std::int64_t>(n), q);
 
-  // Fixed consecutive parts: part(v) = v / part_size.
-  auto part_of = [&](NodeId v) { return static_cast<int>(v / part_size); };
-
   result.ledger.charge_exchange("oblivious-cc-schedule",
                                 oblivious_cc_rounds(n, p),
                                 static_cast<std::uint64_t>(g.edge_count()));
 
-  // Deliver the actual edges under that schedule and list locally.
-  const std::int64_t space = ipow(q, p);
-  for (NodeId i = 0; i < n; ++i) {
-    auto digits = radix_digits(static_cast<std::int64_t>(i) % space, q, p);
-    std::sort(digits.begin(), digits.end());
-    std::vector<Edge> local;
-    std::vector<NodeId> to_global;
-    std::unordered_map<NodeId, NodeId> to_compact;
-    auto intern = [&](NodeId v) {
-      auto [it, fresh] =
-          to_compact.try_emplace(v, to_node(to_global.size()));
-      if (fresh) to_global.push_back(v);
-      return it->second;
-    };
-    auto covered = [&](int a, int b) {
-      if (a > b) std::swap(a, b);
-      if (a == b) {
-        const auto lo = std::lower_bound(digits.begin(), digits.end(), a);
-        return lo != digits.end() && *lo == a && (lo + 1) != digits.end() &&
-               *(lo + 1) == a;
-      }
-      return sorted_contains(digits, a) && sorted_contains(digits, b);
-    };
-    for (const Edge& e : g.edges()) {
-      if (covered(part_of(e.u), part_of(e.v))) {
-        local.push_back(make_edge(intern(e.u), intern(e.v)));
-      }
-    }
-    if (static_cast<int>(local.size()) < p * (p - 1) / 2) continue;
-    const Graph local_graph = Graph::from_edges(
-        to_node(to_global.size()), std::move(local));
-    std::vector<NodeId> global(static_cast<std::size_t>(p));
-    for (const auto& c : list_k_cliques(local_graph, p)) {
-      for (std::size_t x = 0; x < c.size(); ++x) {
-        global[x] = to_global[static_cast<std::size_t>(c[x])];
-      }
-      out.report(i, global);
-    }
+  // Node i lists the Kp of the edges whose fixed consecutive parts
+  // (v / part_size) its id's digit multiset covers, i.e. the cliques of g
+  // whose part tuple it covers: list g once, credit each covering node.
+  std::vector<int> part(static_cast<std::size_t>(n));
+  std::vector<std::vector<int>> multisets(static_cast<std::size_t>(n));
+  std::vector<NodeId> reporter(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v) {
+    part[static_cast<std::size_t>(v)] = static_cast<int>(v / part_size);
+    multisets[static_cast<std::size_t>(v)] = part_multiset(v, q, p);
+    reporter[static_cast<std::size_t>(v)] = v;
   }
+  CliqueDag dag = degeneracy_dag(g);
+  CliqueScratch scratch;
+  std::vector<NodeId> flat;
+  list_dag_cliques(dag, p, scratch, flat, 0, n);
+  PartTupleCovers(std::move(multisets), q, p)
+      .report_rows(flat, part, {}, reporter, out);
   result.total_reports = out.total_reports();
   return result;
 }
@@ -117,7 +92,6 @@ BaselineResult one_shot_list(const Graph& g, int p, ListingOutput& out,
   EdgeMask es(g.edge_count());
   EdgeMask er(g.edge_count(), true);
 
-  ListingOutput scratch(g.node_count());
   ArbListContext ctx;
   ctx.base = &g;
   ctx.ledger = &result.ledger;

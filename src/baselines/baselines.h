@@ -41,7 +41,12 @@ BaselineResult trivial_broadcast_list(const Graph& g, int p,
 /// The schedule must budget for every potential pair between assigned
 /// parts, so the round charge is the Lenzen charge of a
 /// p²·ceil(n/q)²/2-message load with q = floor(n^{1/p}) — flat in m (the
-/// sparsity-oblivious horizontal line of experiment E3).
+/// sparsity-oblivious horizontal line of experiment E3). Node i holds the
+/// parts of its id's base-q digits and reports every Kp of the edges whose
+/// part pair they cover; the listing is simulated once on g's degeneracy
+/// DAG, crediting each clique to every node covering its part tuple, so
+/// each clique is appended to `out` once while the per-node report
+/// counts are those of one listing per node.
 BaselineResult oblivious_cc_list(const Graph& g, int p, ListingOutput& out);
 
 /// The closed-form round cost of `oblivious_cc_list` (independent of the

@@ -7,7 +7,6 @@
 #include "common/math_util.h"
 #include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
-#include "graph/orientation.h"
 
 namespace dcl {
 
@@ -195,31 +194,9 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
     }
   }
 
-  // Orient once: peel the cluster graph a single time and keep, in every
-  // row, the neighbors later in that degeneracy order, so the kernel lists
-  // each clique of the cluster graph exactly once. Rows stay sorted by
-  // neighbor, as the kernel requires.
-  std::vector<NodeId> rank(static_cast<std::size_t>(compact_n));
-  {
-    const DegeneracyResult dec = degeneracy_order(off, nbr);
-    for (std::size_t i = 0; i < dec.order.size(); ++i) {
-      rank[static_cast<std::size_t>(dec.order[i])] = to_node(i);
-    }
-  }
-  CliqueDag& dag = plan.dag;
-  dag.offsets.assign(static_cast<std::size_t>(compact_n) + 1, 0);
-  dag.adj.reserve(distinct.size());
-  if (flag_goals) dag.goal.reserve(distinct.size());
-  for (NodeId v = 0; v < compact_n; ++v) {
-    const NodeId rv = rank[static_cast<std::size_t>(v)];
-    for (std::uint64_t i = off[static_cast<std::size_t>(v)];
-         i < off[static_cast<std::size_t>(v) + 1]; ++i) {
-      if (rank[static_cast<std::size_t>(nbr[i])] < rv) continue;
-      dag.adj.push_back(nbr[i]);
-      if (flag_goals) dag.goal.push_back(nbr_goal[i]);
-    }
-    dag.offsets[static_cast<std::size_t>(v) + 1] = dag.adj.size();
-  }
+  // Orient once, so the kernel lists each clique of the cluster graph
+  // exactly once.
+  plan.dag = degeneracy_dag(off, nbr, nbr_goal);
 
   // Receive loads, then the representative roster. Nodes with identical
   // part multisets receive identical edge sets and would produce identical
@@ -243,7 +220,7 @@ InClusterPlan in_cluster_plan(const InClusterProblem& problem, Rng& rng) {
   }
   if (!plan.reps.empty()) {
     for (NodeId v = 0; v < compact_n; ++v) {
-      plan.est_work_total += root_est_work(dag, v);
+      plan.est_work_total += root_est_work(plan.dag, v);
     }
   }
 

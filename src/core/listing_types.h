@@ -25,9 +25,10 @@ namespace dcl {
 /// reported, into a flat arena of rows, duplicates included, and nothing on
 /// the report path hashes. `cliques()` builds the `CliqueSet` of distinct
 /// cliques from the arena when it is read, and `unique_count()` is its
-/// size; both stay exact when rows repeat (the baselines, k4fast's
-/// light-node probe, fault plans). The set is cached until the next
-/// report, so concurrent readers of one collector are not safe.
+/// size; both stay exact when rows repeat (k4fast's light-node probe and
+/// fault plans; every other lister appends each clique once). The set is
+/// cached until the next report, so concurrent readers of one collector
+/// are not safe.
 class ListingOutput {
  public:
   explicit ListingOutput(NodeId n) : per_node_reports_(static_cast<std::size_t>(n), 0) {}

@@ -10,7 +10,6 @@
 #include "common/telemetry.h"
 #include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
-#include "graph/orientation.h"
 #include "routing/cluster_router.h"
 
 namespace dcl {
@@ -44,8 +43,9 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
       1, static_cast<int>(floor_pow(n, 1.0 / static_cast<double>(p))));
   result.parts = q;
 
-  // Arboricity-witness orientation: each edge has a unique sender (tail).
-  const Orientation orient = degeneracy_orientation(g);
+  // Arboricity-witness orientation: edge {v, w} is sent by the tail v of
+  // its degeneracy-DAG entry (v→w); the listing below lists the same DAG.
+  CliqueDag dag = degeneracy_dag(g);
 
   // Fake-edge padding (Section 4): bring m/n^{1/p} up to
   // pad_factor · n · log n. Fake edges only add load: the listing below
@@ -114,8 +114,11 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
     ++pair_edges[idx];
     send_load[static_cast<std::size_t>(tail)] += cover[idx];
   };
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    distribute(orient.tail(e), orient.head(e));
+  for (NodeId v = 0; v < n; ++v) {
+    for (std::uint64_t i = dag.offsets[static_cast<std::size_t>(v)];
+         i < dag.offsets[static_cast<std::size_t>(v) + 1]; ++i) {
+      distribute(v, dag.adj[i]);
+    }
   }
   for (const Edge& e : fake) distribute(e.u, e.v);
   result.max_pair_bucket =
@@ -140,20 +143,12 @@ SparseCcResult sparse_cc_list(const Graph& g, const SparseCcConfig& cfg,
   }
 
   // Local listing, simulated once (see the header): list the real edges
-  // of g along the orientation above and report each clique by every
+  // of g along the DAG above and report each clique by every
   // representative whose multiset covers its part tuple, all in one batch
   // that appends each clique once.
   cc_span.sync_to(ledger.total_rounds(), ledger.total_messages());
   {
     SpanGuard list_span(telemetry, "sparse-cc/list", "core");
-    CliqueDag dag;
-    dag.offsets.assign(static_cast<std::size_t>(n) + 1, 0);
-    dag.adj.reserve(static_cast<std::size_t>(g.edge_count()));
-    for (NodeId v = 0; v < n; ++v) {
-      const auto row = orient.out_neighbors(v);
-      dag.adj.insert(dag.adj.end(), row.begin(), row.end());
-      dag.offsets[static_cast<std::size_t>(v) + 1] = dag.adj.size();
-    }
     CliqueScratch scratch;
     std::vector<NodeId> flat;
     list_dag_cliques(dag, p, scratch, flat, 0, n);

@@ -202,6 +202,86 @@ std::vector<Clique> CliqueSet::to_vector() const {
 }
 
 // ---------------------------------------------------------------------------
+// The degeneracy DAG builder.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// The shared body of both `degeneracy_dag` overloads over the rows
+/// `neighbors(v)` and their peeling `dec`: two branchless passes (count,
+/// then compact each row's later neighbors, goal flags riding along).
+template <class Rows>
+CliqueDag orient_rows(NodeId node_count, Rows neighbors,
+                      const DegeneracyResult& dec,
+                      std::span<const std::uint8_t> goal) {
+  const auto n = static_cast<std::size_t>(node_count);
+  std::vector<NodeId> rank(n);
+  for (std::size_t i = 0; i < dec.order.size(); ++i) {
+    rank[static_cast<std::size_t>(dec.order[i])] = static_cast<NodeId>(i);
+  }
+  CliqueDag dag;
+  dag.offsets.assign(n + 1, 0);
+  std::size_t entries = 0;
+  for (NodeId v = 0; v < node_count; ++v) {
+    const auto rv = rank[static_cast<std::size_t>(v)];
+    std::uint64_t c = 0;
+    for (const NodeId w : neighbors(v)) {
+      c += static_cast<std::uint64_t>(rank[static_cast<std::size_t>(w)] > rv);
+    }
+    dag.offsets[static_cast<std::size_t>(v) + 1] = c;
+    entries += neighbors(v).size();
+  }
+  if (!goal.empty() && goal.size() != entries) {
+    throw std::invalid_argument("degeneracy_dag: one goal flag per entry");
+  }
+  for (std::size_t v = 0; v < n; ++v) dag.offsets[v + 1] += dag.offsets[v];
+  // One pad slot: the compacting write below touches position c even for a
+  // skipped neighbor, and for the last node that can be one past its
+  // segment (strays inside earlier segments are overwritten by the next
+  // node's fill; the counts guarantee every kept slot is written last).
+  const auto kept = static_cast<std::size_t>(dag.offsets[n]);
+  const bool flagged = !goal.empty();
+  dag.adj.resize(kept + 1);
+  if (flagged) dag.goal.resize(kept + 1);
+  std::size_t entry = 0;
+  for (NodeId v = 0; v < node_count; ++v) {
+    const auto rv = rank[static_cast<std::size_t>(v)];
+    std::uint64_t c = dag.offsets[static_cast<std::size_t>(v)];
+    for (const NodeId w : neighbors(v)) {
+      dag.adj[c] = w;
+      if (flagged) dag.goal[c] = goal[entry++];
+      c += static_cast<std::uint64_t>(rank[static_cast<std::size_t>(w)] > rv);
+    }
+  }
+  dag.adj.resize(kept);
+  if (flagged) dag.goal.resize(kept);
+  return dag;
+}
+
+}  // namespace
+
+CliqueDag degeneracy_dag(const Graph& g, std::span<const std::uint8_t> goal) {
+  return orient_rows(
+      g.node_count(), [&g](NodeId v) { return g.neighbors(v); },
+      degeneracy_order(g), goal);
+}
+
+CliqueDag degeneracy_dag(std::span<const std::uint64_t> offsets,
+                         std::span<const NodeId> adj,
+                         std::span<const std::uint8_t> goal) {
+  const NodeId n = offsets.empty() ? 0 : to_node(offsets.size() - 1);
+  return orient_rows(
+      n,
+      [&](NodeId v) {
+        const auto b = offsets[static_cast<std::size_t>(v)];
+        const auto e = offsets[static_cast<std::size_t>(v) + 1];
+        return adj.subspan(static_cast<std::size_t>(b),
+                           static_cast<std::size_t>(e - b));
+      },
+      degeneracy_order(offsets, adj), goal);
+}
+
+// ---------------------------------------------------------------------------
 // The DAG-input clique kernel.
 // ---------------------------------------------------------------------------
 
@@ -217,45 +297,6 @@ namespace {
 /// depth is ≤ p, and the gathers dominate the kernel, so the smaller
 /// footprint matters more than the width.
 using Labels = std::vector<std::uint8_t>;
-
-/// The degeneracy DAG of `g`: out-neighbors strictly later in the
-/// degeneracy order, sorted by id. Two branchless passes over the (sorted)
-/// CSR adjacency — count, then compact the rank-ascending neighbors of each
-/// segment — with sequential reads and one rank gather per visit.
-CliqueDag degeneracy_dag(const Graph& g) {
-  const auto dec = degeneracy_order(g);
-  const auto n = static_cast<std::size_t>(g.node_count());
-  std::vector<NodeId> rank(n);
-  for (std::size_t i = 0; i < dec.order.size(); ++i) {
-    rank[static_cast<std::size_t>(dec.order[i])] = static_cast<NodeId>(i);
-  }
-  CliqueDag dag;
-  dag.offsets.assign(n + 1, 0);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto rv = rank[static_cast<std::size_t>(v)];
-    std::uint64_t c = 0;
-    for (const NodeId w : g.neighbors(v)) {
-      c += static_cast<std::uint64_t>(rank[static_cast<std::size_t>(w)] > rv);
-    }
-    dag.offsets[static_cast<std::size_t>(v) + 1] = c;
-  }
-  for (std::size_t v = 0; v < n; ++v) dag.offsets[v + 1] += dag.offsets[v];
-  // One pad slot: the compacting write below touches position c even for a
-  // skipped neighbor, and for the last node that can be one past its
-  // segment (strays inside earlier segments are overwritten by the next
-  // node's fill; the counts guarantee every kept slot is written last).
-  dag.adj.resize(static_cast<std::size_t>(g.edge_count()) + 1);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    const auto rv = rank[static_cast<std::size_t>(v)];
-    std::uint64_t c = dag.offsets[static_cast<std::size_t>(v)];
-    for (const NodeId w : g.neighbors(v)) {
-      dag.adj[c] = w;
-      c += static_cast<std::uint64_t>(rank[static_cast<std::size_t>(w)] > rv);
-    }
-  }
-  dag.adj.resize(static_cast<std::size_t>(g.edge_count()));
-  return dag;
-}
 
 /// Mutable view of a CliqueDag for the kClist-style trimming kernel: at
 /// recursion level l, the first `deg[x]` entries of x's row are exactly

@@ -106,6 +106,19 @@ struct CliqueDag {
   }
 };
 
+/// The one builder of every lister's kernel input: the degeneracy DAG of a
+/// symmetric graph with sorted rows, as a `Graph` or as a CSR (row v is
+/// `adj[offsets[v], offsets[v+1])`). Row v keeps v's neighbors later in
+/// the degeneracy order, still sorted. `goal`, if non-empty, holds one
+/// flag per input entry (both entries of an edge carry its flag), and the
+/// kept entries' flags become the DAG's goal flags; a size mismatch throws
+/// std::invalid_argument. Both overloads build the same DAG on equal rows.
+CliqueDag degeneracy_dag(const Graph& g,
+                         std::span<const std::uint8_t> goal = {});
+CliqueDag degeneracy_dag(std::span<const std::uint64_t> offsets,
+                         std::span<const NodeId> adj,
+                         std::span<const std::uint8_t> goal = {});
+
 /// Reusable kernel state: per-node recursion labels and goal-edge counts
 /// (all zero between runs), trimmed out-degrees, per-level restore buffers
 /// and the current clique prefix. Keep one per thread and pass it to every

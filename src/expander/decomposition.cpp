@@ -34,11 +34,15 @@ constexpr int kMixingEstimateSteps = 120;
 /// Fraction of n^δ below which a node is peeled into Es.
 constexpr double kPeelFraction = 0.5;
 
-/// n^δ for an `ambient_n`-node graph, or the absolute override.
+/// n^δ for an `ambient_n`-node graph, or the absolute override. Without
+/// the override δ must lie in [0, 1] (NaN is rejected too).
 std::int64_t cluster_degree(NodeId ambient_n,
                             const DecompositionConfig& config) {
-  return config.absolute_degree > 0 ? config.absolute_degree
-                                    : ceil_pow(ambient_n, config.delta);
+  if (config.absolute_degree > 0) return config.absolute_degree;
+  if (!(config.delta >= 0.0 && config.delta <= 1.0)) {
+    throw std::invalid_argument("expander decomposition: delta out of [0,1]");
+  }
+  return ceil_pow(ambient_n, config.delta);
 }
 
 /// The peel threshold max(1, kPeelFraction · n^δ).

@@ -65,7 +65,8 @@ struct ExpanderDecomposition {
 /// n^δ/2 matches its "at least k·n^δ/2 edges inside" accounting. Sweep
 /// cuts use φ = `default_conductance_threshold`.
 struct DecompositionConfig {
-  /// Cluster degree exponent δ.
+  /// Cluster degree exponent δ, in [0, 1] (checked when no override is
+  /// set: the decomposition throws std::invalid_argument otherwise).
   double delta = 0.75;
   /// When positive, overrides n^δ with this absolute value. The listing
   /// algorithm couples the cluster degree to the current arboricity bound

@@ -58,7 +58,7 @@ Graph erdos_renyi_gnm(NodeId n, EdgeId m, Rng& rng) {
 }
 
 Graph erdos_renyi_gnp(NodeId n, double p, Rng& rng) {
-  if (p < 0.0 || p > 1.0) {
+  if (!(p >= 0.0 && p <= 1.0)) {  // NaN fails both comparisons
     throw std::invalid_argument("erdos_renyi_gnp: p out of [0,1]");
   }
   std::vector<Edge> edges;

@@ -35,39 +35,17 @@ Orientation Orientation::from_directions(const Graph& g,
   Orientation o;
   o.g_ = &g;
   o.away_ = std::move(away_from_lower);
-  o.build_out_csr();
+  o.out_degree_.assign(static_cast<std::size_t>(g.node_count()), 0);
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    ++o.out_degree_[static_cast<std::size_t>(o.tail(e))];
+  }
   return o;
 }
 
-void Orientation::build_out_csr() {
-  const Graph& g = *g_;
-  const auto n = static_cast<std::size_t>(g.node_count());
-  std::vector<std::size_t> deg(n + 1, 0);
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    ++deg[static_cast<std::size_t>(tail(e))];
-  }
-  out_offsets_.assign(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    out_offsets_[v + 1] = out_offsets_[v] + deg[v];
-  }
-  out_adj_.resize(static_cast<std::size_t>(g.edge_count()));
-  out_edge_.resize(static_cast<std::size_t>(g.edge_count()));
-  std::vector<std::size_t> cursor(out_offsets_.begin(),
-                                  out_offsets_.end() - 1);
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    auto& c = cursor[static_cast<std::size_t>(tail(e))];
-    out_adj_[c] = head(e);
-    out_edge_[c] = e;
-    ++c;
-  }
-}
-
 NodeId Orientation::max_out_degree() const {
-  NodeId best = 0;
-  for (NodeId v = 0; v < g_->node_count(); ++v) {
-    best = std::max(best, out_degree(v));
-  }
-  return best;
+  return out_degree_.empty()
+             ? 0
+             : *std::max_element(out_degree_.begin(), out_degree_.end());
 }
 
 namespace {

@@ -46,31 +46,17 @@ class Orientation {
     return away_[static_cast<std::size_t>(e)];
   }
 
+  /// Edges oriented away from v. (The out-neighbor rows themselves are
+  /// built by `degeneracy_dag`, enumeration/clique_enumeration.h.)
   NodeId out_degree(NodeId v) const {
-    return to_node(out_offsets_[static_cast<std::size_t>(v) + 1] -
-                               out_offsets_[static_cast<std::size_t>(v)]);
+    return out_degree_[static_cast<std::size_t>(v)];
   }
   NodeId max_out_degree() const;
 
-  /// Heads of the edges oriented away from v.
-  std::span<const NodeId> out_neighbors(NodeId v) const {
-    return {out_adj_.data() + out_offsets_[static_cast<std::size_t>(v)],
-            out_adj_.data() + out_offsets_[static_cast<std::size_t>(v) + 1]};
-  }
-  /// Edge ids aligned with `out_neighbors(v)`.
-  std::span<const EdgeId> out_edges(NodeId v) const {
-    return {out_edge_.data() + out_offsets_[static_cast<std::size_t>(v)],
-            out_edge_.data() + out_offsets_[static_cast<std::size_t>(v) + 1]};
-  }
-
  private:
-  void build_out_csr();
-
   const Graph* g_ = nullptr;
   std::vector<bool> away_;
-  std::vector<std::size_t> out_offsets_;
-  std::vector<NodeId> out_adj_;
-  std::vector<EdgeId> out_edge_;
+  std::vector<NodeId> out_degree_;
 };
 
 /// Result of the linear-time core-decomposition peeling.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "common/math_util.h"
@@ -61,6 +62,12 @@ Graph periphery_workload(NodeId n, Rng& rng, double core_density) {
 
 Graph ring_of_cliques_workload(NodeId n, Rng& rng, int blocks,
                                double density) {
+  // Every bridge joins two blocks' first nodes, so a ring needs at least
+  // two blocks and a node per block; otherwise a bridge is a self-loop.
+  if (blocks < 2 || n < blocks) {
+    throw std::invalid_argument(
+        "ring_of_cliques_workload: needs 2 <= blocks <= n");
+  }
   const auto size = static_cast<NodeId>(n / blocks);
   std::vector<Edge> edges;
   for (int b = 0; b < blocks; ++b) {

@@ -31,7 +31,8 @@ Graph clustered_workload(NodeId n, Rng& rng, double p_in = 0.45,
 /// 2–8 random core attachments and one pair edge.
 Graph periphery_workload(NodeId n, Rng& rng, double core_density = 0.4);
 
-/// Ring of `blocks` dense blocks joined by single bridge edges.
+/// Ring of `blocks` dense blocks joined by single bridge edges. Throws
+/// std::invalid_argument unless 2 <= blocks <= n.
 Graph ring_of_cliques_workload(NodeId n, Rng& rng, int blocks = 6,
                                double density = 0.5);
 

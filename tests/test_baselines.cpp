@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "common/math_util.h"
 #include "core/kp_lister.h"
 #include "core/part_tables.h"
 #include "enumeration/clique_enumeration.h"
@@ -35,6 +40,44 @@ TEST(ObliviousCc, ExactListing) {
     EXPECT_TRUE(out.cliques() == CliqueSet(list_k_cliques(g, p))) << p;
     EXPECT_GT(result.total_rounds(), 0.0);
     expect_ledger_valid(result.ledger);
+  }
+}
+
+TEST(ObliviousCc, EachNodeReportsItsLocalGraphsCliques) {
+  // The one listing against its definition: node i holds the multiset of
+  // the base-q digits of its id over the fixed consecutive parts
+  // v / ceil(n/q), and reports exactly the Kp of the edges whose part pair
+  // that multiset covers.
+  for (const int p : {3, 4, 5}) {
+    Rng rng(static_cast<std::uint64_t>(20 + p));
+    const Graph g = erdos_renyi_gnm(81, 1200, rng);
+    const NodeId n = g.node_count();
+    ListingOutput out(n);
+    const auto result = oblivious_cc_list(g, p, out);
+
+    const int q = std::max<int>(
+        1, static_cast<int>(floor_pow(n, 1.0 / static_cast<double>(p))));
+    const std::int64_t part_size = ceil_div(static_cast<std::int64_t>(n), q);
+    const auto part_of = [&](NodeId v) {
+      return static_cast<int>(v / part_size);
+    };
+    std::uint64_t reports = 0;
+    for (NodeId i = 0; i < n; ++i) {
+      const std::vector<int> held = part_multiset(i, q, p);
+      std::vector<Edge> local;
+      for (const Edge& e : g.edges()) {
+        if (multiset_covers(held, part_of(e.u), part_of(e.v))) {
+          local.push_back(e);
+        }
+      }
+      const auto cliques =
+          list_k_cliques(Graph::from_edges(n, std::move(local)), p).size();
+      EXPECT_EQ(out.reports_of(i), cliques) << "p=" << p << " node " << i;
+      reports += cliques;
+    }
+    EXPECT_GT(reports, 0u) << "p=" << p;
+    EXPECT_EQ(out.total_reports(), reports) << "p=" << p;
+    EXPECT_EQ(result.total_reports, reports) << "p=" << p;
   }
 }
 

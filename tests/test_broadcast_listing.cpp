@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "enumeration/clique_enumeration.h"
 #include "graph/generators.h"
@@ -22,6 +23,57 @@ EdgeMask away_bits(const Graph& g) {
     away.set(e, o.away_from_lower(e));
   }
   return away;
+}
+
+/// Each edge of g kept with probability `density`.
+EdgeMask random_mask(const Graph& g, double density, Rng& rng) {
+  EdgeMask mask(g.edge_count());
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    mask.set(e, rng.next_bool(density));
+  }
+  return mask;
+}
+
+/// Neighborhood-broadcast listing of g under `current` and `require`
+/// (nullptr = no restriction) against the oracle filtered by hand: the
+/// p-cliques whose edges are all current and at least one required, each
+/// reported once, by its minimum-id member.
+void expect_filtered_listing(const Graph& g, int p, const EdgeMask* current,
+                             const EdgeMask* require) {
+  std::vector<Clique> want;
+  std::vector<std::uint64_t> want_reports(
+      static_cast<std::size_t>(g.node_count()), 0);
+  for (const Clique& c : list_k_cliques(g, p)) {
+    bool all_current = true;
+    bool holds_required = require == nullptr;
+    for (std::size_t x = 0; x < c.size(); ++x) {
+      for (std::size_t y = x + 1; y < c.size(); ++y) {
+        const EdgeId e = *g.edge_id(c[x], c[y]);
+        all_current = all_current && (current == nullptr || (*current)[e]);
+        holds_required = holds_required || (*require)[e];
+      }
+    }
+    if (!all_current || !holds_required) continue;
+    want.push_back(c);
+    ++want_reports[static_cast<std::size_t>(c.front())];
+  }
+  RoundLedger ledger;
+  ListingOutput out(g.node_count());
+  BroadcastListingArgs args;
+  args.base = &g;
+  args.current = current;
+  args.p = p;
+  args.mode = BroadcastMode::neighborhood;
+  args.require_edge = require;
+  const auto stats = broadcast_listing(args, ledger, out);
+  EXPECT_FALSE(want.empty());
+  EXPECT_TRUE(out.cliques() == CliqueSet(want));
+  EXPECT_EQ(stats.cliques_reported, want.size());
+  EXPECT_EQ(out.total_reports(), want.size());
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    EXPECT_EQ(out.reports_of(v), want_reports[static_cast<std::size_t>(v)])
+        << "node " << v;
+  }
 }
 
 TEST(BroadcastListing, NeighborhoodModeCostsMaxDegree) {
@@ -72,6 +124,15 @@ TEST(BroadcastListing, ListsExactlyAllCliques) {
     EXPECT_TRUE(out.cliques() == CliqueSet(list_k_cliques(g, p))) << "p=" << p;
     expect_ledger_valid(ledger);
   }
+  // A denser seeded input, in both current forms.
+  Rng gen(31);
+  const Graph dense = erdos_renyi_gnm(60, 900, gen);
+  const EdgeMask current = random_mask(dense, 0.8, gen);
+  for (const int p : {3, 4, 5}) {
+    SCOPED_TRACE(testing::Message() << "p=" << p);
+    expect_filtered_listing(dense, p, nullptr, nullptr);
+    expect_filtered_listing(dense, p, &current, nullptr);
+  }
 }
 
 TEST(BroadcastListing, CurrentMaskRestrictsGraph) {
@@ -112,6 +173,19 @@ TEST(BroadcastListing, RequireEdgeFilter) {
   EXPECT_EQ(out.unique_count(), 3u);
   for (const auto& c : out.cliques().to_vector()) {
     EXPECT_TRUE(c[0] == 0 && c[1] == 1);
+  }
+  // Random masks on a seeded input, sparse and dense, in both current
+  // forms.
+  Rng gen(32);
+  const Graph dense = erdos_renyi_gnm(60, 900, gen);
+  const EdgeMask current = random_mask(dense, 0.8, gen);
+  for (const double density : {0.05, 0.5}) {
+    const EdgeMask required = random_mask(dense, density, gen);
+    for (const int p : {3, 4, 5}) {
+      SCOPED_TRACE(testing::Message() << "p=" << p << " density " << density);
+      expect_filtered_listing(dense, p, nullptr, &required);
+      expect_filtered_listing(dense, p, &current, &required);
+    }
   }
 }
 
@@ -155,7 +229,7 @@ TEST(BroadcastListing, ChargeMatchesMaterializedExchange) {
   std::uint64_t sent = 0;
   for (NodeId v = 0; v < g.node_count(); ++v) {
     for (const NodeId w : g.neighbors(v)) {
-      for ([[maybe_unused]] const NodeId head : o.out_neighbors(v)) {
+      for (NodeId k = 0; k < o.out_degree(v); ++k) {
         ++sends_per_edge[{v, w}];
         ++sent;
       }

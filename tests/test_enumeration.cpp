@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/math_util.h"
 #include "graph/generators.h"
@@ -210,6 +214,110 @@ TEST(ListKCliques, GoalFilterFindsEverySingleGoalEdgePosition) {
       EXPECT_EQ(check.listed(p, goal, 1), check.expected(p, goal));
       goal[check.index(e.u, e.v)] = 0;
       goal[check.index(e.v, e.u)] = 0;
+    }
+  }
+}
+
+/// g's adjacency rows as a CSR, and one goal flag per entry: the flag of
+/// the entry's edge in `edge_flag`.
+struct GraphRows {
+  std::vector<std::uint64_t> offsets{0};
+  std::vector<NodeId> adj;
+  std::vector<std::uint8_t> goal;
+
+  GraphRows(const Graph& g, const std::vector<std::uint8_t>& edge_flag) {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      const auto nbrs = g.neighbors(v);
+      const auto ids = g.incident_edges(v);
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        adj.push_back(nbrs[i]);
+        goal.push_back(edge_flag[static_cast<std::size_t>(ids[i])]);
+      }
+      offsets.push_back(adj.size());
+    }
+  }
+};
+
+std::vector<std::uint8_t> random_edge_flags(const Graph& g, double density,
+                                            Rng& rng) {
+  std::vector<std::uint8_t> flags(static_cast<std::size_t>(g.edge_count()));
+  for (auto& f : flags) f = rng.next_bool(density) ? 1 : 0;
+  return flags;
+}
+
+TEST(CliqueDag, CsrOverloadMatchesGraphOverload) {
+  // The builder's two overloads share one body: on a Graph's own rows the
+  // CSR form builds the same DAG, goal flags included, and the flags do
+  // not change the orientation.
+  Rng rng(63);
+  std::vector<Graph> inputs;
+  inputs.push_back(erdos_renyi_gnm(80, 900, rng));
+  inputs.push_back(complete_graph(7));
+  inputs.push_back(empty_graph(4));
+  for (std::size_t k = 0; k < inputs.size(); ++k) {
+    const Graph& g = inputs[k];
+    SCOPED_TRACE(testing::Message() << "input " << k);
+    const GraphRows rows(g, random_edge_flags(g, 0.3, rng));
+    const CliqueDag plain = degeneracy_dag(g);
+    const CliqueDag csr = degeneracy_dag(rows.offsets, rows.adj);
+    EXPECT_EQ(plain.offsets, csr.offsets);
+    EXPECT_EQ(plain.adj, csr.adj);
+    EXPECT_TRUE(plain.goal.empty());
+    EXPECT_TRUE(csr.goal.empty());
+    EXPECT_EQ(plain.adj.size(), static_cast<std::size_t>(g.edge_count()));
+
+    const CliqueDag flagged = degeneracy_dag(g, rows.goal);
+    const CliqueDag flagged_csr =
+        degeneracy_dag(rows.offsets, rows.adj, rows.goal);
+    EXPECT_EQ(flagged.offsets, plain.offsets);
+    EXPECT_EQ(flagged.adj, plain.adj);
+    EXPECT_EQ(flagged_csr.adj, plain.adj);
+    EXPECT_EQ(flagged.goal, flagged_csr.goal);
+    EXPECT_EQ(flagged.goal.size(), flagged.adj.size());
+  }
+  const Graph& g = inputs.front();
+  const std::vector<std::uint8_t> short_goal(3, 1);
+  EXPECT_THROW(degeneracy_dag(g, short_goal), std::invalid_argument);
+}
+
+TEST(CliqueDag, GoalFlagsListExactlyTheFlaggedCliques) {
+  // Listing the builder's goal-flagged DAG emits exactly the oracle's
+  // cliques that hold a flagged edge, each once.
+  Rng rng(64);
+  const Graph g = erdos_renyi_gnm(60, 700, rng);
+  for (const double density : {0.05, 0.5}) {
+    const std::vector<std::uint8_t> flags = random_edge_flags(g, density, rng);
+    const GraphRows rows(g, flags);
+    for (const int p : {3, 4, 5}) {
+      SCOPED_TRACE(testing::Message() << "p=" << p << " density " << density);
+      std::vector<Clique> want;
+      for (const Clique& c : list_k_cliques(g, p)) {
+        bool holds = false;
+        for (std::size_t x = 0; x < c.size(); ++x) {
+          for (std::size_t y = x + 1; y < c.size(); ++y) {
+            holds = holds || flags[static_cast<std::size_t>(
+                                 *g.edge_id(c[x], c[y]))] != 0;
+          }
+        }
+        if (holds) want.push_back(c);
+      }
+      std::sort(want.begin(), want.end());
+      EXPECT_FALSE(want.empty());
+
+      CliqueDag dag = degeneracy_dag(g, rows.goal);
+      CliqueScratch scratch;
+      std::vector<NodeId> flat;
+      list_dag_cliques(dag, p, scratch, flat, 0, dag.node_count());
+      std::vector<Clique> listed;
+      const auto width = static_cast<std::size_t>(p);
+      for (std::size_t at = 0; at < flat.size(); at += width) {
+        Clique c(flat.begin() + static_cast<std::ptrdiff_t>(at),
+                 flat.begin() + static_cast<std::ptrdiff_t>(at + width));
+        std::sort(c.begin(), c.end());
+        listed.push_back(std::move(c));
+      }
+      std::sort(listed.begin(), listed.end());
+      EXPECT_EQ(listed, want);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
 #include "enumeration/clique_enumeration.h"
@@ -51,6 +52,7 @@ TEST(ErdosRenyiGnp, ExtremeProbabilities) {
   EXPECT_EQ(erdos_renyi_gnp(30, 1.0, rng).edge_count(), 30 * 29 / 2);
   EXPECT_THROW(erdos_renyi_gnp(10, 1.5, rng), std::invalid_argument);
   EXPECT_THROW(erdos_renyi_gnp(10, -0.1, rng), std::invalid_argument);
+  EXPECT_THROW(erdos_renyi_gnp(10, std::nan(""), rng), std::invalid_argument);
 }
 
 TEST(ErdosRenyiGnp, TinyGraphs) {

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "enumeration/clique_enumeration.h"
 #include "graph/generators.h"
 
 namespace dcl {
@@ -174,19 +175,23 @@ TEST(Orientation, TailHeadConsistent) {
   }
 }
 
-TEST(Orientation, OutCsrMatchesTails) {
+TEST(Orientation, OutDegreesMatchTheDegeneracyDag) {
+  // The degeneracy orientation and the degeneracy DAG agree: row v of the
+  // DAG holds exactly the heads of the edges whose tail is v.
   Rng rng(5);
   const Graph g = erdos_renyi_gnm(50, 300, rng);
   const Orientation o = degeneracy_orientation(g);
+  const CliqueDag dag = degeneracy_dag(g);
   std::int64_t total = 0;
   for (NodeId v = 0; v < 50; ++v) {
-    const auto heads = o.out_neighbors(v);
-    const auto eids = o.out_edges(v);
-    ASSERT_EQ(heads.size(), eids.size());
-    total += static_cast<std::int64_t>(heads.size());
-    for (std::size_t i = 0; i < heads.size(); ++i) {
-      EXPECT_EQ(o.tail(eids[i]), v);
-      EXPECT_EQ(o.head(eids[i]), heads[i]);
+    const auto begin = dag.offsets[static_cast<std::size_t>(v)];
+    const auto end = dag.offsets[static_cast<std::size_t>(v) + 1];
+    EXPECT_EQ(static_cast<std::uint64_t>(o.out_degree(v)), end - begin);
+    total += o.out_degree(v);
+    for (auto i = begin; i < end; ++i) {
+      const EdgeId e = *g.edge_id(v, dag.adj[i]);
+      EXPECT_EQ(o.tail(e), v);
+      EXPECT_EQ(o.head(e), dag.adj[i]);
     }
   }
   EXPECT_EQ(total, g.edge_count());  // every edge has exactly one tail

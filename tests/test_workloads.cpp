@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "common/math_util.h"
@@ -102,6 +103,10 @@ TEST(RingOfCliques, BridgesAreTheOnlySparseCuts) {
     if (e.u / 40 != e.v / 40) ++bridges;
   }
   EXPECT_EQ(bridges, 6);
+  // Fewer nodes than blocks, or one block, would bridge a node to itself.
+  EXPECT_THROW(ring_of_cliques_workload(5, rng, 6, 0.5), std::invalid_argument);
+  EXPECT_THROW(ring_of_cliques_workload(40, rng, 1, 0.5),
+               std::invalid_argument);
 }
 
 TEST(RingOfCliques, DecompositionCutsTheBridges) {
