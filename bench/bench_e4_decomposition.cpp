@@ -9,23 +9,18 @@
 
 #include "bench_util.h"
 #include "expander/decomposition.h"
+#include "graph/orientation.h"
 
 namespace dcl {
 namespace {
 
 std::int64_t es_witness_outdegree(const Graph& g,
                                   const ExpanderDecomposition& d) {
-  std::vector<std::int64_t> outdeg(static_cast<std::size_t>(g.node_count()),
-                                   0);
+  EdgeMask es(g.edge_count());
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (d.part[static_cast<std::size_t>(e)] != EdgePart::sparse) continue;
-    const Edge& ed = g.edge(e);
-    ++outdeg[static_cast<std::size_t>(
-        d.es_away_from_lower[static_cast<std::size_t>(e)] ? ed.u : ed.v)];
+    es.set(e, d.part[static_cast<std::size_t>(e)] == EdgePart::sparse);
   }
-  std::int64_t best = 0;
-  for (const auto v : outdeg) best = std::max(best, v);
-  return best;
+  return max_out_degree(g, d.es_away_from_lower, es);
 }
 
 }  // namespace

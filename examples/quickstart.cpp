@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
               result.total_rounds(),
               static_cast<unsigned long long>(result.total_reports),
               output.duplication_factor());
-  result.ledger.print_breakdown(std::cout);
+  result.ledger.print_audited(std::cout);
 
   // 3. Validate against the sequential oracle.
   const CliqueSet truth{list_k_cliques(g, p)};

@@ -85,10 +85,7 @@ BaselineResult one_shot_list(const Graph& g, int p, ListingOutput& out,
   Rng rng(seed);
 
   const Orientation orient = degeneracy_orientation(g);
-  EdgeMask away(g.edge_count());
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    away.set(e, orient.away_from_lower(e));
-  }
+  EdgeMask away = orient.away();
   EdgeMask es(g.edge_count());
   EdgeMask er(g.edge_count(), true);
 

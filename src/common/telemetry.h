@@ -160,9 +160,9 @@ class TraceCollector {
 
   // ---- Virtual clock ----
   /// Advances the rounds/messages axes to at least the given cumulative
-  /// totals (elementwise max: several ledgers may feed one run — e.g. a
-  /// network-owned ledger later merged into the pipeline ledger — and the
-  /// clock must stay monotone across all of them).
+  /// totals (elementwise max: one collector may trace several runs, each
+  /// with a ledger counting from zero, and the clock must stay monotone
+  /// across all of them).
   void sync_to(double total_rounds, std::uint64_t total_messages);
   /// Advances the work axis by `units` (additive).
   void add_work(std::uint64_t units);

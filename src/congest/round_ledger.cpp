@@ -70,21 +70,6 @@ void RoundLedger::merge(const RoundLedger& other) {
   lost_messages_ += other.lost_messages_;
 }
 
-void RoundLedger::print_breakdown(std::ostream& out) const {
-  out << "round ledger: total=" << std::fixed << std::setprecision(1)
-      << total_rounds() << " rounds, " << total_messages() << " messages\n";
-  for (const auto& [label, rounds] : rounds_by_label()) {
-    out << "  " << std::left << std::setw(42) << label << ' ' << std::right
-        << std::setw(12) << std::setprecision(1) << rounds << '\n';
-  }
-  if (retry_rounds_ > 0.0 || retransmitted_messages_ > 0 ||
-      lost_messages_ > 0) {
-    out << "  recovery: " << std::setprecision(1) << retry_rounds_
-        << " retry rounds, " << retransmitted_messages_ << " retransmitted, "
-        << lost_messages_ << " lost\n";
-  }
-}
-
 void RoundLedger::print_audited(std::ostream& out) const {
   const std::vector<BreakdownRow> rows = breakdown();
   std::size_t label_width = 24;

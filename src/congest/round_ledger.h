@@ -94,12 +94,10 @@ class RoundLedger {
   /// Appends all entries of `other`.
   void merge(const RoundLedger& other);
 
-  void print_breakdown(std::ostream& out) const;
-
-  /// The audited (label, kind) breakdown with messages, label column sized
-  /// to the longest label (print_breakdown's fixed setw(42) truncates the
-  /// alignment for long phase labels) and stream format flags restored on
-  /// exit instead of leaking std::fixed into the caller's stream.
+  /// Prints the totals and the audited (label, kind) breakdown with
+  /// messages, plus a `recovery:` line when any retry, retransmission or
+  /// loss was charged. The label column is sized to the longest label, and
+  /// the stream's format flags and precision are restored on exit.
   void print_audited(std::ostream& out) const;
 
  private:

@@ -10,17 +10,12 @@
 #include "common/telemetry.h"
 #include "core/broadcast_listing.h"
 #include "core/in_cluster_listing.h"
+#include "graph/orientation.h"
 #include "routing/cluster_router.h"
 
 namespace dcl {
 
 namespace {
-
-/// The orientation tail of base edge `e`: the endpoint it points away from.
-NodeId tail_of(const Graph& base, const EdgeMask& away, EdgeId e) {
-  const Edge& ed = base.edge(e);
-  return away[e] ? ed.u : ed.v;
-}
 
 /// The current logical edge set as two CSRs filled by a counting pass
 /// over `cur`: every node's neighbors with the aligned ids of the edges to
@@ -38,7 +33,7 @@ class CurrentView {
       const Edge& ed = base.edge(e);
       ++adj_off_[static_cast<std::size_t>(ed.u) + 1];
       ++adj_off_[static_cast<std::size_t>(ed.v) + 1];
-      ++out_off_[static_cast<std::size_t>(tail_of(base, away, e)) + 1];
+      ++out_off_[static_cast<std::size_t>(edge_tail(base, away, e)) + 1];
     });
     for (std::size_t v = 1; v <= n; ++v) {
       adj_off_[v] += adj_off_[v - 1];
@@ -57,7 +52,7 @@ class CurrentView {
       edge_[iu] = e;
       nbr_[iv] = ed.u;
       edge_[iv] = e;
-      out_[out_at[static_cast<std::size_t>(tail_of(base, away, e))]++] = e;
+      out_[out_at[static_cast<std::size_t>(edge_tail(base, away, e))]++] = e;
     });
   }
 
@@ -231,34 +226,25 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
 
   // ---- Step 1: expander decomposition of (V, Er) (Theorem 2.3). ----------
   const std::int32_t decompose_span = begin_step("arb/decompose");
-  std::vector<Edge> er_edges;
-  std::vector<EdgeId> sub_to_base;
-  er_edges.reserve(static_cast<std::size_t>(trace.er_before));
-  sub_to_base.reserve(static_cast<std::size_t>(trace.er_before));
-  er.for_each_set([&](EdgeId e) {
-    er_edges.push_back(base.edge(e));
-    sub_to_base.push_back(e);
-  });
-  // Base edges visited in id order are already normalized, sorted and
-  // distinct, so sub edge i corresponds to sub_to_base[i].
-  const Graph gr = Graph::from_sorted_edges(n, std::move(er_edges));
+  const Subgraph gr =
+      subgraph(base, {}, er, static_cast<std::size_t>(trace.er_before));
   DecompositionConfig dcfg = cfg.decomposition;
   dcfg.absolute_degree = ctx.cluster_degree;
   Rng deco_rng = ctx.rng->split();
   const ExpanderDecomposition deco =
-      expander_decompose(gr, n, dcfg, deco_rng);
+      expander_decompose(gr.graph, n, dcfg, deco_rng);
   ctx.ledger->charge_analytic("expander-decomposition (T2.3)",
                               deco.charged_rounds);
 
   // Apply the split to the logical edge sets.
   std::vector<EdgeId> em_edges;  // base ids of cluster-internal edges
-  for (EdgeId se = 0; se < gr.edge_count(); ++se) {
-    const EdgeId be = sub_to_base[static_cast<std::size_t>(se)];
+  for (EdgeId se = 0; se < gr.graph.edge_count(); ++se) {
+    const EdgeId be = gr.to_base[static_cast<std::size_t>(se)];
     switch (deco.part[static_cast<std::size_t>(se)]) {
       case EdgePart::sparse:
         er.set(be, false);
         es.set(be, true);
-        away.set(be, deco.es_away_from_lower[static_cast<std::size_t>(se)]);
+        away.set(be, deco.es_away_from_lower[se]);
         break;
       case EdgePart::cluster:
         er.set(be, false);  // pending goal/bad split
@@ -687,7 +673,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
       for (std::size_t j = 0; j < u_nbrs.size(); ++j) {
         const NodeId v = u_nbrs[j];
         if (cluster_of[static_cast<std::size_t>(v)] == cluster.id) continue;
-        if (tail_of(base, away, u_edges[j]) == v) {
+        if (edge_tail(base, away, u_edges[j]) == v) {
           route(u, holder_of(v), u_edges[j]);
         }
       }
@@ -697,7 +683,7 @@ ArbIterationTrace arb_list(ArbListContext& ctx) {
           std::max(st.max_learned_edges,
                    static_cast<std::int64_t>(learned_u.size()));
       for (const EdgeId e : learned_u) {
-        route(u, holder_of(tail_of(base, away, e)), e);
+        route(u, holder_of(edge_tail(base, away, e)), e);
       }
     }
 

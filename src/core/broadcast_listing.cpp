@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "enumeration/clique_enumeration.h"
+#include "graph/orientation.h"
 
 namespace dcl {
 
@@ -37,9 +38,7 @@ BroadcastListingStats broadcast_listing(const BroadcastListingArgs& args,
       const EdgeId e = ids[i];
       if (cut && !(*args.current)[e]) continue;
       ++deg[static_cast<std::size_t>(v)];
-      // Edge {v, w} leaves v iff it points away from its lower end and v
-      // is that end, or the other way round.
-      if (out_mode && (*args.away)[e] == (v < nbrs[i])) {
+      if (out_mode && edge_tail(base, *args.away, e) == v) {
         ++outdeg[static_cast<std::size_t>(v)];
       }
       if (cut) adj.push_back(nbrs[i]);

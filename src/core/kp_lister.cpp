@@ -15,21 +15,6 @@ namespace dcl {
 
 namespace {
 
-/// Max out-degree of the current logical edge set under `away`.
-std::int64_t measured_out_degree_bound(const Graph& base,
-                                       const EdgeMask& current,
-                                       const EdgeMask& away) {
-  std::vector<std::int64_t> outdeg(static_cast<std::size_t>(base.node_count()),
-                                   0);
-  current.for_each_set([&](EdgeId e) {
-    const Edge& ed = base.edge(e);
-    ++outdeg[static_cast<std::size_t>(away[e] ? ed.u : ed.v)];
-  });
-  std::int64_t best = 0;
-  for (const auto d : outdeg) best = std::max(best, d);
-  return best;
-}
-
 /// Procedure LIST (Theorem 2.8): iterates ARB-LIST on the edges of
 /// `current` until Er is empty. On return `current` holds the surviving
 /// low-arboricity edge set Ẽs (with `away` updated), and every Kp with an
@@ -129,10 +114,7 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
   Rng rng(cfg.seed);
   // Initial arboricity witness: the degeneracy orientation.
   const Orientation orient = degeneracy_orientation(g);
-  EdgeMask away(g.edge_count());
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    away.set(e, orient.away_from_lower(e));
-  }
+  EdgeMask away = orient.away();
   EdgeMask current(g.edge_count(), true);
   std::int64_t arboricity_bound =
       std::max<std::int64_t>(1, orient.max_out_degree());
@@ -168,7 +150,7 @@ KpListResult list_kp_collect(const Graph& g, const KpConfig& cfg,
                        result.arb_traces, faults);
 
     const std::int64_t new_bound =
-        std::max<std::int64_t>(1, measured_out_degree_bound(g, current, away));
+        std::max<std::int64_t>(1, max_out_degree(g, away, current));
     trace.arboricity_bound_after = new_bound;
     trace.edges_after = current.count();
     trace.rounds = result.ledger.total_rounds() - rounds_before;

@@ -8,6 +8,7 @@
 
 #include "common/math_util.h"
 #include "expander/spectral.h"
+#include "graph/orientation.h"
 
 namespace dcl {
 
@@ -55,17 +56,16 @@ std::int64_t peel_threshold(std::int64_t ndelta) {
 /// Mutable working view of the not-yet-assigned part of the graph.
 struct WorkState {
   const Graph* g;
-  std::vector<EdgePart> part;          // current labels; `cluster` = unassigned
-  std::vector<std::uint8_t> assigned;  // edge already finalized into Es/Er?
-  std::vector<bool> es_away_from_lower;
-  std::vector<std::int64_t> live_degree;  // degree over unassigned edges
+  std::vector<EdgePart> part;  // current labels; `cluster` = unassigned
+  EdgeMask live;               // edge not yet finalized into Em/Es/Er?
+  EdgeMask es_away_from_lower;
+  std::vector<std::int64_t> live_degree;  // degree over live edges
 
   explicit WorkState(const Graph& graph)
       : g(&graph),
         part(static_cast<std::size_t>(graph.edge_count()), EdgePart::cluster),
-        assigned(static_cast<std::size_t>(graph.edge_count()), 0),
-        es_away_from_lower(static_cast<std::size_t>(graph.edge_count()),
-                           false),
+        live(graph.edge_count(), true),
+        es_away_from_lower(graph.edge_count()),
         live_degree(static_cast<std::size_t>(graph.node_count()), 0) {
     for (NodeId v = 0; v < graph.node_count(); ++v) {
       live_degree[static_cast<std::size_t>(v)] = graph.degree(v);
@@ -74,16 +74,16 @@ struct WorkState {
 
   void assign_es(EdgeId e, NodeId away_from) {
     part[static_cast<std::size_t>(e)] = EdgePart::sparse;
-    assigned[static_cast<std::size_t>(e)] = 1;
+    live.reset(e);
     const Edge& ed = g->edge(e);
-    es_away_from_lower[static_cast<std::size_t>(e)] = (away_from == ed.u);
+    es_away_from_lower.set(e, away_from == ed.u);
     --live_degree[static_cast<std::size_t>(ed.u)];
     --live_degree[static_cast<std::size_t>(ed.v)];
   }
 
   void assign_er(EdgeId e) {
     part[static_cast<std::size_t>(e)] = EdgePart::removed;
-    assigned[static_cast<std::size_t>(e)] = 1;
+    live.reset(e);
     const Edge& ed = g->edge(e);
     --live_degree[static_cast<std::size_t>(ed.u)];
     --live_degree[static_cast<std::size_t>(ed.v)];
@@ -117,7 +117,7 @@ std::vector<NodeId> peel_low_degree(WorkState& state,
     const auto eids = g.incident_edges(v);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
       const EdgeId e = eids[i];
-      if (state.assigned[static_cast<std::size_t>(e)]) continue;
+      if (!state.live[e]) continue;
       const NodeId w = nbrs[i];
       if (!in_component[static_cast<std::size_t>(w)]) continue;
       state.assign_es(e, v);
@@ -156,7 +156,7 @@ std::vector<std::vector<NodeId>> live_components(const WorkState& state,
       const auto nbrs = g.neighbors(v);
       const auto eids = g.incident_edges(v);
       for (std::size_t i = 0; i < nbrs.size(); ++i) {
-        if (state.assigned[static_cast<std::size_t>(eids[i])]) continue;
+        if (!state.live[eids[i]]) continue;
         const NodeId w = nbrs[i];
         if (label[static_cast<std::size_t>(w)] == kUnvisited) {
           label[static_cast<std::size_t>(w)] = count;
@@ -177,64 +177,17 @@ std::vector<std::vector<NodeId>> live_components(const WorkState& state,
   return components;
 }
 
-/// The subgraph of `g` induced on ascending members, keeping the edges a
-/// predicate accepts: local node i is `members[i]`, local edge i is base
-/// edge `edge_to_original[i]`.
-struct SortedSubgraph {
-  Graph graph;
-  std::vector<EdgeId> edge_to_original;
-};
-
-/// Builds a `SortedSubgraph` with the edges `keep(e)` accepts; `edge_hint`
-/// is the expected edge count. Members ascend and every neighbor row
-/// ascends, so the scan emits normalized local pairs in lexicographic
-/// order: `from_sorted_edges` takes them as they come (it asserts the order
-/// in debug builds) and the scanned ids already are `edge_to_original`.
-template <typename Keep>
-SortedSubgraph sorted_induced_subgraph(const Graph& g,
-                                       const std::vector<NodeId>& members,
-                                       std::size_t edge_hint, Keep keep) {
-  std::vector<NodeId> local(static_cast<std::size_t>(g.node_count()), -1);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    local[static_cast<std::size_t>(members[i])] = to_node(i);
-  }
-  SortedSubgraph out;
-  std::vector<Edge> edges;
-  edges.reserve(edge_hint);
-  out.edge_to_original.reserve(edge_hint);
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    const NodeId v = members[i];
-    const auto nbrs = g.neighbors(v);
-    const auto eids = g.incident_edges(v);
-    // Higher neighbors only: each edge is visited from its lower endpoint.
-    for (auto j = static_cast<std::size_t>(
-             std::upper_bound(nbrs.begin(), nbrs.end(), v) - nbrs.begin());
-         j < nbrs.size(); ++j) {
-      const NodeId lw = local[static_cast<std::size_t>(nbrs[j])];
-      if (lw < 0 || !keep(eids[j])) continue;
-      edges.push_back(Edge{to_node(i), lw});
-      out.edge_to_original.push_back(eids[j]);
-    }
-  }
-  out.graph =
-      Graph::from_sorted_edges(to_node(members.size()), std::move(edges));
-  return out;
-}
-
 /// Induced live subgraph on the ascending `nodes` (unassigned edges only).
-SortedSubgraph live_subgraph(const WorkState& state,
-                             const std::vector<NodeId>& nodes) {
+Subgraph live_subgraph(const WorkState& state,
+                       const std::vector<NodeId>& nodes) {
   // A piece's live edges never leave it (edges between pieces were cut or
   // peeled), so its live volume is twice its edge count.
   std::int64_t live_volume = 0;
   for (NodeId v : nodes) {
     live_volume += state.live_degree[static_cast<std::size_t>(v)];
   }
-  return sorted_induced_subgraph(
-      *state.g, nodes, static_cast<std::size_t>(live_volume / 2),
-      [&state](EdgeId e) {
-        return state.assigned[static_cast<std::size_t>(e)] == 0;
-      });
+  return subgraph(*state.g, nodes, state.live,
+                  static_cast<std::size_t>(live_volume / 2));
 }
 
 }  // namespace
@@ -264,7 +217,7 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
     if (piece.empty()) continue;
     for (auto& component : live_components(state, piece)) {
       if (component.size() <= 1) continue;
-      const SortedSubgraph sub = live_subgraph(state, component);
+      const Subgraph sub = live_subgraph(state, component);
       if (sub.graph.edge_count() == 0) continue;
       const auto embedding =
           second_eigenvector(sub.graph, rng, kEmbeddingWalkSteps);
@@ -281,7 +234,7 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
           const Edge& ed = sub.graph.edge(e);
           if (in_side[static_cast<std::size_t>(ed.u)] !=
               in_side[static_cast<std::size_t>(ed.v)]) {
-            state.assign_er(sub.edge_to_original[static_cast<std::size_t>(e)]);
+            state.assign_er(sub.to_base[static_cast<std::size_t>(e)]);
           }
         }
         std::vector<NodeId> side_original, rest_original;
@@ -302,10 +255,9 @@ ExpanderDecomposition expander_decompose(const Graph& g, NodeId ambient_n,
           min_deg = std::min(min_deg, sub.graph.degree(nv));
         }
         cluster.min_internal_degree = min_deg;
-        for (EdgeId e = 0; e < sub.graph.edge_count(); ++e) {
-          const EdgeId orig = sub.edge_to_original[static_cast<std::size_t>(e)];
+        for (const EdgeId orig : sub.to_base) {
           state.part[static_cast<std::size_t>(orig)] = EdgePart::cluster;
-          state.assigned[static_cast<std::size_t>(orig)] = 1;
+          state.live.reset(orig);
         }
         for (NodeId v : component) {
           result.cluster_of[static_cast<std::size_t>(v)] = cluster.id;
@@ -346,12 +298,14 @@ double cluster_mixing_time(const Graph& g, const ExpanderDecomposition& d,
   // The cluster's Em subgraph over its sorted members — exactly the live
   // subgraph the decomposition accepted (every live edge inside an
   // accepted component became Em, and no later step touches it).
+  EdgeMask em(g.edge_count());
+  for (const NodeId v : c.nodes) {
+    for (const EdgeId e : g.incident_edges(v)) {
+      if (d.part[static_cast<std::size_t>(e)] == EdgePart::cluster) em.set(e);
+    }
+  }
   const Graph sub =
-      sorted_induced_subgraph(
-          g, c.nodes, static_cast<std::size_t>(c.internal_edges),
-          [&d](EdgeId e) {
-            return d.part[static_cast<std::size_t>(e)] == EdgePart::cluster;
-          })
+      subgraph(g, c.nodes, em, static_cast<std::size_t>(c.internal_edges))
           .graph;
   // A private stream per cluster: the estimate is a diagnostic and must
   // never draw from (and so perturb) the decomposition's own RNG.
@@ -379,10 +333,7 @@ std::vector<std::string> verify_decomposition(
                                     0);
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     if (d.part[static_cast<std::size_t>(e)] != EdgePart::sparse) continue;
-    const Edge& ed = g.edge(e);
-    const NodeId tail =
-        d.es_away_from_lower[static_cast<std::size_t>(e)] ? ed.u : ed.v;
-    ++out_deg[static_cast<std::size_t>(tail)];
+    ++out_deg[static_cast<std::size_t>(edge_tail(g, d.es_away_from_lower, e))];
   }
   for (NodeId v = 0; v < g.node_count(); ++v) {
     if (out_deg[static_cast<std::size_t>(v)] > ndelta) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "graph/edge_mask.h"
 #include "graph/graph.h"
 
 namespace dcl {
@@ -45,9 +46,10 @@ struct Cluster {
 struct ExpanderDecomposition {
   /// Per-edge label, aligned with the decomposed graph's edge ids.
   std::vector<EdgePart> part;
-  /// Orientation for Es edges: true = oriented from lower-id endpoint to
-  /// higher-id endpoint. Entries for non-Es edges are unspecified.
-  std::vector<bool> es_away_from_lower;
+  /// Orientation for Es edges as away bits (`edge_tail`,
+  /// graph/orientation.h): set = oriented from the lower-id endpoint to the
+  /// higher-id one. Bits of non-Es edges are unspecified.
+  EdgeMask es_away_from_lower;
   /// Cluster id per node, or -1 for nodes in no cluster.
   std::vector<int> cluster_of;
   std::vector<Cluster> clusters;

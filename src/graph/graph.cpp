@@ -118,53 +118,47 @@ std::pair<std::vector<int>, int> Graph::connected_components() const {
   return {std::move(comp), count};
 }
 
-void EdgeListBuilder::add_edge(NodeId a, NodeId b) {
-  if (a == b) throw std::invalid_argument("EdgeListBuilder: self-loop");
-  if (a < 0 || b < 0 || a >= n_ || b >= n_) {
-    throw std::invalid_argument("EdgeListBuilder: endpoint out of range");
+Subgraph subgraph(const Graph& g, std::span<const NodeId> members,
+                  const EdgeMask& keep, std::size_t edge_hint) {
+  if (keep.size() != g.edge_count()) {
+    throw std::invalid_argument("subgraph: mask size mismatch");
   }
-  edges_.push_back(make_edge(a, b));
-}
-
-Graph EdgeListBuilder::build() && {
-  return Graph::from_edges(n_, std::move(edges_));
-}
-
-Graph edge_subgraph(const Graph& g, const std::vector<bool>& keep) {
-  if (keep.size() != static_cast<std::size_t>(g.edge_count())) {
-    throw std::invalid_argument("edge_subgraph: mask size mismatch");
-  }
-  std::vector<Edge> kept;
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (keep[static_cast<std::size_t>(e)]) kept.push_back(g.edge(e));
-  }
-  return Graph::from_edges(g.node_count(), std::move(kept));
-}
-
-InducedSubgraph induced_subgraph(const Graph& g,
-                                 std::span<const NodeId> nodes) {
-  std::vector<NodeId> to_original(nodes.begin(), nodes.end());
-  std::sort(to_original.begin(), to_original.end());
-  to_original.erase(std::unique(to_original.begin(), to_original.end()),
-                    to_original.end());
-  std::vector<NodeId> to_new(static_cast<std::size_t>(g.node_count()), -1);
-  for (std::size_t i = 0; i < to_original.size(); ++i) {
-    to_new[static_cast<std::size_t>(to_original[i])] =
-        static_cast<NodeId>(i);
-  }
+  Subgraph out;
   std::vector<Edge> edges;
-  for (NodeId nv = 0; nv < to_node(to_original.size()); ++nv) {
-    const NodeId ov = to_original[static_cast<std::size_t>(nv)];
-    for (NodeId ow : g.neighbors(ov)) {
-      const NodeId nw = to_new[static_cast<std::size_t>(ow)];
-      if (nw > nv) edges.push_back(Edge{nv, nw});
+  edges.reserve(edge_hint);
+  out.to_base.reserve(edge_hint);
+  if (members.empty()) {
+    // Base edges visited in id order are already normalized, sorted and
+    // distinct.
+    keep.for_each_set([&](EdgeId e) {
+      edges.push_back(g.edge(e));
+      out.to_base.push_back(e);
+    });
+  } else {
+    std::vector<NodeId> local(static_cast<std::size_t>(g.node_count()), -1);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      local[static_cast<std::size_t>(members[i])] = to_node(i);
+    }
+    // Members ascend and every neighbor row ascends, so visiting each edge
+    // from its lower endpoint emits normalized local pairs in lexicographic
+    // order.
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      const NodeId v = members[i];
+      const auto nbrs = g.neighbors(v);
+      const auto eids = g.incident_edges(v);
+      for (auto j = static_cast<std::size_t>(
+               std::upper_bound(nbrs.begin(), nbrs.end(), v) - nbrs.begin());
+           j < nbrs.size(); ++j) {
+        const NodeId lw = local[static_cast<std::size_t>(nbrs[j])];
+        if (lw < 0 || !keep[eids[j]]) continue;
+        edges.push_back(Edge{to_node(i), lw});
+        out.to_base.push_back(eids[j]);
+      }
     }
   }
-  InducedSubgraph result;
-  result.graph = Graph::from_edges(to_node(to_original.size()),
-                                   std::move(edges));
-  result.to_original = std::move(to_original);
-  return result;
+  const NodeId n = members.empty() ? g.node_count() : to_node(members.size());
+  out.graph = Graph::from_sorted_edges(n, std::move(edges));
+  return out;
 }
 
 }  // namespace dcl

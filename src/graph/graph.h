@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "graph/edge_mask.h"
 #include "graph/ids.h"
 
 namespace dcl {
@@ -36,7 +37,8 @@ constexpr Edge make_edge(NodeId a, NodeId b) {
   return (a < b) ? Edge{a, b} : Edge{b, a};
 }
 
-/// Immutable simple graph. Construct via `from_edges` or an `EdgeListBuilder`.
+/// Immutable simple graph. Construct via `from_edges`, or take a subgraph
+/// of another graph with `subgraph`.
 class Graph {
  public:
   Graph() = default;
@@ -47,13 +49,12 @@ class Graph {
   static Graph from_edges(NodeId n, std::vector<Edge> edges);
 
   /// Fast-path factory for callers that already hold a normalized
-  /// (`u < v`), lexicographically sorted, duplicate-free edge list — e.g.
-  /// ARB-LIST's Er subgraph, whose base edges arrive in id order. Skips
-  /// the normalize/sort/unique pass of `from_edges` and builds the CSR
-  /// with one counting scatter (the scatter of a sorted edge list leaves
-  /// every neighbor row sorted, so no per-row sort is needed either). The
-  /// precondition is checked in debug builds (assert); edge ids equal
-  /// positions in `edges`.
+  /// (`u < v`), lexicographically sorted, duplicate-free edge list — the
+  /// edges `subgraph` emits. Skips the normalize/sort/unique pass of
+  /// `from_edges` and builds the CSR with one counting scatter (the
+  /// scatter of a sorted edge list leaves every neighbor row sorted, so no
+  /// per-row sort is needed either). The precondition is checked in debug
+  /// builds (assert); edge ids equal positions in `edges`.
   static Graph from_sorted_edges(NodeId n, std::vector<Edge> edges);
 
   NodeId node_count() const { return n_; }
@@ -85,12 +86,6 @@ class Graph {
   /// Id of edge {a,b} if present.
   std::optional<EdgeId> edge_id(NodeId a, NodeId b) const;
 
-  /// Given an endpoint `v` of edge `e`, returns the other endpoint.
-  NodeId other_endpoint(EdgeId e, NodeId v) const {
-    const Edge& ed = edge(e);
-    return (ed.u == v) ? ed.v : ed.u;
-  }
-
   NodeId max_degree() const;
   double average_degree() const;
 
@@ -113,38 +108,19 @@ class Graph {
   std::vector<EdgeId> adj_edge_;     // size 2m, aligned with adj_
 };
 
-/// Incremental edge collector that tolerates duplicates and reversed pairs;
-/// `build` normalizes everything into a `Graph`.
-class EdgeListBuilder {
- public:
-  explicit EdgeListBuilder(NodeId n) : n_(n) {}
-
-  /// Records edge {a,b}; duplicates are dropped at build time. Self-loops
-  /// are rejected immediately.
-  void add_edge(NodeId a, NodeId b);
-
-  NodeId node_count() const { return n_; }
-  std::size_t pending_edges() const { return edges_.size(); }
-
-  Graph build() &&;
-
- private:
-  NodeId n_;
-  std::vector<Edge> edges_;
-};
-
-/// Builds the subgraph of `g` induced by keeping exactly the edges with
-/// `keep[e] == true` (same node set). `keep.size()` must equal edge count.
-Graph edge_subgraph(const Graph& g, const std::vector<bool>& keep);
-
-/// Builds the subgraph induced by a node subset. Returns the subgraph (whose
-/// nodes are re-numbered 0..|subset|-1) and the mapping from new id to
-/// original id.
-struct InducedSubgraph {
+/// A subgraph and the base id of each of its edges.
+struct Subgraph {
   Graph graph;
-  std::vector<NodeId> to_original;
+  std::vector<EdgeId> to_base;  ///< local edge i is base edge to_base[i]
 };
-InducedSubgraph induced_subgraph(const Graph& g,
-                                 std::span<const NodeId> nodes);
+
+/// The subgraph of `g` induced on `members`, keeping the edges set in
+/// `keep` (sized to g's edge count, else std::invalid_argument is thrown).
+/// `members` must ascend: local node i is
+/// `members[i]`. An empty `members` keeps every node under its own id.
+/// Local edges come out in base id order, and `edge_hint` (the expected
+/// kept-edge count) only sizes the buffers.
+Subgraph subgraph(const Graph& g, std::span<const NodeId> members,
+                  const EdgeMask& keep, std::size_t edge_hint = 0);
 
 }  // namespace dcl

@@ -1,51 +1,18 @@
 #include "graph/orientation.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace dcl {
 
-Orientation Orientation::from_order(const Graph& g,
-                                    std::span<const NodeId> order) {
-  if (order.size() != static_cast<std::size_t>(g.node_count())) {
-    throw std::invalid_argument("Orientation: order size mismatch");
-  }
-  std::vector<NodeId> rank(order.size(), -1);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    rank[static_cast<std::size_t>(order[i])] = static_cast<NodeId>(i);
-  }
-  for (NodeId r : rank) {
-    if (r < 0) throw std::invalid_argument("Orientation: not a permutation");
-  }
-  std::vector<bool> away(static_cast<std::size_t>(g.edge_count()));
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    const Edge& ed = g.edge(e);
-    away[static_cast<std::size_t>(e)] =
-        rank[static_cast<std::size_t>(ed.u)] <
-        rank[static_cast<std::size_t>(ed.v)];
-  }
-  return from_directions(g, std::move(away));
-}
-
-Orientation Orientation::from_directions(const Graph& g,
-                                         std::vector<bool> away_from_lower) {
-  if (away_from_lower.size() != static_cast<std::size_t>(g.edge_count())) {
-    throw std::invalid_argument("Orientation: direction size mismatch");
-  }
-  Orientation o;
-  o.g_ = &g;
-  o.away_ = std::move(away_from_lower);
-  o.out_degree_.assign(static_cast<std::size_t>(g.node_count()), 0);
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    ++o.out_degree_[static_cast<std::size_t>(o.tail(e))];
-  }
-  return o;
-}
-
-NodeId Orientation::max_out_degree() const {
-  return out_degree_.empty()
-             ? 0
-             : *std::max_element(out_degree_.begin(), out_degree_.end());
+NodeId max_out_degree(const Graph& g, const EdgeMask& away,
+                      const EdgeMask& edges) {
+  std::vector<NodeId> out_degree(static_cast<std::size_t>(g.node_count()), 0);
+  NodeId best = 0;
+  edges.for_each_set([&](EdgeId e) {
+    best = std::max(
+        best, ++out_degree[static_cast<std::size_t>(edge_tail(g, away, e))]);
+  });
+  return best;
 }
 
 namespace {
@@ -154,7 +121,18 @@ DegeneracyResult degeneracy_order(std::span<const std::uint64_t> offsets,
 
 Orientation degeneracy_orientation(const Graph& g) {
   const auto dec = degeneracy_order(g);
-  return Orientation::from_order(g, dec.order);
+  std::vector<NodeId> rank(dec.order.size());
+  for (std::size_t i = 0; i < dec.order.size(); ++i) {
+    rank[static_cast<std::size_t>(dec.order[i])] = to_node(i);
+  }
+  EdgeMask away(g.edge_count());
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    const Edge& ed = g.edge(e);
+    away.set(e, rank[static_cast<std::size_t>(ed.u)] <
+                    rank[static_cast<std::size_t>(ed.v)]);
+  }
+  const NodeId max_out = max_out_degree(g, away, EdgeMask(g.edge_count(), true));
+  return Orientation(std::move(away), max_out);
 }
 
 }  // namespace dcl

@@ -10,53 +10,43 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "graph/edge_mask.h"
 #include "graph/graph.h"
 
 namespace dcl {
 
-/// A direction for every edge of a fixed graph. Edge e = {u,v} with u < v is
-/// oriented u→v when `away_from_lower(e)` is true.
+/// The endpoint edge `e` points away from: `away[e]` orients e = {u,v}
+/// (u < v) as u→v, a clear bit as v→u. Every orientation in the pipeline
+/// is such an away-bit mask over base edge ids.
+inline NodeId edge_tail(const Graph& g, const EdgeMask& away, EdgeId e) {
+  const Edge& ed = g.edge(e);
+  return away[e] ? ed.u : ed.v;
+}
+
+/// Max out-degree under `away` over the edges set in `edges`.
+NodeId max_out_degree(const Graph& g, const EdgeMask& away,
+                      const EdgeMask& edges);
+
+/// A direction for every edge of a fixed graph, with its max out-degree.
+/// Edge e = {u,v} with u < v is oriented u→v when `away_from_lower(e)` is
+/// true.
 class Orientation {
  public:
   Orientation() = default;
+  Orientation(EdgeMask away, NodeId max_out_degree)
+      : away_(std::move(away)), max_out_degree_(max_out_degree) {}
 
-  /// Orients every edge from the endpoint appearing *earlier* in `order` to
-  /// the later one. With a degeneracy order this gives out-degree ≤
-  /// degeneracy. `order` must be a permutation of 0..n-1.
-  static Orientation from_order(const Graph& g, std::span<const NodeId> order);
-
-  /// Explicit per-edge directions: `away_from_lower[e]` == true orients the
-  /// edge from its lower-id endpoint to its higher-id endpoint.
-  static Orientation from_directions(const Graph& g,
-                                     std::vector<bool> away_from_lower);
-
-  const Graph& graph() const { return *g_; }
-
-  NodeId tail(EdgeId e) const {
-    const Edge& ed = g_->edge(e);
-    return away_[static_cast<std::size_t>(e)] ? ed.u : ed.v;
-  }
-  NodeId head(EdgeId e) const {
-    const Edge& ed = g_->edge(e);
-    return away_[static_cast<std::size_t>(e)] ? ed.v : ed.u;
-  }
-  bool away_from_lower(EdgeId e) const {
-    return away_[static_cast<std::size_t>(e)];
-  }
-
-  /// Edges oriented away from v. (The out-neighbor rows themselves are
-  /// built by `degeneracy_dag`, enumeration/clique_enumeration.h.)
-  NodeId out_degree(NodeId v) const {
-    return out_degree_[static_cast<std::size_t>(v)];
-  }
-  NodeId max_out_degree() const;
+  /// The away bits, ready to thread through a pipeline.
+  const EdgeMask& away() const { return away_; }
+  bool away_from_lower(EdgeId e) const { return away_[e]; }
+  NodeId max_out_degree() const { return max_out_degree_; }
 
  private:
-  const Graph* g_ = nullptr;
-  std::vector<bool> away_;
-  std::vector<NodeId> out_degree_;
+  EdgeMask away_;
+  NodeId max_out_degree_ = 0;
 };
 
 /// Result of the linear-time core-decomposition peeling.
@@ -76,7 +66,8 @@ DegeneracyResult degeneracy_order(const Graph& g);
 DegeneracyResult degeneracy_order(std::span<const std::uint64_t> offsets,
                                   std::span<const NodeId> adj);
 
-/// Canonical arboricity-witness orientation (out-degree ≤ degeneracy).
+/// Canonical arboricity-witness orientation: every edge points from the
+/// endpoint peeled first, so out-degree ≤ degeneracy.
 Orientation degeneracy_orientation(const Graph& g);
 
 }  // namespace dcl

@@ -22,10 +22,7 @@ struct ArbHarness {
   explicit ArbHarness(Graph graph, int p) : g(std::move(graph)) {
     cfg.p = p;
     const Orientation o = degeneracy_orientation(g);
-    away.assign(g.edge_count(), false);
-    for (EdgeId e = 0; e < g.edge_count(); ++e) {
-      away.set(e, o.away_from_lower(e));
-    }
+    away = o.away();
     es.assign(g.edge_count(), false);
     er.assign(g.edge_count(), true);
     arboricity_bound = std::max<std::int64_t>(1, o.max_out_degree());
@@ -154,13 +151,7 @@ TEST(ArbList, EsOrientationStaysBounded) {
   h.step(out, cluster_degree);
   // Theorem 2.9: Es out-degree grows by at most n^δ per call (we ran one
   // call from Es = ∅, so the witness must be ≤ n^δ).
-  std::vector<std::int64_t> outdeg(static_cast<std::size_t>(h.g.node_count()),
-                                   0);
-  h.es.for_each_set([&](EdgeId e) {
-    const Edge& ed = h.g.edge(e);
-    ++outdeg[static_cast<std::size_t>(h.away[e] ? ed.u : ed.v)];
-  });
-  for (const auto d : outdeg) EXPECT_LE(d, cluster_degree);
+  EXPECT_LE(max_out_degree(h.g, h.away, h.es), cluster_degree);
 }
 
 TEST(ArbList, BadEdgeBudgetRespected) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "graph/generators.h"
 
 namespace dcl {
 namespace {
@@ -73,13 +74,6 @@ TEST(Graph, EdgeIdLookup) {
   EXPECT_FALSE(g.has_edge(2, 3));
 }
 
-TEST(Graph, OtherEndpoint) {
-  const Graph g = triangle_plus_pendant();
-  const EdgeId e = *g.edge_id(0, 3);
-  EXPECT_EQ(g.other_endpoint(e, 0), 3);
-  EXPECT_EQ(g.other_endpoint(e, 3), 0);
-}
-
 TEST(Graph, ConnectedComponents) {
   const Graph g = Graph::from_edges(6, {{0, 1}, {1, 2}, {3, 4}});
   const auto [comp, count] = g.connected_components();
@@ -136,57 +130,109 @@ TEST(Graph, FromSortedEdgesMatchesFromEdges) {
   }
 }
 
-TEST(EdgeListBuilder, BuildsAndValidates) {
-  EdgeListBuilder builder(4);
-  builder.add_edge(0, 1);
-  builder.add_edge(1, 0);  // duplicate, reversed
-  builder.add_edge(2, 3);
-  EXPECT_EQ(builder.pending_edges(), 3u);
-  const Graph g = std::move(builder).build();
-  EXPECT_EQ(g.edge_count(), 2);
-  EdgeListBuilder bad(2);
-  EXPECT_THROW(bad.add_edge(0, 0), std::invalid_argument);
-  EXPECT_THROW(bad.add_edge(0, 5), std::invalid_argument);
+/// Every edge and CSR row of `a` equals `b`'s.
+void expect_same_graph(const Graph& a, const Graph& b) {
+  ASSERT_EQ(a.node_count(), b.node_count());
+  ASSERT_TRUE(std::ranges::equal(a.edges(), b.edges()));
+  for (NodeId v = 0; v < a.node_count(); ++v) {
+    EXPECT_TRUE(std::ranges::equal(a.neighbors(v), b.neighbors(v)))
+        << "node " << v;
+    EXPECT_TRUE(std::ranges::equal(a.incident_edges(v), b.incident_edges(v)))
+        << "node " << v;
+  }
 }
 
 TEST(EdgeSubgraph, KeepsSelectedEdges) {
   const Graph g = triangle_plus_pendant();
-  std::vector<bool> keep(4, false);
-  keep[static_cast<std::size_t>(*g.edge_id(0, 1))] = true;
-  keep[static_cast<std::size_t>(*g.edge_id(0, 3))] = true;
-  const Graph sub = edge_subgraph(g, keep);
-  EXPECT_EQ(sub.node_count(), 4);
-  EXPECT_EQ(sub.edge_count(), 2);
-  EXPECT_TRUE(sub.has_edge(0, 1));
-  EXPECT_TRUE(sub.has_edge(0, 3));
-  EXPECT_FALSE(sub.has_edge(1, 2));
+  EdgeMask keep(4);
+  keep.set(*g.edge_id(0, 1));
+  keep.set(*g.edge_id(0, 3));
+  const Subgraph sub = subgraph(g, {}, keep);
+  EXPECT_EQ(sub.graph.node_count(), 4);
+  EXPECT_EQ(sub.graph.edge_count(), 2);
+  EXPECT_TRUE(sub.graph.has_edge(0, 1));
+  EXPECT_TRUE(sub.graph.has_edge(0, 3));
+  EXPECT_FALSE(sub.graph.has_edge(1, 2));
+  EXPECT_EQ(sub.to_base,
+            (std::vector<EdgeId>{*g.edge_id(0, 1), *g.edge_id(0, 3)}));
 }
 
 TEST(EdgeSubgraph, RejectsWrongMaskSize) {
   const Graph g = triangle_plus_pendant();
-  EXPECT_THROW(edge_subgraph(g, std::vector<bool>(3)), std::invalid_argument);
+  EXPECT_THROW(subgraph(g, {}, EdgeMask(3)), std::invalid_argument);
 }
 
 TEST(InducedSubgraph, RemapsNodes) {
   const Graph g = triangle_plus_pendant();
   const std::vector<NodeId> nodes = {0, 1, 2};
-  const auto sub = induced_subgraph(g, nodes);
+  const Subgraph sub = subgraph(g, nodes, EdgeMask(4, true));
   EXPECT_EQ(sub.graph.node_count(), 3);
   EXPECT_EQ(sub.graph.edge_count(), 3);  // full triangle
-  EXPECT_EQ(sub.to_original.size(), 3u);
-  // Node 3's pendant edge must be gone.
-  for (const Edge& e : sub.graph.edges()) {
-    EXPECT_LT(sub.to_original[static_cast<std::size_t>(e.u)], 3);
-    EXPECT_LT(sub.to_original[static_cast<std::size_t>(e.v)], 3);
+  // Node 3's pendant edge must be gone, and each local edge maps back to
+  // the base edge between the same members.
+  for (EdgeId e = 0; e < sub.graph.edge_count(); ++e) {
+    const Edge& local = sub.graph.edge(e);
+    EXPECT_EQ(g.edge(sub.to_base[static_cast<std::size_t>(e)]),
+              make_edge(nodes[static_cast<std::size_t>(local.u)],
+                        nodes[static_cast<std::size_t>(local.v)]));
   }
 }
 
-TEST(InducedSubgraph, HandlesDuplicatesInInput) {
-  const Graph g = triangle_plus_pendant();
-  const std::vector<NodeId> nodes = {2, 0, 2, 1, 0};
-  const auto sub = induced_subgraph(g, nodes);
-  EXPECT_EQ(sub.graph.node_count(), 3);
-  EXPECT_EQ(sub.graph.edge_count(), 3);
+TEST(Subgraph, MaskFormMatchesTheSortedEdgeBuild) {
+  // The mask form keeps every node under its own id: it must build what
+  // listing the kept base edges in id order into `from_sorted_edges` does.
+  Rng rng(31);
+  for (int round = 0; round < 12; ++round) {
+    const Graph g = erdos_renyi_gnm(60, 400, rng);
+    EdgeMask keep(g.edge_count());
+    std::vector<Edge> kept;
+    std::vector<EdgeId> kept_ids;
+    for (EdgeId e = 0; e < g.edge_count(); ++e) {
+      if (rng.next_below(3) != 0) continue;
+      keep.set(e);
+      kept.push_back(g.edge(e));
+      kept_ids.push_back(e);
+    }
+    const Subgraph sub = subgraph(g, {}, keep);
+    expect_same_graph(sub.graph, Graph::from_sorted_edges(60, kept));
+    EXPECT_EQ(sub.to_base, kept_ids);
+  }
+}
+
+TEST(Subgraph, MembersFormMatchesTheInducedReference) {
+  // Reference: remap the kept edges with both endpoints among the members
+  // and hand them to `from_edges`, which sorts and normalizes them.
+  Rng rng(32);
+  for (int round = 0; round < 12; ++round) {
+    const Graph g = erdos_renyi_gnm(60, 400, rng);
+    std::vector<NodeId> members;
+    std::vector<NodeId> local(60, -1);
+    for (NodeId v = 0; v < 60; ++v) {
+      if (rng.next_below(2) == 0) continue;
+      local[static_cast<std::size_t>(v)] = to_node(members.size());
+      members.push_back(v);
+    }
+    EdgeMask keep(g.edge_count());
+    std::vector<Edge> remapped;
+    for (EdgeId e = 0; e < g.edge_count(); ++e) {
+      if (rng.next_below(4) == 0) continue;
+      keep.set(e);
+      const Edge& ed = g.edge(e);
+      const NodeId lu = local[static_cast<std::size_t>(ed.u)];
+      const NodeId lv = local[static_cast<std::size_t>(ed.v)];
+      if (lu >= 0 && lv >= 0) remapped.push_back(Edge{lu, lv});
+    }
+    const Subgraph sub = subgraph(g, members, keep);
+    const Graph ref = Graph::from_edges(to_node(members.size()), remapped);
+    expect_same_graph(sub.graph, ref);
+    ASSERT_EQ(sub.to_base.size(), static_cast<std::size_t>(ref.edge_count()));
+    for (EdgeId e = 0; e < ref.edge_count(); ++e) {
+      const Edge& le = ref.edge(e);
+      EXPECT_EQ(sub.to_base[static_cast<std::size_t>(e)],
+                *g.edge_id(members[static_cast<std::size_t>(le.u)],
+                           members[static_cast<std::size_t>(le.v)]));
+    }
+  }
 }
 
 TEST(MakeEdge, Normalizes) {

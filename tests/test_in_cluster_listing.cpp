@@ -35,7 +35,7 @@ struct Scenario {
     holders.resize(static_cast<std::size_t>(k));
     const Orientation o = degeneracy_orientation(g);
     for (EdgeId e = 0; e < g.edge_count(); ++e) {
-      const NodeId tail = o.tail(e);
+      const NodeId tail = edge_tail(g, o.away(), e);
       const NodeId idx = responsible_cluster_index(tail, g.node_count(), k);
       holders[static_cast<std::size_t>(idx)].push_back(e);
     }

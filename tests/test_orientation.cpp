@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 #include "enumeration/clique_enumeration.h"
@@ -169,9 +169,9 @@ TEST(Orientation, TailHeadConsistent) {
   const Orientation o = degeneracy_orientation(g);
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     const Edge& ed = g.edge(e);
-    const NodeId t = o.tail(e), h = o.head(e);
-    EXPECT_NE(t, h);
-    EXPECT_TRUE((t == ed.u && h == ed.v) || (t == ed.v && h == ed.u));
+    const NodeId t = edge_tail(g, o.away(), e);
+    EXPECT_EQ(t, o.away_from_lower(e) ? ed.u : ed.v);
+    EXPECT_TRUE(t == ed.u || t == ed.v);
   }
 }
 
@@ -183,59 +183,64 @@ TEST(Orientation, OutDegreesMatchTheDegeneracyDag) {
   const Orientation o = degeneracy_orientation(g);
   const CliqueDag dag = degeneracy_dag(g);
   std::int64_t total = 0;
+  NodeId widest = 0;
   for (NodeId v = 0; v < 50; ++v) {
     const auto begin = dag.offsets[static_cast<std::size_t>(v)];
     const auto end = dag.offsets[static_cast<std::size_t>(v) + 1];
-    EXPECT_EQ(static_cast<std::uint64_t>(o.out_degree(v)), end - begin);
-    total += o.out_degree(v);
+    total += static_cast<std::int64_t>(end - begin);
+    widest = std::max(widest, static_cast<NodeId>(end - begin));
     for (auto i = begin; i < end; ++i) {
-      const EdgeId e = *g.edge_id(v, dag.adj[i]);
-      EXPECT_EQ(o.tail(e), v);
-      EXPECT_EQ(o.head(e), dag.adj[i]);
+      EXPECT_EQ(edge_tail(g, o.away(), *g.edge_id(v, dag.adj[i])), v);
     }
   }
   EXPECT_EQ(total, g.edge_count());  // every edge has exactly one tail
-}
-
-TEST(Orientation, FromDirectionsRoundTrip) {
-  const Graph g = path_graph(4);
-  std::vector<bool> away = {true, false, true};
-  const Orientation o = Orientation::from_directions(g, away);
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    EXPECT_EQ(o.away_from_lower(e), static_cast<bool>(away[static_cast<std::size_t>(e)]));
-  }
-}
-
-TEST(Orientation, FromOrderValidation) {
-  const Graph g = path_graph(3);
-  const std::vector<NodeId> bad_size = {0, 1};
-  EXPECT_THROW(Orientation::from_order(g, bad_size), std::invalid_argument);
-  const std::vector<NodeId> not_perm = {0, 0, 2};
-  EXPECT_THROW(Orientation::from_order(g, not_perm), std::invalid_argument);
-  const std::vector<NodeId> ok = {2, 0, 1};
-  const Orientation o = Orientation::from_order(g, ok);
-  // Edge {0,1}: 0 is later than 1? order = [2,0,1], rank(0)=1 < rank(1)=2,
-  // so 0 -> 1.
-  EXPECT_EQ(o.tail(*g.edge_id(0, 1)), 0);
-  // Edge {1,2}: rank(2)=0 < rank(1)=2, so 2 -> 1.
-  EXPECT_EQ(o.tail(*g.edge_id(1, 2)), 2);
+  EXPECT_EQ(o.max_out_degree(), widest);
 }
 
 TEST(Orientation, AcyclicFromOrder) {
-  // Orientations from an order are acyclic: follow out-edges, ranks only
-  // increase.
+  // The degeneracy orientation follows its peeling order: every edge
+  // points from the endpoint peeled first, so ranks only increase along
+  // out-edges and the orientation is acyclic.
   Rng rng(6);
   const Graph g = erdos_renyi_gnm(40, 200, rng);
   const auto dec = degeneracy_order(g);
-  const Orientation o = Orientation::from_order(g, dec.order);
+  const Orientation o = degeneracy_orientation(g);
   std::vector<NodeId> rank(40);
   for (std::size_t i = 0; i < dec.order.size(); ++i) {
     rank[static_cast<std::size_t>(dec.order[i])] = static_cast<NodeId>(i);
   }
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    EXPECT_LT(rank[static_cast<std::size_t>(o.tail(e))],
-              rank[static_cast<std::size_t>(o.head(e))]);
+    const Edge& ed = g.edge(e);
+    const NodeId tail = edge_tail(g, o.away(), e);
+    const NodeId head = tail == ed.u ? ed.v : ed.u;
+    EXPECT_LT(rank[static_cast<std::size_t>(tail)],
+              rank[static_cast<std::size_t>(head)]);
   }
+}
+
+TEST(Orientation, MaxOutDegreeOverASubsetMatchesBruteForce) {
+  Rng rng(7);
+  for (int round = 0; round < 10; ++round) {
+    const Graph g = erdos_renyi_gnm(40, 250, rng);
+    EdgeMask away(g.edge_count());
+    EdgeMask edges(g.edge_count());
+    for (EdgeId e = 0; e < g.edge_count(); ++e) {
+      away.set(e, rng.next_below(2) == 0);
+      edges.set(e, rng.next_below(3) != 0);
+    }
+    NodeId expected = 0;
+    for (NodeId v = 0; v < g.node_count(); ++v) {
+      NodeId out = 0;
+      for (EdgeId e = 0; e < g.edge_count(); ++e) {
+        const Edge& ed = g.edge(e);
+        if (edges[e] && (away[e] ? ed.u : ed.v) == v) ++out;
+      }
+      expected = std::max(expected, out);
+    }
+    EXPECT_EQ(max_out_degree(g, away, edges), expected);
+  }
+  const Graph g = complete_graph(4);
+  EXPECT_EQ(max_out_degree(g, EdgeMask(6, true), EdgeMask(6)), 0);
 }
 
 }  // namespace

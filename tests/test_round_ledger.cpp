@@ -56,7 +56,7 @@ TEST(RoundLedger, PrintBreakdownContainsLabels) {
   ledger.charge_exchange("alpha-phase", 3.0, 9);
   ledger.charge_analytic("beta-charge", 4.0);
   std::ostringstream os;
-  ledger.print_breakdown(os);
+  ledger.print_audited(os);
   const std::string text = os.str();
   EXPECT_NE(text.find("alpha-phase"), std::string::npos);
   EXPECT_NE(text.find("beta-charge"), std::string::npos);
@@ -153,7 +153,7 @@ TEST(RoundLedger, BreakdownCoversRetryEntriesAndMerge) {
 
 TEST(RoundLedger, PrintAuditedAlignsLongLabelsAndRestoresStream) {
   RoundLedger ledger;
-  const std::string long_label(48, 'L');  // longer than the setw(42) legacy
+  const std::string long_label(48, 'L');  // wider than the default column
   ledger.charge_exchange(long_label, 2.0, 8);
   ledger.charge_analytic("short", 1.5);
   ledger.charge_retry("short [retry]", 0.5, 3);
@@ -161,8 +161,8 @@ TEST(RoundLedger, PrintAuditedAlignsLongLabelsAndRestoresStream) {
   os << std::setprecision(6);
   const std::ios_base::fmtflags flags_before = os.flags();
   ledger.print_audited(os);
-  // Stream state is restored — print_breakdown leaks std::fixed, the
-  // audited printer must not.
+  // Stream state is restored: the printer must not leak std::fixed or its
+  // precision into the caller's stream.
   EXPECT_EQ(os.flags(), flags_before);
   EXPECT_EQ(os.precision(), 6);
   const std::string text = os.str();
